@@ -7,4 +7,4 @@ coincidence; a counting clock turns D1D2/D3D4 coincidences into raw bits;
 von Neumann unbiasing and an SP 800-22 test subset close the loop.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

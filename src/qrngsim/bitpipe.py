@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,6 +56,12 @@ class ClockConfig:
     def __post_init__(self) -> None:
         if not (self.frequency_hz > 0.0) or not math.isfinite(self.frequency_hz):
             raise ValueError(f"frequency_hz must be > 0, got {self.frequency_hz}")
+        period = FS_PER_SECOND / self.frequency_hz
+        if not (math.isfinite(period) and 1 <= round(period) <= _INT64_MAX):
+            raise ValueError(
+                f"frequency_hz {self.frequency_hz} gives a clock period outside "
+                f"1 fs to {_INT64_MAX} fs"
+            )
 
     @property
     def period_fs(self) -> int:
@@ -64,13 +69,7 @@ class ClockConfig:
         return round(FS_PER_SECOND / self.frequency_hz)
 
 
-@dataclass(frozen=True)
-class BitRecord:
-    symbol: Symbol
-    clock_index: int
-
-
-class BitRecordStream(Sequence):
+class BitRecordStream:
     """Clock-ordered records as parallel arrays; indices strictly increase."""
 
     def __init__(self, symbols: np.ndarray, clock_indices: np.ndarray):
@@ -79,25 +78,8 @@ class BitRecordStream(Sequence):
         if len(self.symbols) != len(self.clock_indices):
             raise ValueError("symbols and clock_indices must have equal length")
 
-    @classmethod
-    def from_records(cls, records: Iterable[BitRecord]) -> "BitRecordStream":
-        records = list(records)
-        return cls(
-            np.array([int(r.symbol) for r in records], dtype=np.int8),
-            np.array([r.clock_index for r in records], dtype=np.int64),
-        )
-
     def __len__(self) -> int:
         return len(self.symbols)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return BitRecordStream(self.symbols[i], self.clock_indices[i])
-        return BitRecord(Symbol(int(self.symbols[i])), int(self.clock_indices[i]))
-
-    def __iter__(self) -> Iterator[BitRecord]:
-        for s, k in zip(self.symbols, self.clock_indices):
-            yield BitRecord(Symbol(int(s)), int(k))
 
     def counts(self) -> dict:
         c = np.bincount(self.symbols, minlength=3)
@@ -160,10 +142,8 @@ class BitStream:
         return cls(np.unpackbits(payload, count=n) if n else np.empty(0, np.uint8))
 
 
-def records_to_stream(records) -> BitStream:
+def records_to_stream(records: BitRecordStream) -> BitStream:
     """Data bits in clock order; error symbols are dropped (logged apart)."""
-    if not isinstance(records, BitRecordStream):
-        records = BitRecordStream.from_records(records)
     data = records.symbols[records.symbols != int(Symbol.ERROR)]
     return BitStream(data.astype(np.uint8))
 
@@ -173,7 +153,7 @@ def _period_indices(times_ps: np.ndarray, clock: ClockConfig) -> np.ndarray:
 
     Works in femtoseconds so common clocks (500 kHz, 3 ns windows) divide
     exactly; falls back to Python integers if the fs product would not fit
-    in int64 (runs longer than ~10^6 s).
+    in int64 (timestamps past INT64_MAX // 1000 ps, about 9,223 s).
     """
     period_fs = clock.period_fs
     if len(times_ps) == 0:
@@ -185,8 +165,6 @@ def _period_indices(times_ps: np.ndarray, clock: ClockConfig) -> np.ndarray:
 
 def period_occupancy(coincidences: CoincidenceStream, clock: ClockConfig):
     """(period index, event count, first label) per occupied clock period."""
-    if not isinstance(coincidences, CoincidenceStream):
-        coincidences = CoincidenceStream.from_events(coincidences)
     times = coincidences.times_ps
     if np.any(np.diff(times) < 0):
         raise UnsortedInput("coincidences must be time-sorted")
@@ -196,7 +174,7 @@ def period_occupancy(coincidences: CoincidenceStream, clock: ClockConfig):
     return uniq, counts, first_labels
 
 
-def extract_bits(coincidences, clock: ClockConfig) -> BitRecordStream:
+def extract_bits(coincidences: CoincidenceStream, clock: ClockConfig) -> BitRecordStream:
     """Clocked bit extraction from qualifying (D1D2/D3D4) coincidences.
 
     Cross-arm labels must have been routed to the purity monitor first;
@@ -207,8 +185,6 @@ def extract_bits(coincidences, clock: ClockConfig) -> BitRecordStream:
     bit shifts to the next free index, so every coincidence stays
     accounted for and indices strictly increase.
     """
-    if not isinstance(coincidences, CoincidenceStream):
-        coincidences = CoincidenceStream.from_events(coincidences)
     if len(coincidences) and np.any(
         (coincidences.labels != int(PairLabel.D1D2))
         & (coincidences.labels != int(PairLabel.D3D4))
@@ -251,10 +227,8 @@ def ber_model(rate_hz: float, clock: ClockConfig) -> float:
     return ber
 
 
-def empirical_ber(records) -> float:
+def empirical_ber(records: BitRecordStream) -> float:
     """Observed error fraction: errors / all recorded symbols (0 if none)."""
-    if not isinstance(records, BitRecordStream):
-        records = BitRecordStream.from_records(records)
     total = len(records)
     if total == 0:
         return 0.0
@@ -323,10 +297,10 @@ def read_bit_file(path, fmt: str = "auto") -> BitStream:
     raise ValueError(f"unknown bit file format {fmt!r}")
 
 
-def write_error_log(path, records, coincidences, clock: ClockConfig) -> None:
+def write_error_log(
+    path, records: BitRecordStream, coincidences: CoincidenceStream, clock: ClockConfig
+) -> None:
     """CSV of error records: emitted clock index and period occupancy."""
-    if not isinstance(records, BitRecordStream):
-        records = BitRecordStream.from_records(records)
     uniq, counts, _ = period_occupancy(coincidences, clock)
     occupancy = dict(zip(uniq.tolist(), counts.tolist()))
     with open(path, "w", encoding="ascii", newline="\n") as fh:

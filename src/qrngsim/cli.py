@@ -3,8 +3,13 @@ and randomness testing.
 
 Exit codes are a stable contract: 0 success / suite pass, 1 randomness
 test failure, 2 usage error, 3 purity-monitor alarm, 4 I/O failure.
-Every command honors --seed and writes a manifest next to its outputs;
-rerunning a manifest reproduces every output file byte for byte.
+Usage errors print one line on stderr.  Every command honors --seed and
+writes a manifest next to its outputs holding the command line (``argv``)
+and the parameters it parsed to.  ``rerun`` replays that argv through
+this module's parser, so reruns get the same defaults and validation as
+direct runs, and reproduces every output file byte for byte.  A manifest
+without ``argv`` (written before 0.2.0) or whose parameters disagree with
+its argv is refused with exit 2.
 """
 
 from __future__ import annotations
@@ -40,6 +45,17 @@ OUTDIR_ENV = "QRNGSIM_OUTDIR"
 
 class MonitorAlarm(RuntimeError):
     """Cross-arm coincidences exceeded the monitor threshold mid-run."""
+
+
+class UsageError(ValueError):
+    """A command line or manifest that cannot run as given."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of printing usage, so errors stay one line."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _resolve(path: str) -> str:
@@ -84,39 +100,38 @@ def _configs_from_args(args, delay_fs: float):
     return interf, bank, timing
 
 
-def _collect_params(args, keys) -> dict:
-    return {key: getattr(args, key) for key in keys}
+def _parameters(args) -> dict:
+    return {key: value for key, value in vars(args).items() if key != "func"}
 
 
-def _start_manifest(command: str, args, keys) -> RunManifest:
+def _run(args, argv) -> int:
+    """Run a parsed command line between its manifest's start and its save.
+
+    The command hashes its outputs into the manifest as it writes them and
+    returns its exit code with the path the manifest is saved to.
+    """
     manifest = RunManifest(
-        command=command,
-        parameters=_collect_params(args, keys),
+        command=args.command,
+        argv=list(argv),
+        parameters=_parameters(args),
         seed=args.seed,
         started_utc=utc_now(),
     )
-    return manifest
+    code, manifest_path = args.func(args, manifest)
+    manifest.finished_utc = utc_now()
+    manifest.save(manifest_path)
+    return code
 
 
 # --------------------------------------------------------------- scan-delay
 
-_SCAN_KEYS = (
-    "delay_from", "delay_to", "steps", "pairs_per_point", "point_duration",
-    "seed", "out", "fit", "coherence_time", "visibility_ceiling",
-    "efficiency", "dark_rate", "jitter", "dead_time", "window",
-)
 
-
-def cmd_scan_delay(args) -> int:
+def cmd_scan_delay(args, manifest: RunManifest):
     if args.steps < 2:
-        print("scan-delay: --steps must be at least 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("scan-delay: --steps must be at least 2")
     if args.pairs_per_point <= 0 or args.point_duration <= 0:
-        print("scan-delay: pair budget and point duration must be positive",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("scan-delay: pair budget and point duration must be positive")
 
-    manifest = _start_manifest("scan-delay", args, _SCAN_KEYS)
     delays = np.linspace(args.delay_from, args.delay_to, args.steps)
     source = SourceConfig(
         pair_rate_hz=args.pairs_per_point / args.point_duration,
@@ -141,27 +156,20 @@ def cmd_scan_delay(args) -> int:
         print(f"fitted dip width: {fit.width_fs:.1f} fs, "
               f"baseline {fit.baseline_hz:.3f} Hz")
 
-    manifest.finished_utc = utc_now()
-    manifest.save(out + ".manifest.json")
     print(f"wrote {out} ({args.steps} delay points, 6 pair labels)")
-    return EXIT_OK
+    return EXIT_OK, out + ".manifest.json"
 
 
 # ----------------------------------------------------------------- ber-scan
 
-_BER_KEYS = ("rate", "freqs", "duration", "seed", "out")
 
-
-def cmd_ber_scan(args) -> int:
+def cmd_ber_scan(args, manifest: RunManifest):
     try:
         freqs = [float(f) for f in args.freqs.split(",") if f.strip()]
     except ValueError:
-        print(f"ber-scan: cannot parse --freqs {args.freqs!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"ber-scan: cannot parse --freqs {args.freqs!r}") from None
     if not freqs or args.rate < 0 or args.duration <= 0:
-        print("ber-scan: need a frequency list, rate >= 0 and duration > 0",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("ber-scan: need a frequency list, rate >= 0 and duration > 0")
 
     rows = []
     for i, f in enumerate(freqs):
@@ -169,8 +177,7 @@ def cmd_ber_scan(args) -> int:
         try:
             model = bitpipe.ber_model(args.rate, clock)
         except bitpipe.ModelOutOfRange as exc:
-            print(f"ber-scan: frequency {f} Hz: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"ber-scan: frequency {f} Hz: {exc}") from None
         stream = timetag.synthetic_coincidences(
             args.rate, args.duration, seed=timetag.point_seed(args.seed, i)
         )
@@ -180,30 +187,20 @@ def cmd_ber_scan(args) -> int:
         sigma = math.sqrt(empirical * (1.0 - empirical) / n) if n else 0.0
         rows.append((f, model, empirical, sigma))
 
-    manifest = _start_manifest("ber-scan", args, _BER_KEYS)
     out = _resolve(args.out)
     with open(out, "w", encoding="ascii", newline="\n") as fh:
         fh.write("frequency_hz,model_ber,empirical_ber,sigma\n")
         for f, model, empirical, sigma in rows:
             fh.write(f"{f!r},{model!r},{empirical!r},{sigma!r}\n")
     manifest.add_output("ber_csv", out)
-    manifest.finished_utc = utc_now()
-    manifest.save(out + ".manifest.json")
 
     for f, model, empirical, sigma in rows:
         print(f"f={f:>10.0f} Hz  model={model:.6f}  empirical={empirical:.6f}"
               f"  sigma={sigma:.6f}")
-    return EXIT_OK
+    return EXIT_OK, out + ".manifest.json"
 
 
 # ----------------------------------------------------------------- generate
-
-_GENERATE_KEYS = (
-    "clock", "duration", "pair_rate", "seed", "format", "out", "error_log",
-    "manifest", "monitor_threshold", "dump_events", "delay", "coherence_time",
-    "visibility_ceiling", "efficiency", "dark_rate", "jitter", "dead_time",
-    "window",
-)
 
 
 @dataclass
@@ -250,11 +247,7 @@ def run_generation(
     )
 
 
-def cmd_generate(args) -> int:
-    if args.format not in ("ascii", "packed"):
-        print(f"generate: unknown --format {args.format!r}", file=sys.stderr)
-        return EXIT_USAGE
-    manifest = _start_manifest("generate", args, _GENERATE_KEYS)
+def cmd_generate(args, manifest: RunManifest):
     source = SourceConfig(pair_rate_hz=args.pair_rate, duration_s=args.duration,
                           seed=args.seed)
     interf, bank, timing = _configs_from_args(args, args.delay)
@@ -297,29 +290,23 @@ def cmd_generate(args) -> int:
             "model_ber": model_ber,
         }
     )
-    manifest.finished_utc = utc_now()
-    manifest.save(_resolve(args.manifest or args.out + ".manifest.json"))
 
     print(f"events: {len(result.events)}  coincidences: {len(result.coincidences)}"
           f"  cross-arm: {result.monitor.cross_arm_count}")
     print(f"bits: {len(result.bits)}  errors: {counts[bitpipe.Symbol.ERROR]}"
           f"  empirical BER: {bitpipe.empirical_ber(result.records):.3e}")
     print(f"wrote {out}")
-    return EXIT_OK
+    return EXIT_OK, _resolve(args.manifest or args.out + ".manifest.json")
 
 
 # ------------------------------------------------------------------- unbias
 
-_UNBIAS_KEYS = ("infile", "out", "in_format", "out_format", "seed")
 
-
-def cmd_unbias(args) -> int:
+def cmd_unbias(args, manifest: RunManifest):
     stream = bitpipe.read_bit_file(args.infile, fmt=args.in_format)
     unbiased = bitpipe.von_neumann(stream)
     out = _resolve(args.out)
     bitpipe.write_bit_file(unbiased, out, fmt=args.out_format)
-
-    manifest = _start_manifest("unbias", args, _UNBIAS_KEYS)
     manifest.add_output("bits", out)
     manifest.metadata["input_bits"] = stream.n
     manifest.metadata["output_bits"] = unbiased.n
@@ -334,18 +321,13 @@ def cmd_unbias(args) -> int:
         p_one, err = bitpipe.bias_estimate(unbiased)
         manifest.metadata["output_ones_fraction"] = p_one
         print(f"output ones fraction: {p_one:.5f} +/- {err:.5f}")
-    manifest.finished_utc = utc_now()
-    manifest.save(out + ".manifest.json")
-    return EXIT_OK
+    return EXIT_OK, out + ".manifest.json"
 
 
 # --------------------------------------------------------------------- test
 
-_TEST_KEYS = ("infile", "alpha", "report", "sequence_id", "block_m",
-              "apen_m", "serial_m", "seed")
 
-
-def cmd_test(args) -> int:
+def cmd_test(args, manifest: RunManifest):
     stream = bitpipe.read_bit_file(args.infile)
     config = statskit.SuiteConfig(
         alpha=args.alpha,
@@ -360,12 +342,8 @@ def cmd_test(args) -> int:
     with open(out, "w", encoding="ascii", newline="\n") as fh:
         fh.write(report.to_json())
         fh.write("\n")
-
-    manifest = _start_manifest("test", args, _TEST_KEYS)
     manifest.add_output("report", out)
     manifest.metadata["overall_pass"] = report.overall_pass
-    manifest.finished_utc = utc_now()
-    manifest.save(out + ".manifest.json")
 
     print(f"sequence: {sequence_id}  bits: {report.n_bits}  alpha: {report.alpha}")
     print(f"{'test':<22}{'p-value(s)':<24}result")
@@ -378,43 +356,42 @@ def cmd_test(args) -> int:
             pvals = " ".join(f"{p:.5f}" for p in t.p_values)
         print(f"{t.test_name:<22}{pvals:<24}{verdict}")
     print(f"overall: {'PASS' if report.overall_pass else 'FAIL'}")
-    return EXIT_OK if report.overall_pass else EXIT_TEST_FAIL
+    return (EXIT_OK if report.overall_pass else EXIT_TEST_FAIL), out + ".manifest.json"
 
 
 # -------------------------------------------------------------------- rerun
 
-# output-path parameters a rerun may redirect; inputs stay in place
-_PATH_KEYS = ("out", "error_log", "dump_events", "report", "manifest")
+# output-path options a rerun may redirect; inputs stay in place
+_OUTPUT_OPTIONS = ("out", "error_log", "dump_events", "report", "manifest")
 
 
 def cmd_rerun(args) -> int:
-    manifest = RunManifest.load(args.manifest_file)
-    params = dict(manifest.parameters)
+    """Replay a manifest's argv through the parser, outputs optionally moved.
+
+    Later occurrences of an option override earlier ones, so --outdir
+    appends one redirected path per output option the recorded run set.
+    """
+    recorded = RunManifest.load(args.manifest_file)
+    parser = build_parser()
+    argv = list(recorded.argv)
+    replay = parser.parse_args(argv)
+    if replay.command == "rerun":
+        raise UsageError(f"rerun: {args.manifest_file} records a rerun, which does not replay")
+    if _parameters(replay) != recorded.parameters:
+        raise UsageError(f"rerun: {args.manifest_file}: parameters do not match its argv")
     if args.outdir:
         os.makedirs(args.outdir, exist_ok=True)
-        for key in _PATH_KEYS:
-            value = params.get(key)
-            if isinstance(value, str) and value:
-                params[key] = os.path.join(args.outdir, os.path.basename(value))
-    handler = _COMMANDS.get(manifest.command)
-    if handler is None:
-        print(f"rerun: manifest names unknown command {manifest.command!r}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    return handler(argparse.Namespace(**params))
-
-
-_COMMANDS = {
-    "scan-delay": cmd_scan_delay,
-    "ber-scan": cmd_ber_scan,
-    "generate": cmd_generate,
-    "unbias": cmd_unbias,
-    "test": cmd_test,
-}
+        for key in _OUTPUT_OPTIONS:
+            path = getattr(replay, key, None)
+            if path:
+                argv += ["--" + key.replace("_", "-"),
+                         os.path.join(args.outdir, os.path.basename(path))]
+        replay = parser.parse_args(argv)
+    return _run(replay, argv)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qrngsim",
         description="Simulate a two-photon interference quantum random "
                     "number generator end to end.",
@@ -501,26 +478,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", dest="manifest_file", required=True)
     p.add_argument("--outdir", default=None,
                    help="redirect output files into this directory")
-    p.set_defaults(func=cmd_rerun)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        return cmd_rerun(args) if args.command == "rerun" else _run(args, argv)
+    except SystemExit as exc:  # --help and --version
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.func(args)
     except MonitorAlarm as exc:
         print(f"purity monitor alarm: {exc}", file=sys.stderr)
         return EXIT_ALARM
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, bitpipe.ModelOutOfRange) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

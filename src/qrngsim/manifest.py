@@ -1,10 +1,12 @@
 """Run manifests: enough metadata to replay any command bit for bit.
 
-A manifest records the command name, every parameter that influences the
-output, the seed, tool version, wall-clock start/end stamps, and a SHA-256
-digest per output file.  Replaying the stored parameters with the same
-tool version must reproduce every digest; the timestamps are documentation
-and take no part in that contract.
+A manifest records the command name, the command line as given
+(``argv``), the parsed parameters that line produced, the seed, tool
+version, wall-clock start/end stamps, and a SHA-256 digest per output
+file.  Replaying ``argv`` through the command-line parser with the same
+tool version must reproduce every digest; the timestamps are
+documentation and take no part in that contract.  Manifests written
+before 0.2.0 carry no ``argv`` and are refused by ``load``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__
+
+_REQUIRED = ("tool_version", "command", "argv", "parameters", "seed")
 
 
 def sha256_file(path) -> str:
@@ -32,6 +36,7 @@ def utc_now() -> str:
 @dataclass
 class RunManifest:
     command: str
+    argv: list
     parameters: dict
     seed: int
     tool_version: str = __version__
@@ -48,6 +53,7 @@ class RunManifest:
             "tool_version": self.tool_version,
             "command": self.command,
             "seed": self.seed,
+            "argv": self.argv,
             "parameters": self.parameters,
             "started_utc": self.started_utc,
             "finished_utc": self.finished_utc,
@@ -62,10 +68,22 @@ class RunManifest:
 
     @classmethod
     def load(cls, path) -> "RunManifest":
+        """Read a manifest; ValueError if it does not follow the schema."""
         with open(path, "r", encoding="ascii") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: a manifest must be a JSON object")
+        missing = [key for key in _REQUIRED if key not in raw]
+        if missing:
+            raise ValueError(
+                f"{path}: manifest (tool version {raw.get('tool_version')}) lacks "
+                f"{', '.join(missing)}; only manifests from 0.2.0 on can be replayed"
+            )
+        if not (isinstance(raw["argv"], list) and all(isinstance(a, str) for a in raw["argv"])):
+            raise ValueError(f"{path}: manifest argv must be a list of strings")
         return cls(
             command=raw["command"],
+            argv=raw["argv"],
             parameters=raw["parameters"],
             seed=raw["seed"],
             tool_version=raw["tool_version"],

@@ -18,7 +18,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -116,19 +116,7 @@ class TimingConfig:
         return round(self.dead_time_ns * 1000.0)
 
 
-@dataclass(frozen=True)
-class DetectionEvent:
-    detector: Detector
-    time_ps: int
-
-
-@dataclass(frozen=True)
-class CoincidenceEvent:
-    pair: PairLabel
-    time_ps: int
-
-
-class EventStream(Sequence):
+class EventStream:
     """Time-sorted detector clicks, stored as parallel numpy arrays."""
 
     def __init__(self, times_ps: np.ndarray, detectors: np.ndarray):
@@ -137,31 +125,11 @@ class EventStream(Sequence):
         self.times_ps = np.asarray(times_ps, dtype=np.int64)
         self.detectors = np.asarray(detectors, dtype=np.int8)
 
-    @classmethod
-    def from_events(cls, events: Iterable[DetectionEvent]) -> "EventStream":
-        events = list(events)
-        times = np.array([e.time_ps for e in events], dtype=np.int64)
-        dets = np.array([int(e.detector) for e in events], dtype=np.int8)
-        return cls(times, dets)
-
     def __len__(self) -> int:
         return len(self.times_ps)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return EventStream(self.times_ps[i], self.detectors[i])
-        return DetectionEvent(Detector(int(self.detectors[i])), int(self.times_ps[i]))
 
-    def __iter__(self) -> Iterator[DetectionEvent]:
-        for t, d in zip(self.times_ps, self.detectors):
-            yield DetectionEvent(Detector(int(d)), int(t))
-
-    def counts_by_detector(self) -> dict:
-        counts = np.bincount(self.detectors, minlength=4)
-        return {Detector(i): int(counts[i]) for i in range(4)}
-
-
-class CoincidenceStream(Sequence):
+class CoincidenceStream:
     """Time-sorted coincidences plus bookkeeping from the pairing pass.
 
     ``n_multi_click_clusters`` counts windows holding three or more clicks
@@ -186,30 +154,8 @@ class CoincidenceStream(Sequence):
         self.n_unpaired = int(n_unpaired)
         self.n_multi_click_clusters = int(n_multi_click_clusters)
 
-    @classmethod
-    def from_events(cls, events: Iterable[CoincidenceEvent]) -> "CoincidenceStream":
-        events = list(events)
-        times = np.array([e.time_ps for e in events], dtype=np.int64)
-        labels = np.array([int(e.pair) for e in events], dtype=np.int8)
-        return cls(times, labels, n_events_in=2 * len(events))
-
     def __len__(self) -> int:
         return len(self.times_ps)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return CoincidenceStream(
-                self.times_ps[i],
-                self.labels[i],
-                n_events_in=self.n_events_in,
-                n_unpaired=self.n_unpaired,
-                n_multi_click_clusters=self.n_multi_click_clusters,
-            )
-        return CoincidenceEvent(PairLabel(int(self.labels[i])), int(self.times_ps[i]))
-
-    def __iter__(self) -> Iterator[CoincidenceEvent]:
-        for t, lab in zip(self.times_ps, self.labels):
-            yield CoincidenceEvent(PairLabel(int(lab)), int(t))
 
     def label_counts(self) -> dict:
         counts = np.bincount(self.labels, minlength=len(PairLabel))
@@ -377,8 +323,6 @@ def coincidence_filter(events: EventStream, timing: TimingConfig) -> Coincidence
     independent clusters: two-click clusters are resolved vectorially and
     the rare larger pile-ups fall back to an explicit greedy scan.
     """
-    if not isinstance(events, EventStream):
-        events = EventStream.from_events(events)
     times = events.times_ps
     dets = events.detectors
     n = len(times)
@@ -471,8 +415,6 @@ def synthetic_coincidences(
 
 def purity_monitor(coincidences: CoincidenceStream, threshold: int = 0) -> MonitorReport:
     """ALARM when cross-arm coincidences exceed the allowed threshold."""
-    if not isinstance(coincidences, CoincidenceStream):
-        coincidences = CoincidenceStream.from_events(coincidences)
     cross = coincidences.cross_arm_count()
     status = MonitorStatus.ALARM if cross > threshold else MonitorStatus.OK
     return MonitorReport(status=status, cross_arm_count=cross, threshold=threshold)

@@ -7,7 +7,6 @@ import pytest
 
 from qrngsim import bitpipe
 from qrngsim.bitpipe import (
-    BitRecord,
     BitRecordStream,
     BitStream,
     ClockConfig,
@@ -27,7 +26,6 @@ from qrngsim.bitpipe import (
     write_error_log,
 )
 from qrngsim.timetag import (
-    CoincidenceEvent,
     CoincidenceStream,
     PairLabel,
     UnsortedInput,
@@ -40,9 +38,27 @@ MS = 10**9  # picoseconds per millisecond
 
 
 def coincidences(*events):
-    return CoincidenceStream.from_events(
-        [CoincidenceEvent(pair=label, time_ps=t) for label, t in events]
+    return CoincidenceStream([t for _, t in events], [label for label, _ in events])
+
+
+def symbols_at(records):
+    """(symbol, clock index) per record, as plain Python values."""
+    return list(zip(map(Symbol, records.symbols.tolist()), records.clock_indices.tolist()))
+
+
+class TestClockConfig:
+    @pytest.mark.parametrize("frequency_hz", [1e15, 1.5e15, 500_000.0, 1.1e-4])
+    def test_period_from_one_fs_to_int64_max_accepted(self, frequency_hz):
+        assert 1 <= ClockConfig(frequency_hz).period_fs <= np.iinfo(np.int64).max
+
+    @pytest.mark.parametrize(
+        "frequency_hz", [2.5e15, 1e16, 1e-4, 1e-300, 0.0, -1.0, math.inf, math.nan]
     )
+    def test_unusable_period_rejected(self, frequency_hz):
+        # 2.5e15 and 1e16 Hz round to a 0 fs period; 1e-4 Hz needs 1e19 fs
+        # and 1e-300 Hz overflows to an infinite period
+        with pytest.raises(ValueError):
+            ClockConfig(frequency_hz)
 
 
 class TestExtractBits:
@@ -53,7 +69,7 @@ class TestExtractBits:
             ),
             ClockConfig(1000.0),
         )
-        assert [(r.symbol, r.clock_index) for r in records] == [
+        assert symbols_at(records) == [
             (Symbol.ZERO, 0),
             (Symbol.ONE, 1),
         ]
@@ -65,7 +81,7 @@ class TestExtractBits:
             ),
             ClockConfig(1000.0),
         )
-        assert [(r.symbol, r.clock_index) for r in records] == [(Symbol.ERROR, 1)]
+        assert symbols_at(records) == [(Symbol.ERROR, 1)]
 
     def test_empty_input(self):
         records = extract_bits(coincidences(), ClockConfig(1000.0))
@@ -84,7 +100,7 @@ class TestExtractBits:
             ),
             ClockConfig(1000.0),
         )
-        assert [(r.symbol, r.clock_index) for r in records] == [
+        assert symbols_at(records) == [
             (Symbol.ERROR, 1),
             (Symbol.ONE, 2),
             (Symbol.ZERO, 3),
@@ -99,7 +115,7 @@ class TestExtractBits:
             ),
             ClockConfig(1000.0),
         )
-        assert [(r.symbol, r.clock_index) for r in records] == [
+        assert symbols_at(records) == [
             (Symbol.ERROR, 1),
             (Symbol.ONE, 5),
         ]
@@ -132,9 +148,9 @@ class TestExtractBits:
             _, counts = np.unique(periods, return_counts=True)
             uniq = np.unique(periods)
             multi_periods = set(uniq[counts >= 2].tolist())
-            for r in records:
-                if r.symbol is Symbol.ERROR:
-                    assert r.clock_index - 1 in multi_periods
+            for symbol, index in symbols_at(records):
+                if symbol is Symbol.ERROR:
+                    assert index - 1 in multi_periods
 
     def test_error_count_matches_independent_integer_arithmetic(self):
         stream = synthetic_coincidences(668.0, 50.0, seed=12)
@@ -180,20 +196,13 @@ class TestBerModel:
 
 class TestEmpiricalBer:
     def test_direct_count(self):
-        records = BitRecordStream.from_records(
-            [
-                BitRecord(Symbol.ZERO, 0),
-                BitRecord(Symbol.ONE, 1),
-                BitRecord(Symbol.ERROR, 2),
-                BitRecord(Symbol.ONE, 3),
-            ]
+        records = BitRecordStream(
+            [Symbol.ZERO, Symbol.ONE, Symbol.ERROR, Symbol.ONE], [0, 1, 2, 3]
         )
         assert empirical_ber(records) == 0.25
 
     def test_all_errors(self):
-        records = BitRecordStream.from_records(
-            [BitRecord(Symbol.ERROR, k) for k in range(5)]
-        )
+        records = BitRecordStream([Symbol.ERROR] * 5, range(5))
         assert empirical_ber(records) == 1.0
 
     def test_poisson_stream_matches_model_at_low_duty_cycle(self):
@@ -338,13 +347,7 @@ class TestPackingAndFiles:
         assert read_bit_file(path, fmt="packed") == stream
 
     def test_records_to_stream_drops_errors(self):
-        records = BitRecordStream.from_records(
-            [
-                BitRecord(Symbol.ONE, 0),
-                BitRecord(Symbol.ERROR, 1),
-                BitRecord(Symbol.ZERO, 2),
-            ]
-        )
+        records = BitRecordStream([Symbol.ONE, Symbol.ERROR, Symbol.ZERO], [0, 1, 2])
         assert records_to_stream(records).to_string() == "10"
 
     def test_error_log_contents(self, tmp_path):

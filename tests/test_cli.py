@@ -139,6 +139,24 @@ class TestGenerate:
         assert header == "detector,time_ps"
 
 
+class TestUnusableClock:
+    @pytest.mark.parametrize("clock", ["1e16", "1e-300"])
+    def test_generate_rejects_clock(self, tmp_path, capsys, clock):
+        out = tmp_path / "x.txt"
+        code = run("generate", "--clock", clock, "--duration", "5", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_ber_scan_rejects_clock(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        code = run("ber-scan", "--rate", "100", "--freqs", "1000,1e16",
+                   "--duration", "2", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+
 class TestUnbias:
     def test_round_trip_balanced_yield(self, tmp_path):
         rng = np.random.default_rng(61)
@@ -255,3 +273,89 @@ class TestRerunAndManifest:
             "--out", "env.csv",
         ) == EXIT_OK
         assert (tmp_path / "env.csv").exists()
+
+    def test_usage_error_is_one_line(self, capsys):
+        assert run("generate", "--duration", "1") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: qrngsim generate: the following arguments are required: --out"
+        ]
+
+    def test_manifest_records_argv_and_parsed_parameters(self, tmp_path):
+        out = tmp_path / "b.csv"
+        argv = ["ber-scan", "--rate", "100", "--freqs", "5000", "--duration", "2",
+                "--out", str(out)]
+        assert run(*argv) == EXIT_OK
+        manifest = RunManifest.load(str(out) + ".manifest.json")
+        assert manifest.argv == argv
+        assert manifest.parameters == {
+            "command": "ber-scan", "rate": 100.0, "freqs": "5000", "duration": 2.0,
+            "seed": 0, "out": str(out),
+        }
+
+    def test_rerun_manifest_replays_without_outdir(self, tmp_path):
+        out = tmp_path / "bits.txt"
+        assert run(
+            "generate", "--clock", "500000", "--duration", "5",
+            "--pair-rate", "1336", "--seed", "17", "--out", str(out),
+        ) == EXIT_OK
+        recorded = RunManifest.load(str(out) + ".manifest.json").outputs
+        rerun_dir = tmp_path / "rerun"
+        assert run("rerun", "--manifest", str(out) + ".manifest.json",
+                   "--outdir", str(rerun_dir)) == EXIT_OK
+        for name in ("bits.txt", "bits.txt.errors.csv"):
+            (rerun_dir / name).unlink()
+        second = str(rerun_dir / "bits.txt.manifest.json")
+        assert run("rerun", "--manifest", second) == EXIT_OK
+        assert RunManifest.load(second).outputs == recorded
+
+
+class TestRerunContract:
+    """Malformed manifests exit 2 with one line on stderr."""
+
+    @pytest.fixture
+    def manifest(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert run("ber-scan", "--rate", "100", "--freqs", "5000", "--duration", "2",
+                   "--out", str(out)) == EXIT_OK
+        return json.loads((tmp_path / "b.csv.manifest.json").read_text())
+
+    def rerun(self, tmp_path, capsys, payload):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run("rerun", "--manifest", str(path), "--outdir", str(tmp_path / "rr"))
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        return err
+
+    def test_manifest_without_argv_from_0_1_0(self, tmp_path, capsys, manifest):
+        del manifest["argv"]
+        manifest["tool_version"] = "0.1.0"
+        assert "0.1.0" in self.rerun(tmp_path, capsys, manifest)
+
+    def test_manifest_without_parameters(self, tmp_path, capsys, manifest):
+        del manifest["parameters"]
+        self.rerun(tmp_path, capsys, manifest)
+
+    def test_partial_parameters(self, tmp_path, capsys, manifest):
+        del manifest["parameters"]["freqs"]
+        self.rerun(tmp_path, capsys, manifest)
+
+    def test_json_list(self, tmp_path, capsys, manifest):
+        self.rerun(tmp_path, capsys, [manifest])
+
+    def test_argv_with_unknown_flag(self, tmp_path, capsys, manifest):
+        manifest["argv"].append("--bogus")
+        self.rerun(tmp_path, capsys, manifest)
+
+    def test_argv_missing_required_flag(self, tmp_path, capsys, manifest):
+        manifest["argv"] = manifest["argv"][:-2]  # drops "--out PATH"
+        self.rerun(tmp_path, capsys, manifest)
+
+    def test_argv_naming_rerun(self, tmp_path, capsys, manifest):
+        # a manifest replaying itself would recurse without end
+        manifest["argv"] = ["rerun", "--manifest", str(tmp_path / "edited.json")]
+        self.rerun(tmp_path, capsys, manifest)
