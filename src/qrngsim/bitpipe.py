@@ -27,6 +27,7 @@ from .timetag import CoincidenceStream, PairLabel, UnsortedInput
 FS_PER_SECOND = 10**15
 
 _INT64_MAX = np.iinfo(np.int64).max
+_MAX_PERIOD_FS = _INT64_MAX // 1000  # 9.22 s: 1000 * (t mod P) still fits int64
 
 
 class CrossArmLabelPresent(ValueError):
@@ -49,7 +50,8 @@ class Symbol(IntEnum):
 
 @dataclass(frozen=True)
 class ClockConfig:
-    """Counting clock; period k covers [k/f, (k+1)/f)."""
+    """Counting clock; period k covers [k/f, (k+1)/f).  The period in whole
+    fs lies in 1 to INT64_MAX // 1000, so f runs from 1e15 to ~0.10843 Hz."""
 
     frequency_hz: float
 
@@ -57,10 +59,10 @@ class ClockConfig:
         if not (self.frequency_hz > 0.0) or not math.isfinite(self.frequency_hz):
             raise ValueError(f"frequency_hz must be > 0, got {self.frequency_hz}")
         period = FS_PER_SECOND / self.frequency_hz
-        if not (math.isfinite(period) and 1 <= round(period) <= _INT64_MAX):
+        if not (math.isfinite(period) and 1 <= round(period) <= _MAX_PERIOD_FS):
             raise ValueError(
                 f"frequency_hz {self.frequency_hz} gives a clock period outside "
-                f"1 fs to {_INT64_MAX} fs"
+                f"1 fs to {_MAX_PERIOD_FS} fs"
             )
 
     @property
@@ -149,18 +151,22 @@ def records_to_stream(records: BitRecordStream) -> BitStream:
 
 
 def _period_indices(times_ps: np.ndarray, clock: ClockConfig) -> np.ndarray:
-    """Exact clock-period index of each timestamp.
+    """Exact period index floor(1000 t / P) of sorted timestamps t >= 0 (ps).
 
     Works in femtoseconds so common clocks (500 kHz, 3 ns windows) divide
-    exactly; falls back to Python integers if the fs product would not fit
-    in int64 (timestamps past INT64_MAX // 1000 ps, about 9,223 s).
+    exactly; t = q P + r keeps every product in int64 at any duration.
+    Raises ValueError if the indices extract_bits may emit (up to the last
+    index plus the number of timestamps) would pass int64.
     """
     period_fs = clock.period_fs
-    if len(times_ps) == 0:
-        return np.empty(0, dtype=np.int64)
-    if int(times_ps[-1]) <= _INT64_MAX // 1000:
-        return (times_ps * 1000) // period_fs
-    return np.array([(int(t) * 1000) // period_fs for t in times_ps], dtype=np.int64)
+    last = int(times_ps[-1]) * 1000 // period_fs if len(times_ps) else 0
+    if last + len(times_ps) > _INT64_MAX:
+        raise ValueError(f"clock indices pass int64 at {int(times_ps[-1])} ps")
+    q, r = np.divmod(times_ps, period_fs)
+    # in place, so the peak holds two arrays of the input's size, not five
+    q *= 1000
+    q += np.floor_divide(np.multiply(r, 1000, out=r), period_fs, out=r)
+    return q
 
 
 def period_occupancy(coincidences: CoincidenceStream, clock: ClockConfig):
@@ -193,9 +199,6 @@ def extract_bits(coincidences: CoincidenceStream, clock: ClockConfig) -> BitReco
             "cross-arm coincidence labels must be filtered out before bit extraction"
         )
     uniq, counts, first_labels = period_occupancy(coincidences, clock)
-    if len(uniq) == 0:
-        return BitRecordStream(np.empty(0, np.int8), np.empty(0, np.int64))
-
     multi = counts >= 2
     natural = np.where(multi, uniq + 1, uniq)
     symbols = np.where(
@@ -297,15 +300,15 @@ def read_bit_file(path, fmt: str = "auto") -> BitStream:
     raise ValueError(f"unknown bit file format {fmt!r}")
 
 
-def write_error_log(
-    path, records: BitRecordStream, coincidences: CoincidenceStream, clock: ClockConfig
-) -> None:
-    """CSV of error records: emitted clock index and period occupancy."""
+def write_error_log(path, coincidences: CoincidenceStream, clock: ClockConfig) -> None:
+    """CSV of error records: emitted clock index and period occupancy.
+
+    A multi-occupied period k emits its error at k + 1 and is never
+    displaced, since period indices strictly increase.
+    """
     uniq, counts, _ = period_occupancy(coincidences, clock)
-    occupancy = dict(zip(uniq.tolist(), counts.tolist()))
+    multi = counts >= 2
+    rows = zip((uniq[multi] + 1).tolist(), counts[multi].tolist())
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("clock_index,n_events_in_period\n")
-        for sym, idx in zip(records.symbols, records.clock_indices):
-            if sym == int(Symbol.ERROR):
-                # the error was emitted one pulse after its period
-                fh.write(f"{int(idx)},{occupancy.get(int(idx) - 1, 0)}\n")
+        fh.writelines(f"{k},{n}\n" for k, n in rows)

@@ -40,8 +40,6 @@ EXIT_USAGE = 2
 EXIT_ALARM = 3
 EXIT_IO = 4
 
-OUTDIR_ENV = "QRNGSIM_OUTDIR"
-
 
 class MonitorAlarm(RuntimeError):
     """Cross-arm coincidences exceeded the monitor threshold mid-run."""
@@ -56,13 +54,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
-
-
-def _resolve(path: str) -> str:
-    outdir = os.environ.get(OUTDIR_ENV)
-    if outdir and not os.path.isabs(path):
-        return os.path.join(outdir, path)
-    return path
 
 
 def _physics_flags(parser: argparse.ArgumentParser) -> None:
@@ -141,9 +132,8 @@ def cmd_scan_delay(args, manifest: RunManifest):
     interf, bank, timing = _configs_from_args(args, 0.0)
     points = timetag.scan_delay(delays, source, interf, bank, timing)
 
-    out = _resolve(args.out)
-    timetag.write_scan_csv(points, out)
-    manifest.add_output("scan_csv", out)
+    timetag.write_scan_csv(points, args.out)
+    manifest.add_output("scan_csv", args.out)
 
     if args.fit:
         cross_rates = [p.cross_arm.rate_hz for p in points]
@@ -156,8 +146,8 @@ def cmd_scan_delay(args, manifest: RunManifest):
         print(f"fitted dip width: {fit.width_fs:.1f} fs, "
               f"baseline {fit.baseline_hz:.3f} Hz")
 
-    print(f"wrote {out} ({args.steps} delay points, 6 pair labels)")
-    return EXIT_OK, out + ".manifest.json"
+    print(f"wrote {args.out} ({args.steps} delay points, 6 pair labels)")
+    return EXIT_OK, args.out + ".manifest.json"
 
 
 # ----------------------------------------------------------------- ber-scan
@@ -187,17 +177,16 @@ def cmd_ber_scan(args, manifest: RunManifest):
         sigma = math.sqrt(empirical * (1.0 - empirical) / n) if n else 0.0
         rows.append((f, model, empirical, sigma))
 
-    out = _resolve(args.out)
-    with open(out, "w", encoding="ascii", newline="\n") as fh:
+    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         fh.write("frequency_hz,model_ber,empirical_ber,sigma\n")
         for f, model, empirical, sigma in rows:
             fh.write(f"{f!r},{model!r},{empirical!r},{sigma!r}\n")
-    manifest.add_output("ber_csv", out)
+    manifest.add_output("ber_csv", args.out)
 
     for f, model, empirical, sigma in rows:
         print(f"f={f:>10.0f} Hz  model={model:.6f}  empirical={empirical:.6f}"
               f"  sigma={sigma:.6f}")
-    return EXIT_OK, out + ".manifest.json"
+    return EXIT_OK, args.out + ".manifest.json"
 
 
 # ----------------------------------------------------------------- generate
@@ -256,18 +245,16 @@ def cmd_generate(args, manifest: RunManifest):
     result = run_generation(source, interf, bank, timing, clock,
                             monitor_threshold=args.monitor_threshold)
 
-    out = _resolve(args.out)
-    bitpipe.write_bit_file(result.bits, out, fmt=args.format)
-    manifest.add_output("bits", out)
+    bitpipe.write_bit_file(result.bits, args.out, fmt=args.format)
+    manifest.add_output("bits", args.out)
 
-    error_log = _resolve(args.error_log or args.out + ".errors.csv")
-    bitpipe.write_error_log(error_log, result.records, result.qualifying, clock)
+    error_log = args.error_log or args.out + ".errors.csv"
+    bitpipe.write_error_log(error_log, result.qualifying, clock)
     manifest.add_output("error_log", error_log)
 
     if args.dump_events:
-        dump = _resolve(args.dump_events)
-        timetag.write_events_csv(result.events, dump)
-        manifest.add_output("events", dump)
+        timetag.write_events_csv(result.events, args.dump_events)
+        manifest.add_output("events", args.dump_events)
 
     counts = result.records.counts()
     label_counts = result.coincidences.label_counts()
@@ -295,8 +282,8 @@ def cmd_generate(args, manifest: RunManifest):
           f"  cross-arm: {result.monitor.cross_arm_count}")
     print(f"bits: {len(result.bits)}  errors: {counts[bitpipe.Symbol.ERROR]}"
           f"  empirical BER: {bitpipe.empirical_ber(result.records):.3e}")
-    print(f"wrote {out}")
-    return EXIT_OK, _resolve(args.manifest or args.out + ".manifest.json")
+    print(f"wrote {args.out}")
+    return EXIT_OK, args.manifest or args.out + ".manifest.json"
 
 
 # ------------------------------------------------------------------- unbias
@@ -305,9 +292,8 @@ def cmd_generate(args, manifest: RunManifest):
 def cmd_unbias(args, manifest: RunManifest):
     stream = bitpipe.read_bit_file(args.infile, fmt=args.in_format)
     unbiased = bitpipe.von_neumann(stream)
-    out = _resolve(args.out)
-    bitpipe.write_bit_file(unbiased, out, fmt=args.out_format)
-    manifest.add_output("bits", out)
+    bitpipe.write_bit_file(unbiased, args.out, fmt=args.out_format)
+    manifest.add_output("bits", args.out)
     manifest.metadata["input_bits"] = stream.n
     manifest.metadata["output_bits"] = unbiased.n
 
@@ -321,10 +307,14 @@ def cmd_unbias(args, manifest: RunManifest):
         p_one, err = bitpipe.bias_estimate(unbiased)
         manifest.metadata["output_ones_fraction"] = p_one
         print(f"output ones fraction: {p_one:.5f} +/- {err:.5f}")
-    return EXIT_OK, out + ".manifest.json"
+    return EXIT_OK, args.out + ".manifest.json"
 
 
 # --------------------------------------------------------------------- test
+
+
+def _report_path(args) -> str:
+    return args.report or args.infile + ".report.json"
 
 
 def cmd_test(args, manifest: RunManifest):
@@ -338,7 +328,7 @@ def cmd_test(args, manifest: RunManifest):
     sequence_id = args.sequence_id or os.path.basename(args.infile)
     report = statskit.run_suite(stream, config, sequence_id=sequence_id)
 
-    out = _resolve(args.report or args.infile + ".report.json")
+    out = _report_path(args)
     with open(out, "w", encoding="ascii", newline="\n") as fh:
         fh.write(report.to_json())
         fh.write("\n")
@@ -381,6 +371,9 @@ def cmd_rerun(args) -> int:
         raise UsageError(f"rerun: {args.manifest_file}: parameters do not match its argv")
     if args.outdir:
         os.makedirs(args.outdir, exist_ok=True)
+        if replay.command == "test":
+            # the default report path follows the input, which stays in place
+            replay.report = _report_path(replay)
         for key in _OUTPUT_OPTIONS:
             path = getattr(replay, key, None)
             if path:

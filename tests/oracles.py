@@ -179,6 +179,36 @@ def reference_greedy_pairs(times, dets, window):
     return pairs
 
 
+def clocked_records(times_ps, labels, period_fs):
+    """Clocked bit extraction by its scalar rule, in Python integers.
+
+    A timestamp t (ps) falls in period 1000 t // period_fs.  A period
+    holding one coincidence emits its bit (label 1, D3D4, records 1; label
+    0, D1D2, records 0) at index k; a period holding more emits an error
+    symbol (2) at k + 1.  Walking the periods in order, each record then
+    lands on max(natural index, previous index + 1).
+
+    Returns (records, error_rows): (symbol, index) per record, and
+    (index, events in the period) per error record.
+    """
+    occupancy = {}
+    for t, label in zip(times_ps, labels):
+        k = int(t) * 1000 // period_fs
+        count, first_label = occupancy.get(k, (0, int(label)))
+        occupancy[k] = (count + 1, first_label)
+    records, error_rows = [], []
+    previous = None
+    for k in sorted(occupancy):
+        count, first_label = occupancy[k]
+        symbol, natural = (2, k + 1) if count >= 2 else (first_label, k)
+        index = natural if previous is None else max(natural, previous + 1)
+        records.append((symbol, index))
+        if symbol == 2:
+            error_rows.append((index, count))
+        previous = index
+    return records, error_rows
+
+
 def poisson_period_occupancy(rate_hz, frequency_hz, duration_s, seed):
     """Independent float-based Poisson placement into clock periods.
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qrngsim import bitpipe
 from qrngsim.bitpipe import (
@@ -32,9 +34,10 @@ from qrngsim.timetag import (
     synthetic_coincidences,
 )
 
-from oracles import poisson_error_fraction, poisson_period_occupancy
+from oracles import clocked_records, poisson_error_fraction, poisson_period_occupancy
 
 MS = 10**9  # picoseconds per millisecond
+INT64_MAX = np.iinfo(np.int64).max
 
 
 def coincidences(*events):
@@ -46,17 +49,26 @@ def symbols_at(records):
     return list(zip(map(Symbol, records.symbols.tolist()), records.clock_indices.tolist()))
 
 
+# the slowest accepted clock: its period rounds to INT64_MAX // 1000 - 1 fs
+SLOWEST_CLOCK_HZ = 0.10842021724855046
+
+
 class TestClockConfig:
-    @pytest.mark.parametrize("frequency_hz", [1e15, 1.5e15, 500_000.0, 1.1e-4])
-    def test_period_from_one_fs_to_int64_max_accepted(self, frequency_hz):
-        assert 1 <= ClockConfig(frequency_hz).period_fs <= np.iinfo(np.int64).max
+    @pytest.mark.parametrize(
+        "frequency_hz", [1e15, 1.5e15, 500_000.0, 0.10843, SLOWEST_CLOCK_HZ]
+    )
+    def test_usable_period_accepted(self, frequency_hz):
+        assert 1 <= ClockConfig(frequency_hz).period_fs <= np.iinfo(np.int64).max // 1000
 
     @pytest.mark.parametrize(
-        "frequency_hz", [2.5e15, 1e16, 1e-4, 1e-300, 0.0, -1.0, math.inf, math.nan]
+        "frequency_hz",
+        [2.5e15, 1e16, 0.1084, 0.10842021724855044, 1.1e-4, 1e-4, 1e-300,
+         0.0, -1.0, math.inf, math.nan],
     )
     def test_unusable_period_rejected(self, frequency_hz):
-        # 2.5e15 and 1e16 Hz round to a 0 fs period; 1e-4 Hz needs 1e19 fs
-        # and 1e-300 Hz overflows to an infinite period
+        # 2.5e15 and 1e16 Hz round to a 0 fs period; 0.1084 Hz and slower
+        # need more than INT64_MAX // 1000 fs (0.10842021724855044 Hz rounds
+        # to one fs past it) and 1e-300 Hz overflows to an infinite period
         with pytest.raises(ValueError):
             ClockConfig(frequency_hz)
 
@@ -166,6 +178,67 @@ class TestExtractBits:
         got = records.counts()
         assert got[Symbol.ERROR] == want_errors
         assert len(records) == want_total
+
+
+class TestClockedExtractionOracle:
+    # INT64_MAX // 1000 ps (about 9,223 s): past it 1000 t no longer fits int64
+    LINE_PS = INT64_MAX // 1000
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_matches_scalar_oracle(self, tmp_path, data):
+        # 3 MHz and 7 kHz periods (333,333,333 and 142,857,142,857 fs) do
+        # not divide a picosecond grid evenly
+        clock = ClockConfig(data.draw(st.sampled_from([3e6, 7e3, SLOWEST_CLOCK_HZ])))
+        period_ps = clock.period_fs // 1000
+        gaps = data.draw(st.lists(
+            st.one_of(st.just(0), st.integers(0, period_ps // 4),
+                      st.integers(0, 3 * period_ps)),
+            min_size=1, max_size=60,
+        ))
+        times = np.cumsum(gaps, dtype=np.int64)
+        # start at zero, or straddle the line
+        if data.draw(st.booleans()):
+            times += self.LINE_PS - data.draw(st.integers(0, int(times[-1])))
+        labels = data.draw(st.lists(
+            st.sampled_from([PairLabel.D1D2, PairLabel.D3D4]),
+            min_size=len(times), max_size=len(times),
+        ))
+        stream = CoincidenceStream(times, labels)
+        want_records, want_rows = clocked_records(times.tolist(), labels, clock.period_fs)
+
+        records = extract_bits(stream, clock)
+        assert list(zip(records.symbols.tolist(), records.clock_indices.tolist())) == (
+            want_records
+        )
+        path = tmp_path / "errors.csv"
+        write_error_log(path, stream, clock)
+        rows = [tuple(map(int, line.split(",")))
+                for line in path.read_text().splitlines()[1:]]
+        assert rows == want_rows
+        error_indices = records.clock_indices[records.symbols == int(Symbol.ERROR)]
+        assert [index for index, _ in rows] == error_indices.tolist()
+
+    def test_indices_up_to_int64_max(self):
+        # a 1 THz clock has a 1000 fs period, so a timestamp's index is t;
+        # the last index plus the number of timestamps may reach INT64_MAX
+        clock = ClockConfig(1e12)
+        records = extract_bits(
+            coincidences((PairLabel.D3D4, INT64_MAX - 3), (PairLabel.D3D4, INT64_MAX - 2)),
+            clock,
+        )
+        assert symbols_at(records) == [(Symbol.ONE, INT64_MAX - 3), (Symbol.ONE, INT64_MAX - 2)]
+        both = coincidences((PairLabel.D1D2, INT64_MAX - 2), (PairLabel.D3D4, INT64_MAX - 2))
+        assert symbols_at(extract_bits(both, clock)) == [(Symbol.ERROR, INT64_MAX - 1)]
+
+    def test_index_past_int64_rejected(self):
+        clock = ClockConfig(1e12)
+        with pytest.raises(ValueError):
+            extract_bits(
+                coincidences((PairLabel.D3D4, INT64_MAX - 2), (PairLabel.D3D4, INT64_MAX - 1)),
+                clock,
+            )
 
 
 class TestBerModel:
@@ -358,9 +431,8 @@ class TestPackingAndFiles:
             (PairLabel.D3D4, int(5.5 * MS)),
         )
         clock = ClockConfig(1000.0)
-        records = extract_bits(stream, clock)
         path = tmp_path / "errors.csv"
-        write_error_log(path, records, stream, clock)
+        write_error_log(path, stream, clock)
         lines = path.read_text().splitlines()
         assert lines[0] == "clock_index,n_events_in_period"
         assert lines[1] == "1,3"

@@ -139,6 +139,22 @@ class TestGenerate:
         assert header == "detector,time_ps"
 
 
+    def test_golden_digests(self, tmp_path):
+        # pinned digests of both outputs: any byte change in the bit file
+        # or the error log (225 error records here) fails this test
+        out = tmp_path / "g.txt"
+        assert run("generate", "--clock", "20000", "--duration", "20",
+                   "--seed", "23", "--out", str(out)) == EXIT_OK
+        error_log = tmp_path / "g.txt.errors.csv"
+        assert len(error_log.read_text().splitlines()) == 1 + 225
+        assert sha256_file(out) == (
+            "ce5ba04404d2018ca303239b8a96dade3145617f2509c25455f0c994d5481106"
+        )
+        assert sha256_file(error_log) == (
+            "991ed006e1479c44d1aecb9777119bb3db9ad268c623612c0e0702b3e2887520"
+        )
+
+
 class TestUnusableClock:
     @pytest.mark.parametrize("clock", ["1e16", "1e-300"])
     def test_generate_rejects_clock(self, tmp_path, capsys, clock):
@@ -152,6 +168,16 @@ class TestUnusableClock:
         out = tmp_path / "b.csv"
         code = run("ber-scan", "--rate", "100", "--freqs", "1000,1e16",
                    "--duration", "2", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+
+    def test_ber_scan_index_past_int64(self, tmp_path, capsys):
+        # a 1 fs period puts 9,300 s at clock index 9.3e18, past int64
+        out = tmp_path / "o.csv"
+        code = run("ber-scan", "--rate", "1", "--freqs", "1e15",
+                   "--duration", "9300", "--out", str(out))
         assert code == EXIT_USAGE
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
@@ -263,16 +289,24 @@ class TestRerunAndManifest:
                    "--outdir", str(rerun_dir)) == EXIT_OK
         assert sha256_file(rerun_dir / "scan.csv") == recorded["scan_csv"]
 
+    def test_test_rerun_with_default_report_lands_in_outdir(self, tmp_path):
+        rng = np.random.default_rng(66)
+        bits = tmp_path / "g.txt"
+        write_bit_file(BitStream(rng.integers(0, 2, 20_000, dtype=np.uint8)), bits)
+        assert run("test", str(bits)) == EXIT_OK
+        manifest_path = tmp_path / "g.txt.report.json.manifest.json"
+        recorded = manifest_path.read_bytes()
+        report_digest = sha256_file(tmp_path / "g.txt.report.json")
+        rerun_dir = tmp_path / "rr"
+        assert run("rerun", "--manifest", str(manifest_path),
+                   "--outdir", str(rerun_dir)) == EXIT_OK
+        assert manifest_path.read_bytes() == recorded
+        assert sha256_file(rerun_dir / "g.txt.report.json") == report_digest
+        replayed = RunManifest.load(str(rerun_dir / "g.txt.report.json.manifest.json"))
+        assert [o["sha256"] for o in replayed.outputs] == [report_digest]
+
     def test_usage_error_exit_code_from_argparse(self):
         assert run("scan-delay", "--bogus") == EXIT_USAGE
-
-    def test_outdir_environment_variable(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QRNGSIM_OUTDIR", str(tmp_path))
-        assert run(
-            "ber-scan", "--rate", "100", "--freqs", "5000", "--duration", "2",
-            "--out", "env.csv",
-        ) == EXIT_OK
-        assert (tmp_path / "env.csv").exists()
 
     def test_usage_error_is_one_line(self, capsys):
         assert run("generate", "--duration", "1") == EXIT_USAGE
