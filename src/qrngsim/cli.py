@@ -270,6 +270,7 @@ def cmd_generate(args, manifest: RunManifest):
             "label_counts": {l.name: c for l, c in label_counts.items()},
             "cross_arm_count": result.monitor.cross_arm_count,
             "multi_click_clusters": result.coincidences.n_multi_click_clusters,
+            "unpaired_clicks": result.coincidences.n_unpaired,
             "bits_recorded": len(result.bits),
             "error_records": counts[bitpipe.Symbol.ERROR],
             "empirical_ber": bitpipe.empirical_ber(result.records),

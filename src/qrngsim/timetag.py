@@ -31,6 +31,10 @@ from .optics import (
 )
 
 PS_PER_SECOND = 10**12
+_INT64_MAX = np.iinfo(np.int64).max
+# the longest run, about 4.6e6 s: times up to twice it, jitter tail and dead
+# time included, still fit int64
+MAX_DURATION_PS = _INT64_MAX // 2
 
 
 class InvalidDuration(ValueError):
@@ -76,6 +80,19 @@ for (_lo, _hi), _lab in _LABEL_OF_PAIR.items():
     _LABEL_TABLE[_lo * 4 + _hi] = int(_lab)
 
 
+def duration_ps(duration_s: float) -> int:
+    """A run length in whole picoseconds, from 1 ps to MAX_DURATION_PS."""
+    if not (duration_s > 0.0) or not math.isfinite(duration_s):
+        raise InvalidDuration(f"duration_s must be > 0, got {duration_s}")
+    ps = round(duration_s * PS_PER_SECOND)
+    if not 1 <= ps <= MAX_DURATION_PS:
+        raise InvalidDuration(
+            f"duration_s must lie in 1e-12 to {MAX_DURATION_PS / PS_PER_SECOND:.4g} s, "
+            f"got {duration_s}"
+        )
+    return ps
+
+
 @dataclass(frozen=True)
 class SourceConfig:
     """Pair source: mean detected-pair rate, run length, RNG seed."""
@@ -87,8 +104,7 @@ class SourceConfig:
     def __post_init__(self) -> None:
         if not (self.pair_rate_hz >= 0.0) or not math.isfinite(self.pair_rate_hz):
             raise InvalidRate(f"pair_rate_hz must be >= 0, got {self.pair_rate_hz}")
-        if not (self.duration_s > 0.0) or not math.isfinite(self.duration_s):
-            raise InvalidDuration(f"duration_s must be > 0, got {self.duration_s}")
+        duration_ps(self.duration_s)
 
 
 @dataclass(frozen=True)
@@ -206,12 +222,14 @@ class MonitorReport:
 
 def _dead_time_filter(times: np.ndarray, dead_ps: int) -> np.ndarray:
     """Non-paralyzable dead time: drop clicks within dead_ps of the last
-    kept click.  Returns a boolean keep mask.
+    kept click.  Returns a boolean keep mask; a dead_ps of 0 keeps all.
 
-    Only runs of consecutive short gaps need sequential treatment; a click
-    whose predecessor is more than dead_ps away is always kept, so the
-    (rare) affected chains are scanned in Python while everything else is
-    resolved vectorially.
+    A click more than dead_ps after its predecessor is always kept.  The
+    rest form chains of short gaps, each opened by a kept head; a kept
+    click's successor is the first click more than dead_ps after it, found
+    by searchsorted for every chain at once.  The loop therefore runs once
+    per kept click of the longest chain.  Targets are clipped at INT64_MAX
+    so that times + dead_ps cannot wrap.
     """
     n = len(times)
     keep = np.ones(n, dtype=bool)
@@ -220,19 +238,19 @@ def _dead_time_filter(times: np.ndarray, dead_ps: int) -> np.ndarray:
     close = np.diff(times) <= dead_ps
     if not close.any():
         return keep
-    idx = np.flatnonzero(close)
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    chain_starts = np.concatenate(([0], breaks + 1))
-    chain_ends = np.concatenate((breaks, [len(idx) - 1]))
-    t = times.tolist()
-    for s, e in zip(chain_starts, chain_ends):
-        first = idx[s]       # first event of the chain is always kept
-        last_kept = t[first]
-        for j in range(first + 1, idx[e] + 2):
-            if t[j] - last_kept <= dead_ps:
-                keep[j] = False
-            else:
-                last_kept = t[j]
+    keep[1:] = ~close
+    # runs of short gaps: head click (first of the run) and last click
+    edges = np.diff(close.view(np.int8), prepend=0, append=0)
+    frontier = np.flatnonzero(edges == 1)
+    last = np.flatnonzero(edges == -1)
+    dead = min(dead_ps, _INT64_MAX)
+    while len(frontier):
+        target = np.minimum(times[frontier], _INT64_MAX - dead) + dead
+        successor = np.searchsorted(times, target, side="right")
+        inside = successor <= last
+        frontier = successor[inside]
+        last = last[inside]
+        keep[frontier] = True
     return keep
 
 
@@ -249,10 +267,10 @@ def simulate(
     the same stream.  Clicks jittered outside [0, duration) are dropped.
     """
     rng = np.random.default_rng(source.seed)
-    duration_ps = round(source.duration_s * PS_PER_SECOND)
+    run_ps = duration_ps(source.duration_s)
 
     n_pairs = int(rng.poisson(source.pair_rate_hz * source.duration_s))
-    pair_times = rng.integers(0, duration_ps, size=n_pairs, dtype=np.int64)
+    pair_times = rng.integers(0, run_ps, size=n_pairs, dtype=np.int64)
     pair_times.sort()
 
     clicks = click_distribution(output_distribution(interf), bank)
@@ -278,9 +296,9 @@ def simulate(
             t = t + np.rint(rng.normal(0.0, sigma, size=len(t))).astype(np.int64)
         n_dark = int(rng.poisson(bank.dark_rate_hz * source.duration_s))
         if n_dark:
-            dark = rng.integers(0, duration_ps, size=n_dark, dtype=np.int64)
+            dark = rng.integers(0, run_ps, size=n_dark, dtype=np.int64)
             t = np.concatenate((t, dark))
-        t = t[(t >= 0) & (t < duration_ps)]
+        t = t[(t >= 0) & (t < run_ps)]
         t.sort()
         t = t[_dead_time_filter(t, timing.dead_time_ps)]
         per_det_times.append(t)
@@ -292,11 +310,12 @@ def simulate(
     return EventStream(times[order], dets[order])
 
 
-def _greedy_pair_cluster(times, dets, out_i, out_j, window_ps: int) -> int:
-    """Greedy earliest-first pairing inside one cluster (Python fallback)."""
+def _greedy_pair_cluster(times, dets, window_ps: int) -> list:
+    """Greedy earliest-first pairing inside one cluster of Python ints;
+    returns the (earlier, later) index of each pair."""
     n = len(times)
     consumed = [False] * n
-    made = 0
+    pairs = []
     for a in range(n):
         if consumed[a]:
             continue
@@ -307,11 +326,13 @@ def _greedy_pair_cluster(times, dets, out_i, out_j, window_ps: int) -> int:
                 break
             if dets[b] != dets[a]:
                 consumed[a] = consumed[b] = True
-                out_i.append(a)
-                out_j.append(b)
-                made += 1
+                pairs.append((a, b))
                 break
-    return made
+    return pairs
+
+
+def _pair_labels(d_first: np.ndarray, d_second: np.ndarray) -> np.ndarray:
+    return _LABEL_TABLE[np.minimum(d_first, d_second) * 4 + np.maximum(d_first, d_second)]
 
 
 def coincidence_filter(events: EventStream, timing: TimingConfig) -> CoincidenceStream:
@@ -320,74 +341,59 @@ def coincidence_filter(events: EventStream, timing: TimingConfig) -> Coincidence
     A click pairs with the earliest later click on a different detector no
     more than one window away; both clicks are consumed.  Clicks separated
     by more than the window can never pair, so the stream splits into
-    independent clusters: two-click clusters are resolved vectorially and
-    the rare larger pile-ups fall back to an explicit greedy scan.
+    independent clusters.  Two-click clusters are labelled in numpy.  The
+    clicks of the rare clusters of three or more are gathered into one
+    short array and paired by the scalar greedy rule cluster by cluster.
+    Each pair is filed under its earlier click's index, so the output is
+    time-sorted without a sort.
     """
     times = events.times_ps
     dets = events.detectors
     n = len(times)
     if n == 0:
         return CoincidenceStream(np.empty(0, np.int64), np.empty(0, np.int8))
-    if np.any(np.diff(times) < 0):
+    gaps = np.diff(times)
+    if np.any(gaps < 0):
         raise UnsortedInput("detection events must be time-sorted")
 
     window = timing.window_ps
     new_cluster = np.empty(n, dtype=bool)
     new_cluster[0] = True
-    np.greater(np.diff(times), window, out=new_cluster[1:])
+    np.greater(gaps, window, out=new_cluster[1:])
     starts = np.flatnonzero(new_cluster)
-    sizes = np.diff(np.append(starts, n))
+    sizes = np.diff(starts, append=n)
 
-    out_first = []
-    out_label = []
+    # label of the pair whose earlier click is i, or -1
+    label_at = np.full(n, -1, dtype=np.int8)
 
     two = starts[sizes == 2]
-    if len(two):
-        d_lo = dets[two]
-        d_hi = dets[two + 1]
-        ok = d_lo != d_hi
-        lo = np.minimum(d_lo[ok], d_hi[ok]).astype(np.int64)
-        hi = np.maximum(d_lo[ok], d_hi[ok]).astype(np.int64)
-        out_first.append(times[two[ok]])
-        out_label.append(_LABEL_TABLE[lo * 4 + hi])
+    ok = dets[two] != dets[two + 1]
+    label_at[two[ok]] = _pair_labels(dets[two[ok]], dets[two[ok] + 1])
 
-    big = starts[sizes >= 3]
-    n_big = len(big)
-    if n_big:
-        big_sizes = sizes[sizes >= 3]
-        times_list = times.tolist()
-        dets_list = dets.tolist()
-        t_out = []
-        l_out = []
-        for s, size in zip(big, big_sizes):
-            ii: list = []
-            jj: list = []
-            _greedy_pair_cluster(
-                times_list[s : s + size], dets_list[s : s + size], ii, jj, window
-            )
-            for a, b in zip(ii, jj):
-                t_out.append(times_list[s + a])
-                lo, hi = sorted((dets_list[s + a], dets_list[s + b]))
-                l_out.append(int(_LABEL_TABLE[lo * 4 + hi]))
-        out_first.append(np.array(t_out, dtype=np.int64))
-        out_label.append(np.array(l_out, dtype=np.int8))
+    big = sizes >= 3
+    big_sizes = sizes[big]
+    if len(big_sizes):
+        # gathered slot k holds click idx[k]; cluster c starts at slot offsets[c]
+        offsets = np.cumsum(big_sizes) - big_sizes
+        idx = np.arange(big_sizes.sum()) + np.repeat(starts[big] - offsets, big_sizes)
+        t_big = times[idx].tolist()
+        d_big = dets[idx].tolist()
+        first: list = []
+        second: list = []
+        for lo, hi in zip(offsets.tolist(), (offsets + big_sizes).tolist()):
+            for a, b in _greedy_pair_cluster(t_big[lo:hi], d_big[lo:hi], window):
+                first.append(lo + a)
+                second.append(lo + b)
+        first_idx = idx[first]
+        label_at[first_idx] = _pair_labels(dets[first_idx], dets[idx[second]])
 
-    if out_first:
-        t_all = np.concatenate(out_first)
-        l_all = np.concatenate(out_label)
-        order = np.argsort(t_all, kind="stable")
-        t_all = t_all[order]
-        l_all = l_all[order]
-    else:
-        t_all = np.empty(0, np.int64)
-        l_all = np.empty(0, np.int8)
-
+    paired = np.flatnonzero(label_at >= 0)
     return CoincidenceStream(
-        t_all,
-        l_all,
+        times[paired],
+        label_at[paired],
         n_events_in=n,
-        n_unpaired=n - 2 * len(t_all),
-        n_multi_click_clusters=n_big,
+        n_unpaired=n - 2 * len(paired),
+        n_multi_click_clusters=len(big_sizes),
     )
 
 
@@ -401,12 +407,10 @@ def synthetic_coincidences(
     """
     if not (rate_hz >= 0.0) or not math.isfinite(rate_hz):
         raise InvalidRate(f"rate_hz must be >= 0, got {rate_hz}")
-    if not (duration_s > 0.0) or not math.isfinite(duration_s):
-        raise InvalidDuration(f"duration_s must be > 0, got {duration_s}")
+    run_ps = duration_ps(duration_s)
     rng = np.random.default_rng(seed)
-    duration_ps = round(duration_s * PS_PER_SECOND)
     n = int(rng.poisson(rate_hz * duration_s))
-    times = rng.integers(0, duration_ps, size=n, dtype=np.int64)
+    times = rng.integers(0, run_ps, size=n, dtype=np.int64)
     times.sort()
     which = rng.integers(0, len(labels), size=n)
     label_values = np.array([int(l) for l in labels], dtype=np.int8)
@@ -473,11 +477,22 @@ def write_scan_csv(points, path) -> None:
                 )
 
 
+_ROW_PREFIX = np.array([f"{d.name},".encode("ascii") for d in Detector])
+_CSV_CHUNK = 1 << 20
+
+
 def write_events_csv(events: EventStream, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("detector,time_ps\n")
-        for t, d in zip(events.times_ps, events.detectors):
-            fh.write(f"{Detector(int(d)).name},{int(t)}\n")
+    """One "detector,time_ps" row per click, built a chunk of rows at a time
+    from a detector-name lookup and numpy's integer-to-text cast."""
+    with open(path, "wb") as fh:
+        fh.write(b"detector,time_ps\n")
+        for lo in range(0, len(events), _CSV_CHUNK):
+            hi = lo + _CSV_CHUNK
+            rows = np.char.add(
+                _ROW_PREFIX[events.detectors[lo:hi]], events.times_ps[lo:hi].astype("S20")
+            )
+            rows = np.char.add(rows, b"\n").view(np.uint8)
+            fh.write(rows[rows != 0].tobytes())  # drop the fixed-width NUL padding
 
 
 @dataclass(frozen=True)

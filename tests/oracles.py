@@ -179,6 +179,30 @@ def reference_greedy_pairs(times, dets, window):
     return pairs
 
 
+def reference_dead_time_keep(times, dead_ps):
+    """Non-paralyzable dead time by its scalar rule, in Python integers:
+    the first click is kept, and a later click is kept when it comes more
+    than dead_ps after the last kept click.  Dropped clicks do not extend
+    the dead interval.  A dead_ps of 0 means no dead time: every click is
+    kept, simultaneous ones included."""
+    keep = []
+    last_kept = None
+    for t in times:
+        kept = dead_ps <= 0 or last_kept is None or t - last_kept > dead_ps
+        keep.append(kept)
+        if kept:
+            last_kept = t
+    return keep
+
+
+def reference_events_csv(times_ps, detectors) -> bytes:
+    """The event dump written one f-string per click, detector names D1..D4."""
+    rows = ["detector,time_ps\n"]
+    for t, d in zip(times_ps, detectors):
+        rows.append(f"D{int(d) + 1},{int(t)}\n")
+    return "".join(rows).encode("ascii")
+
+
 def clocked_records(times_ps, labels, period_fs):
     """Clocked bit extraction by its scalar rule, in Python integers.
 

@@ -155,6 +155,38 @@ class TestGenerate:
         )
 
 
+    def test_click_conservation_in_manifest(self, tmp_path):
+        # every click is in one coincidence or left unpaired
+        out = tmp_path / "c.txt"
+        assert run("generate", "--duration", "5", "--pair-rate", "20000",
+                   "--dark-rate", "20000", "--monitor-threshold", "1000",
+                   "--seed", "4", "--out", str(out)) == EXIT_OK
+        meta = RunManifest.load(str(out) + ".manifest.json").metadata
+        assert meta["unpaired_clicks"] > 0
+        assert meta["multi_click_clusters"] > 0
+        assert 2 * meta["n_coincidences"] + meta["unpaired_clicks"] == meta["n_events"]
+
+
+class TestDurationPastInt64Headroom:
+    # 1e7 s is 1e19 ps, past the INT64_MAX // 2 ps (about 4.6e6 s) cap
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--pair-rate", "1e-6", "--duration", "1e7"],
+        ["generate", "--pair-rate", "0", "--duration", "1e7"],
+        ["scan-delay", "--from", "-600", "--to", "600", "--steps", "3",
+         "--pairs-per-point", "1", "--point-duration", "1e7"],
+        ["ber-scan", "--rate", "0", "--freqs", "1000", "--duration", "1e7"],
+        ["ber-scan", "--rate", "1e-6", "--freqs", "1000", "--duration", "1e7"],
+    ])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.txt"
+        assert run(*argv, "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "duration_s must lie in" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestUnusableClock:
     @pytest.mark.parametrize("clock", ["1e16", "1e-300"])
     def test_generate_rejects_clock(self, tmp_path, capsys, clock):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qrngsim.optics import (
@@ -14,6 +16,7 @@ from qrngsim.optics import (
     output_distribution,
 )
 from qrngsim.timetag import (
+    MAX_DURATION_PS,
     CoincidenceStream,
     EventStream,
     InvalidDuration,
@@ -24,6 +27,7 @@ from qrngsim.timetag import (
     SourceConfig,
     TimingConfig,
     UnsortedInput,
+    _dead_time_filter,
     coincidence_filter,
     fit_dip_visibility,
     point_seed,
@@ -35,7 +39,9 @@ from qrngsim.timetag import (
     write_scan_csv,
 )
 
-from oracles import reference_greedy_pairs
+from oracles import reference_dead_time_keep, reference_events_csv, reference_greedy_pairs
+
+INT64_MAX = np.iinfo(np.int64).max
 
 IDEAL = InterferometerConfig()
 BANK = DetectorBank()
@@ -57,6 +63,18 @@ class TestConfigs:
             SourceConfig(pair_rate_hz=-1.0, duration_s=1.0)
         with pytest.raises(InvalidDuration):
             SourceConfig(pair_rate_hz=1.0, duration_s=0.0)
+
+    def test_duration_cap(self):
+        # INT64_MAX // 2 ps (about 4.6e6 s) leaves int64 headroom for the
+        # jitter tail and the dead time; a run must also last 1 ps
+        assert MAX_DURATION_PS == INT64_MAX // 2 == 4_611_686_018_427_387_903
+        SourceConfig(pair_rate_hz=0.0, duration_s=4_611_686.0)
+        SourceConfig(pair_rate_hz=0.0, duration_s=1e-12)
+        for duration_s in (4_611_687.0, 1e7, 4e-13):
+            with pytest.raises(InvalidDuration):
+                SourceConfig(pair_rate_hz=0.0, duration_s=duration_s)
+            with pytest.raises(InvalidDuration):
+                synthetic_coincidences(0.0, duration_s)
 
     def test_timing_validation(self):
         with pytest.raises(ValueError):
@@ -117,6 +135,17 @@ class TestSimulate:
             t = stream.times_ps[stream.detectors == det]
             assert np.all(np.diff(t) > timing.dead_time_ps)
 
+    def test_kept_rate_is_non_paralyzable(self):
+        # 10 MHz darks behind 200 ns: r tau = 2, so each detector keeps
+        # r / (1 + r tau) = 3.33 MHz (a paralyzable one, r e^-r tau = 1.35 MHz)
+        src = SourceConfig(pair_rate_hz=0.0, duration_s=0.01, seed=12)
+        bank = DetectorBank(efficiency=1.0, dark_rate_hz=10_000_000.0)
+        timing = TimingConfig(jitter_sigma_ps=0.0, dead_time_ns=200.0)
+        stream = simulate(src, IDEAL, bank, timing)
+        expect = 1e7 / (1.0 + 1e7 * 200e-9) * src.duration_s
+        counts = np.bincount(stream.detectors, minlength=4)
+        assert np.all(np.abs(counts - expect) < 4.0 * math.sqrt(expect))
+
     def test_dark_gaps_are_exponential(self):
         # single dark-count stream at 1 MHz: inter-event gaps ~ Exp(rate)
         src = SourceConfig(pair_rate_hz=0.0, duration_s=0.1, seed=5)
@@ -126,6 +155,77 @@ class TestSimulate:
         assert len(gaps) >= 100_000 - 1
         result = stats.kstest(gaps, "expon", args=(0.0, 1e-6))
         assert result.pvalue > 0.01
+
+
+@st.composite
+def dead_time_streams(draw):
+    """Sorted int64 clicks and a dead time: equal timestamps, gaps at and
+    around dead_ps, long chains of short gaps, and runs ending within
+    dead_ps of INT64_MAX."""
+    dead_ps = draw(st.one_of(st.sampled_from([0, 1, 2, 50_000]), st.integers(0, 10**9)))
+    gap = st.one_of(
+        st.just(0), st.just(dead_ps), st.just(dead_ps + 1),
+        st.integers(0, dead_ps), st.integers(0, 3 * dead_ps + 3),
+    )
+    gaps = draw(st.lists(gap, max_size=300))
+    times = np.cumsum(gaps, dtype=np.int64)
+    if len(times) and draw(st.booleans()):
+        times += INT64_MAX - draw(st.integers(0, dead_ps)) - times[-1]
+    return times, dead_ps
+
+
+class TestDeadTimeFilter:
+    @settings(max_examples=400, deadline=None)
+    @given(dead_time_streams())
+    def test_matches_scalar_oracle(self, stream):
+        times, dead_ps = stream
+        keep = _dead_time_filter(times, dead_ps)
+        assert keep.tolist() == reference_dead_time_keep(times.tolist(), dead_ps)
+
+    @pytest.mark.parametrize("at_int64_max", [False, True])
+    def test_long_chain(self, at_int64_max):
+        # 20,001 clicks a quarter dead time apart form one chain; the click
+        # exactly one dead time after a kept one is dropped, so every fifth
+        # is kept, the last one included (at INT64_MAX when shifted)
+        dead_ps = 50_000
+        times = np.arange(20_001, dtype=np.int64) * 12_500
+        if at_int64_max:
+            times += INT64_MAX - times[-1]
+        keep = _dead_time_filter(times, dead_ps)
+        assert keep.tolist() == reference_dead_time_keep(times.tolist(), dead_ps)
+        assert np.flatnonzero(keep).tolist() == list(range(0, 20_001, 5))
+
+    def test_simultaneous_clicks(self):
+        times = np.array([5, 5, 5, 7, 7], dtype=np.int64)
+        assert _dead_time_filter(times, 0).tolist() == [True] * 5
+        assert _dead_time_filter(times, 1).tolist() == [True, False, False, True, False]
+
+
+@st.composite
+def clustered_streams(draw):
+    """Clusters of one to six clicks (gaps within a cluster at most one
+    window, between clusters more), with clusters of three or more at
+    either end when drawn.  Returns times, detectors, the window and the
+    number of clusters of three or more clicks."""
+    window_ps = draw(st.sampled_from([1, 7, 3000]))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=40))
+    if draw(st.booleans()):
+        sizes[0] = max(sizes[0], 3)
+    if draw(st.booleans()):
+        sizes[-1] = max(sizes[-1], 3)
+    times = []
+    t = draw(st.integers(0, 10**6))
+    for k, size in enumerate(sizes):
+        if k:
+            t += window_ps + 1 + draw(st.integers(0, 2 * window_ps))
+        for c in range(size):
+            if c:
+                t += draw(st.sampled_from([0, window_ps, draw(st.integers(0, window_ps))]))
+            times.append(t)
+    dets = draw(st.lists(st.integers(0, 3), min_size=len(times), max_size=len(times)))
+    n_big = sum(size >= 3 for size in sizes)
+    return (np.array(times, dtype=np.int64), np.array(dets, dtype=np.int8),
+            window_ps, n_big)
 
 
 class TestCoincidenceFilter:
@@ -184,6 +284,22 @@ class TestCoincidenceFilter:
             lo, hi = sorted((dets[i], dets[j]))
             assert {int(d) for d in _label_members(label)} == {lo, hi}
 
+    @settings(max_examples=300, deadline=None)
+    @given(clustered_streams())
+    def test_matches_reference_greedy_on_clustered_streams(self, stream):
+        times, dets, window_ps, n_big = stream
+        timing = TimingConfig(coincidence_window_ns=window_ps / 1000.0)
+        assert timing.window_ps == window_ps
+        got = coincidence_filter(EventStream(times, dets), timing)
+        want = reference_greedy_pairs(times.tolist(), dets.tolist(), window_ps)
+        assert got.times_ps.tolist() == [int(times[i]) for i, _ in want]
+        assert got.labels.tolist() == [
+            int(_LABEL_OF_MEMBERS[frozenset((int(dets[i]), int(dets[j])))]) for i, j in want
+        ]
+        assert got.n_unpaired == len(times) - 2 * len(want)
+        assert got.n_multi_click_clusters == n_big
+        assert got.n_events_in == len(times)
+
     def test_every_click_consumed_at_most_once(self):
         # conservation: coincidences * 2 + unpaired = events
         src = SourceConfig(pair_rate_hz=50_000.0, duration_s=1.0, seed=17)
@@ -221,6 +337,9 @@ def _label_members(label):
         PairLabel.D2D3: (1, 2),
         PairLabel.D2D4: (1, 3),
     }[label]
+
+
+_LABEL_OF_MEMBERS = {frozenset(_label_members(label)): label for label in PairLabel}
 
 
 class TestSyntheticCoincidences:
@@ -329,3 +448,18 @@ class TestScanDelay:
         path = tmp_path / "events.csv"
         write_events_csv(stream, path)
         assert path.read_text() == "detector,time_ps\nD1,5\nD4,10\n"
+
+    def test_events_csv_matches_per_row_writer(self, tmp_path):
+        # about 10^5 clicks; 12-digit times next to 4-digit dark counts
+        src = SourceConfig(pair_rate_hz=40_000.0, duration_s=1.5, seed=33)
+        stream = simulate(src, IDEAL, DetectorBank(dark_rate_hz=2000.0), TimingConfig())
+        assert len(stream) > 100_000
+        stream = EventStream(
+            np.concatenate(([0, 7, 12], stream.times_ps, [INT64_MAX])),
+            np.concatenate(([3, 0, 1], stream.detectors, [2])),
+        )
+        path = tmp_path / "events.csv"
+        write_events_csv(stream, path)
+        assert path.read_bytes() == reference_events_csv(
+            stream.times_ps.tolist(), stream.detectors.tolist()
+        )
