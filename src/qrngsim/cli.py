@@ -122,6 +122,9 @@ def cmd_scan_delay(args, manifest: RunManifest):
         raise UsageError("scan-delay: --steps must be at least 2")
     if args.pairs_per_point <= 0 or args.point_duration <= 0:
         raise UsageError("scan-delay: pair budget and point duration must be positive")
+    if args.fit and (args.steps < 3 or args.delay_from == args.delay_to):
+        raise UsageError("scan-delay: the dip fit needs three or more distinct delays "
+                         "(or --no-fit)")
 
     delays = np.linspace(args.delay_from, args.delay_to, args.steps)
     source = SourceConfig(
@@ -131,6 +134,7 @@ def cmd_scan_delay(args, manifest: RunManifest):
     )
     interf, bank, timing = _configs_from_args(args, 0.0)
     points = timetag.scan_delay(delays, source, interf, bank, timing)
+    manifest.metadata["scan_workers"] = timetag.scan_workers(len(delays))
 
     timetag.write_scan_csv(points, args.out)
     manifest.add_output("scan_csv", args.out)
@@ -142,7 +146,8 @@ def cmd_scan_delay(args, manifest: RunManifest):
         manifest.metadata["fitted_visibility"] = fit.visibility
         manifest.metadata["fitted_visibility_err"] = fit.visibility_err
         manifest.metadata["fitted_width_fs"] = fit.width_fs
-        print(f"fitted visibility: {fit.visibility:.4f} +/- {fit.visibility_err:.4f}")
+        err = "n/a" if fit.visibility_err is None else f"{fit.visibility_err:.4f}"
+        print(f"fitted visibility: {fit.visibility:.4f} +/- {err}")
         print(f"fitted dip width: {fit.width_fs:.1f} fs, "
               f"baseline {fit.baseline_hz:.3f} Hz")
 

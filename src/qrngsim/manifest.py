@@ -6,7 +6,9 @@ version, wall-clock start/end stamps, and a SHA-256 digest per output
 file.  Replaying ``argv`` through the command-line parser with the same
 tool version must reproduce every digest; the timestamps are
 documentation and take no part in that contract.  Manifests written
-before 0.2.0 carry no ``argv`` and are refused by ``load``.
+before 0.2.0 carry no ``argv`` and are refused by ``load``.  Manifests
+are strict JSON: a NaN or infinite parameter is refused before the run,
+and an undefined value is recorded as null.
 """
 
 from __future__ import annotations
@@ -45,6 +47,14 @@ class RunManifest:
     outputs: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        try:
+            json.dumps(self.parameters, allow_nan=False)
+        except ValueError:
+            raise ValueError(
+                f"{self.command}: a NaN or infinite parameter cannot be recorded"
+            ) from None
+
     def add_output(self, name: str, path) -> None:
         self.outputs.append({"name": name, "sha256": sha256_file(path)})
 
@@ -62,9 +72,11 @@ class RunManifest:
         }
 
     def save(self, path) -> None:
+        """Write strict JSON; ValueError, before the file is opened, for a
+        NaN or infinity, which JSON cannot hold."""
+        text = json.dumps(self.as_dict(), indent=2, allow_nan=False)
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            json.dump(self.as_dict(), fh, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
 
     @classmethod
     def load(cls, path) -> "RunManifest":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
@@ -35,6 +36,9 @@ _INT64_MAX = np.iinfo(np.int64).max
 # the longest run, about 4.6e6 s: times up to twice it, jitter tail and dead
 # time included, still fit int64
 MAX_DURATION_PS = _INT64_MAX // 2
+# the widest timing jitter, one second: its draws, 40 sigma and all, stay
+# far inside the int64 headroom the duration cap leaves
+MAX_JITTER_SIGMA_PS = 1e12
 
 
 class InvalidDuration(ValueError):
@@ -116,12 +120,20 @@ class TimingConfig:
     coincidence_window_ns: float = 3.0
 
     def __post_init__(self) -> None:
-        if not (self.jitter_sigma_ps >= 0.0):
-            raise ValueError("jitter_sigma_ps must be >= 0")
-        if not (self.dead_time_ns >= 0.0):
-            raise ValueError("dead_time_ns must be >= 0")
-        if not (self.coincidence_window_ns > 0.0):
-            raise ValueError("coincidence_window_ns must be > 0")
+        if not (0.0 <= self.jitter_sigma_ps <= MAX_JITTER_SIGMA_PS):
+            raise ValueError(
+                f"jitter_sigma_ps must lie in 0 to {MAX_JITTER_SIGMA_PS:.0e}, "
+                f"got {self.jitter_sigma_ps}"
+            )
+        if not (self.dead_time_ns >= 0.0) or not math.isfinite(self.dead_time_ns):
+            raise ValueError(f"dead_time_ns must be finite and >= 0, got {self.dead_time_ns}")
+        if not (self.coincidence_window_ns > 0.0) or not math.isfinite(
+            self.coincidence_window_ns
+        ):
+            raise ValueError(
+                f"coincidence_window_ns must be finite and > 0, "
+                f"got {self.coincidence_window_ns}"
+            )
 
     @property
     def window_ps(self) -> int:
@@ -436,6 +448,20 @@ def point_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1, np.uint64)[0])
 
 
+def scan_workers(n_points: int) -> int:
+    """Worker processes for a scan: one per usable CPU, at most one per point."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_points)
+
+
+def _scan_point(source, interf, bank, timing) -> dict:
+    """One delay point, run in a worker process: its six label counts."""
+    return coincidence_filter(simulate(source, interf, bank, timing), timing).label_counts()
+
+
 def scan_delay(
     delays_fs: Sequence,
     source: SourceConfig,
@@ -446,21 +472,36 @@ def scan_delay(
     """Run the simulation at each delay and tabulate per-label rates.
 
     Points draw from independent child seeds keyed by (seed, index), so a
-    scan is reproducible point by point regardless of execution order.
+    scan is reproducible point by point regardless of which process runs
+    which point.  They run in a pool of ``scan_workers(len(delays_fs))``
+    processes, and the pool's ordered map returns them in delay order.
+    Workers are spawned, not forked: numpy's BLAS threads make the parent
+    a threaded process, which fork does not copy safely.  Spawned workers
+    import the caller's main module, so a script that scans must guard
+    its entry point with ``if __name__ == "__main__":``.
     """
+    # imported here so that commands without a scan do not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     delays = [float(d) for d in delays_fs]
     if len(delays) < 2:
         raise ValueError("a delay scan needs at least two points")
+    sources = [dataclasses.replace(source, seed=point_seed(source.seed, i))
+               for i in range(len(delays))]
+    interfs = [dataclasses.replace(interf, delay_fs=delay) for delay in delays]
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(scan_workers(len(delays)), mp_context=spawn) as pool:
+        counts = list(pool.map(_scan_point, sources, interfs,
+                               [bank] * len(delays), [timing] * len(delays)))
     points = []
-    for i, delay in enumerate(delays):
-        src = dataclasses.replace(source, seed=point_seed(source.seed, i))
-        cfg = dataclasses.replace(interf, delay_fs=delay)
-        coinc = coincidence_filter(simulate(src, cfg, bank, timing), timing)
-        counts = coinc.label_counts()
+    for delay, point_counts in zip(delays, counts):
         rates = {
-            label: RateEstimate(counts[label], source.duration_s) for label in PairLabel
+            label: RateEstimate(point_counts[label], source.duration_s) for label in PairLabel
         }
-        cross = RateEstimate(coinc.cross_arm_count(), source.duration_s)
+        cross = RateEstimate(
+            sum(point_counts[label] for label in CROSS_ARM_LABELS), source.duration_s
+        )
         points.append(ScanPoint(delay_fs=delay, rates=rates, cross_arm=cross))
     return points
 
@@ -497,46 +538,95 @@ def write_events_csv(events: EventStream, path) -> None:
 
 @dataclass(frozen=True)
 class DipFit:
-    """Gaussian dip fit r(tau) = base * (1 - V exp(-(tau/width)^2))."""
+    """Gaussian dip fit r(tau) = base * (1 - V exp(-(tau/width)^2)).
+
+    ``visibility_err`` is None when the fit's covariance is singular or
+    not finite, as when every delay is the same.
+    """
 
     visibility: float
-    visibility_err: float
+    visibility_err: float | None
     width_fs: float
     baseline_hz: float
+
+
+def _levenberg_marquardt(residuals, p0):
+    """Minimise |r(p)|^2 from p0; ``residuals(p)`` returns r and dr/dp.
+
+    Gauss-Newton steps damped by Marquardt's scaled diagonal: a step that
+    lowers the sum of squares is taken and the damping cut tenfold, one
+    that does not raises it tenfold.  Each step solves the damped linear
+    problem as a least-squares system in J itself, not its normal
+    equations, so the zero-count points' large weights do not square
+    J's condition number.  Stops when no damping lowers the sum, or
+    after 500 trial steps.
+    """
+    params = np.asarray(p0, dtype=float)
+    r, jac = residuals(params)
+    cost = r @ r
+    damping = 1e-3
+    for _ in range(500):
+        scale = np.linalg.norm(jac, axis=0)
+        scale[scale == 0.0] = 1.0  # a parameter the data cannot see
+        step = np.linalg.lstsq(
+            np.vstack((jac, np.diag(math.sqrt(damping) * scale))),
+            -np.concatenate((r, np.zeros(len(params)))),
+            rcond=None,
+        )[0]
+        trial = params + step
+        r_new, jac_new = residuals(trial)
+        cost_new = r_new @ r_new
+        if cost_new < cost and np.isfinite(jac_new).all():
+            params, r, jac, cost = trial, r_new, jac_new, cost_new
+            damping = max(damping / 10.0, 1e-15)
+        else:
+            damping *= 10.0
+            if damping > 1e16:
+                break
+    return params, r, jac
 
 
 def fit_dip_visibility(delays_fs, rates_hz, sigmas_hz=None) -> DipFit:
     """Least-squares Gaussian fit of a coincidence dip.
 
     Counting errors may be supplied to weight the fit; zero-count points
-    get a floor of one count so the weights stay finite.
+    get a floor of one part in 1e6 of the highest rate so the weights stay
+    finite.  The covariance is absolute when errors are given and is
+    scaled by chi^2 / (n - 3) when they are not.
     """
-    from scipy.optimize import curve_fit
-
     delays = np.asarray(delays_fs, dtype=float)
     rates = np.asarray(rates_hz, dtype=float)
+    if len(delays) < 3:
+        raise ValueError("a dip fit needs at least three points")
+    sigma = np.ones_like(rates)
+    if sigmas_hz is not None:
+        sigma = np.maximum(np.asarray(sigmas_hz, dtype=float), np.max(rates) * 1e-6 + 1e-12)
 
-    def model(tau, base, vis, width):
-        return base * (1.0 - vis * np.exp(-((tau / width) ** 2)))
+    def residuals(params):
+        """Weighted residuals and their Jacobian in (base, vis, width)."""
+        base, vis, width = params
+        x = delays / width
+        g = np.exp(-(x**2))
+        value = base * (1.0 - vis * g)
+        jac = np.column_stack((1.0 - vis * g, -base * g, -2.0 * base * vis * g * x**2 / width))
+        return (value - rates) / sigma, jac / sigma[:, None]
 
     base0 = max(rates.max(), 1e-12)
     vis0 = 1.0 - rates.min() / base0
     width0 = max((delays.max() - delays.min()) / 4.0, 1.0)
-    sigma = None
-    if sigmas_hz is not None:
-        sigma = np.maximum(np.asarray(sigmas_hz, dtype=float), np.max(rates) * 1e-6 + 1e-12)
-    popt, pcov = curve_fit(
-        model,
-        delays,
-        rates,
-        p0=(base0, min(max(vis0, 0.1), 1.0), width0),
-        sigma=sigma,
-        absolute_sigma=sigma is not None,
-        maxfev=20000,
-    )
+    params, r, jac = _levenberg_marquardt(residuals, (base0, min(max(vis0, 0.1), 1.0), width0))
+
+    vis_err = None
+    _, sv, vt = np.linalg.svd(jac, full_matrices=False)
+    if sv[-1] > np.finfo(float).eps * len(delays) * sv[0]:
+        cov = (vt.T / sv**2) @ vt
+        if sigmas_hz is None:
+            cov *= (r @ r) / (len(delays) - 3) if len(delays) > 3 else math.inf
+        if math.isfinite(cov[1, 1]):
+            vis_err = math.sqrt(cov[1, 1])
     return DipFit(
-        visibility=float(popt[1]),
-        visibility_err=float(math.sqrt(max(pcov[1][1], 0.0))),
-        width_fs=float(abs(popt[2])),
-        baseline_hz=float(popt[0]),
+        visibility=float(params[1]),
+        visibility_err=vis_err,
+        width_fs=float(abs(params[2])),
+        baseline_hz=float(params[0]),
     )

@@ -195,6 +195,39 @@ def reference_dead_time_keep(times, dead_ps):
     return keep
 
 
+def curve_fit_dip(delays_fs, rates_hz, sigmas_hz=None):
+    """The Gaussian dip fitted by scipy's MINPACK Levenberg-Marquardt, from
+    the package's start values and sigma floor, run to the limit of its
+    tolerances.  Returns (base, vis, |width|) and the visibility error,
+    None where curve_fit cannot estimate the covariance."""
+    import warnings
+
+    from scipy.optimize import OptimizeWarning, curve_fit
+
+    delays = np.asarray(delays_fs, dtype=float)
+    rates = np.asarray(rates_hz, dtype=float)
+
+    def model(tau, base, vis, width):
+        return base * (1.0 - vis * np.exp(-((tau / width) ** 2)))
+
+    base0 = max(rates.max(), 1e-12)
+    vis0 = 1.0 - rates.min() / base0
+    width0 = max((delays.max() - delays.min()) / 4.0, 1.0)
+    sigma = None
+    if sigmas_hz is not None:
+        sigma = np.maximum(np.asarray(sigmas_hz, dtype=float), np.max(rates) * 1e-6 + 1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)
+        popt, pcov = curve_fit(
+            model, delays, rates, p0=(base0, min(max(vis0, 0.1), 1.0), width0),
+            sigma=sigma, absolute_sigma=sigma is not None, maxfev=20000,
+            ftol=1e-15, xtol=1e-15, gtol=0.0,
+        )
+    var = pcov[1][1]
+    err = math.sqrt(var) if math.isfinite(var) else None
+    return (popt[0], popt[1], abs(popt[2])), err
+
+
 def reference_events_csv(times_ps, detectors) -> bytes:
     """The event dump written one f-string per click, detector names D1..D4."""
     rows = ["detector,time_ps\n"]

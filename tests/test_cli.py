@@ -1,10 +1,15 @@
 """Command-line integration: exit codes, file outputs, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qrngsim
+from qrngsim import timetag
 from qrngsim.bitpipe import BitStream, read_bit_file, write_bit_file
 from qrngsim.cli import (
     EXIT_ALARM,
@@ -15,6 +20,7 @@ from qrngsim.cli import (
     main,
 )
 from qrngsim.manifest import RunManifest, sha256_file
+from qrngsim.timetag import scan_workers
 
 
 def run(*argv):
@@ -57,6 +63,61 @@ class TestScanDelay:
         fitted = manifest.metadata["fitted_visibility"]
         err = manifest.metadata["fitted_visibility_err"]
         assert abs(fitted - 0.9) < 4.0 * max(err, 1e-3)
+
+    def test_golden_digests(self, tmp_path):
+        # scan.csv's sha256 as computed when the points ran one after another;
+        # seven points, more than the workers on most hosts
+        out = tmp_path / "scan.csv"
+        assert run("scan-delay", "--from", "-600", "--to", "600", "--steps", "7",
+                   "--pairs-per-point", "2e4", "--point-duration", "0.5",
+                   "--dark-rate", "500", "--seed", "41", "--out", str(out)) == EXIT_OK
+        assert sha256_file(out) == (
+            "15d0dd59f93147291ba9af438dcb89b3c1f72accfe13ada6ca97be792f3ed254"
+        )
+        meta = RunManifest.load(str(out) + ".manifest.json").metadata
+        assert meta["scan_workers"] == scan_workers(7)
+        assert 1 <= meta["scan_workers"] <= 7
+
+    @pytest.mark.parametrize("span", [["--from", "0", "--to", "0", "--steps", "3"],
+                                      ["--from", "-600", "--to", "600", "--steps", "2"]])
+    def test_fit_needs_three_distinct_delays(self, tmp_path, capsys, span):
+        out = tmp_path / "s.csv"
+        assert run("scan-delay", *span, "--pairs-per-point", "1e3",
+                   "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "distinct delays" in err
+        assert not out.exists()
+        assert run("scan-delay", *span, "--pairs-per-point", "1e3", "--no-fit",
+                   "--out", str(out)) == EXIT_OK
+
+    def test_undefined_fit_error_is_null(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(timetag, "fit_dip_visibility",
+                            lambda *a: timetag.DipFit(0.5, None, 200.0, 10.0))
+        out = tmp_path / "s.csv"
+        assert run("scan-delay", "--from", "-600", "--to", "600", "--steps", "3",
+                   "--pairs-per-point", "1e3", "--out", str(out)) == EXIT_OK
+        assert "+/- n/a" in capsys.readouterr().out
+        text = (tmp_path / "s.csv.manifest.json").read_text()
+        assert '"fitted_visibility_err": null' in text
+        json.loads(text, parse_constant=pytest.fail)  # strict JSON
+
+    def test_runtime_never_imports_scipy(self, tmp_path):
+        script = (
+            "import sys\n"
+            "import qrngsim.cli\n"
+            "code = qrngsim.cli.main(['scan-delay', '--from', '-600', '--to', '600',\n"
+            "                         '--steps', '3', '--pairs-per-point', '1e3',\n"
+            "                         '--out', 'scan.csv'])\n"
+            "assert code == 0, code\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qrngsim.__file__)))
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "scan.csv").exists()
 
 
 class TestBerScan:
@@ -185,6 +246,27 @@ class TestDurationPastInt64Headroom:
         assert "duration_s must lie in" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestUnusableTiming:
+    # non-finite timing values, a jitter past its one-second cap, and a
+    # parameter no manifest can record
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--duration", "1", "--dead-time", "inf"],
+        ["generate", "--duration", "1", "--window", "inf"],
+        ["generate", "--duration", "1", "--jitter", "1e30"],
+        ["generate", "--duration", "1", "--jitter", "inf"],
+        ["generate", "--duration", "1", "--coherence-time", "inf"],
+        ["scan-delay", "--from", "-600", "--to", "600", "--steps", "3",
+         "--pairs-per-point", "1e3", "--window", "inf"],
+    ])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.txt"
+        assert run(*argv, "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestUnusableClock:
@@ -336,6 +418,14 @@ class TestRerunAndManifest:
         assert sha256_file(rerun_dir / "g.txt.report.json") == report_digest
         replayed = RunManifest.load(str(rerun_dir / "g.txt.report.json.manifest.json"))
         assert [o["sha256"] for o in replayed.outputs] == [report_digest]
+
+    def test_save_refuses_nan_before_writing(self, tmp_path):
+        manifest = RunManifest(command="scan-delay", argv=[], parameters={}, seed=0)
+        manifest.metadata["fitted_visibility_err"] = float("nan")
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError):
+            manifest.save(path)
+        assert not path.exists()
 
     def test_usage_error_exit_code_from_argparse(self):
         assert run("scan-delay", "--bogus") == EXIT_USAGE

@@ -1,6 +1,7 @@
 """Monte Carlo event chain: emission, pairing, monitoring, scanning."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qrngsim.optics import (
 )
 from qrngsim.timetag import (
     MAX_DURATION_PS,
+    MAX_JITTER_SIGMA_PS,
     CoincidenceStream,
     EventStream,
     InvalidDuration,
@@ -33,13 +35,19 @@ from qrngsim.timetag import (
     point_seed,
     purity_monitor,
     scan_delay,
+    scan_workers,
     simulate,
     synthetic_coincidences,
     write_events_csv,
     write_scan_csv,
 )
 
-from oracles import reference_dead_time_keep, reference_events_csv, reference_greedy_pairs
+from oracles import (
+    curve_fit_dip,
+    reference_dead_time_keep,
+    reference_events_csv,
+    reference_greedy_pairs,
+)
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -81,6 +89,19 @@ class TestConfigs:
             TimingConfig(coincidence_window_ns=0.0)
         with pytest.raises(ValueError):
             TimingConfig(jitter_sigma_ps=-1.0)
+        for field in ("jitter_sigma_ps", "dead_time_ns", "coincidence_window_ns"):
+            for value in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match=field):
+                    TimingConfig(**{field: value})
+
+    def test_jitter_cap(self):
+        # one second, far inside the int64 headroom of the duration cap
+        assert MAX_JITTER_SIGMA_PS == 1e12
+        assert 50 * MAX_JITTER_SIGMA_PS < INT64_MAX - MAX_DURATION_PS
+        TimingConfig(jitter_sigma_ps=MAX_JITTER_SIGMA_PS)
+        for sigma in (1.000001e12, 1e30):
+            with pytest.raises(ValueError, match="jitter_sigma_ps"):
+                TimingConfig(jitter_sigma_ps=sigma)
 
     def test_window_quantization(self):
         assert TimingConfig(coincidence_window_ns=3.0).window_ps == 3000
@@ -433,6 +454,53 @@ class TestScanDelay:
         assert abs(fit.visibility - ceiling) < 4.0 * max(fit.visibility_err, 1e-4)
         assert abs(fit.width_fs - 222.0) < 0.05 * 222.0
 
+    def test_matches_serial_point_loop(self):
+        # more points than workers, so workers take several points each
+        n_points = max(7, scan_workers(10**6) + 1)
+        delays = np.linspace(-500.0, 500.0, n_points)
+        src = SourceConfig(pair_rate_hz=20_000.0, duration_s=0.2, seed=17)
+        bank = DetectorBank(dark_rate_hz=2000.0)
+        timing = TimingConfig()
+        points = scan_delay(delays, src, IDEAL, bank, timing)
+        assert [p.delay_fs for p in points] == delays.tolist()
+        for i, (delay, point) in enumerate(zip(delays, points)):
+            coinc = coincidence_filter(
+                simulate(
+                    SourceConfig(src.pair_rate_hz, src.duration_s, point_seed(src.seed, i)),
+                    InterferometerConfig(delay_fs=delay),
+                    bank,
+                    timing,
+                ),
+                timing,
+            )
+            assert {l: r.counts for l, r in point.rates.items()} == coinc.label_counts()
+            assert point.cross_arm.counts == coinc.cross_arm_count()
+            assert point.cross_arm.duration_s == src.duration_s
+
+    def test_one_pool_of_at_most_one_worker_per_cpu_and_point(self, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, mp_context):
+                pools.append((max_workers, mp_context.get_start_method()))
+                super().__init__(max_workers, mp_context=mp_context)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        src = SourceConfig(pair_rate_hz=1000.0, duration_s=0.1, seed=3)
+        for n_points in (2, 5):
+            scan_delay(np.linspace(0.0, 400.0, n_points), src, IDEAL, BANK, TimingConfig())
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert pools == [(min(cpus, 2), "spawn"), (min(cpus, 5), "spawn")]
+
+    def test_workers_without_cpu_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert [scan_workers(n) for n in (1, 2, 3, 7)] == [1, 2, 3, 3]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert scan_workers(7) == 1
+
     def test_csv_schema(self, tmp_path):
         src = SourceConfig(pair_rate_hz=1000.0, duration_s=0.5, seed=2)
         points = scan_delay([0.0, 400.0], src, IDEAL, BANK, TimingConfig())
@@ -463,3 +531,48 @@ class TestScanDelay:
         assert path.read_bytes() == reference_events_csv(
             stream.times_ps.tolist(), stream.detectors.tolist()
         )
+
+
+class TestFitDipVisibility:
+    @pytest.mark.parametrize("ceiling", [0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("n_points,duration_s", [(9, 0.01), (11, 1.0)])
+    def test_matches_curve_fit(self, ceiling, weighted, n_points, duration_s):
+        # Poisson counts around a 222 fs dip; every case holds a zero-count
+        # point, which the sigma floor weights a million times the peak
+        rng = np.random.default_rng(round(100 * ceiling) + n_points)
+        delays = np.linspace(-650.0, 650.0, n_points)
+        mean = 1e4 * duration_s * (1.0 - ceiling * np.exp(-((delays / 222.0) ** 2)))
+        counts = rng.poisson(mean)
+        counts[n_points // 2] = 0
+        rates = counts / duration_s
+        sigmas = np.sqrt(counts) / duration_s if weighted else None
+        fit = fit_dip_visibility(delays, rates, sigmas)
+        (base, vis, width), err = curve_fit_dip(delays, rates, sigmas)
+        assert fit.baseline_hz == pytest.approx(base, rel=1e-6)
+        assert fit.visibility == pytest.approx(vis, rel=1e-6)
+        assert fit.width_fs == pytest.approx(width, rel=1e-6)
+        assert fit.visibility_err == pytest.approx(err, rel=1e-6)
+
+    def test_noiseless_dip_is_recovered(self):
+        delays = np.linspace(-600.0, 600.0, 7)
+        rates = 50.0 * (1.0 - 0.8 * np.exp(-((delays / 222.0) ** 2)))
+        fit = fit_dip_visibility(delays, rates)
+        assert fit.visibility == pytest.approx(0.8, rel=1e-9)
+        assert fit.width_fs == pytest.approx(222.0, rel=1e-9)
+        assert fit.baseline_hz == pytest.approx(50.0, rel=1e-9)
+        assert fit.visibility_err < 1e-9
+
+    def test_equal_delays_leave_no_error(self):
+        fit = fit_dip_visibility([100.0] * 4, [3.0, 4.0, 5.0, 4.0], [1.0] * 4)
+        assert fit.visibility_err is None
+        assert math.isfinite(fit.visibility)
+
+    def test_three_unweighted_points_leave_no_error(self):
+        # chi^2 / (n - 3) has no degrees of freedom to scale by
+        fit = fit_dip_visibility([-300.0, 0.0, 300.0], [10.0, 1.0, 10.0])
+        assert fit.visibility_err is None
+
+    def test_needs_three_points(self):
+        with pytest.raises(ValueError, match="three"):
+            fit_dip_visibility([0.0, 400.0], [1.0, 10.0])
