@@ -170,14 +170,23 @@ def _period_indices(times_ps: np.ndarray, clock: ClockConfig) -> np.ndarray:
 
 
 def period_occupancy(coincidences: CoincidenceStream, clock: ClockConfig):
-    """(period index, event count, first label) per occupied clock period."""
+    """(period index, event count, first label) per occupied clock period.
+
+    Relies on time-sorted input, which it checks: periods of sorted times
+    never decrease, so each occupied period is one run of equal neighbours
+    and a single linear pass finds them without a sort.
+    """
     times = coincidences.times_ps
-    if np.any(np.diff(times) < 0):
+    if np.any(times[1:] < times[:-1]):
         raise UnsortedInput("coincidences must be time-sorted")
     periods = _period_indices(times, clock)
-    uniq, first, counts = np.unique(periods, return_index=True, return_counts=True)
-    first_labels = coincidences.labels[first]
-    return uniq, counts, first_labels
+    run_start = np.empty(len(periods), dtype=bool)
+    run_start[:1] = True
+    np.not_equal(periods[1:], periods[:-1], out=run_start[1:])
+    first = np.flatnonzero(run_start)
+    index = periods[first]
+    del periods, run_start  # free the full-length arrays before the counts
+    return index, np.diff(first, append=len(times)), coincidences.labels[first]
 
 
 def extract_bits(coincidences: CoincidenceStream, clock: ClockConfig) -> BitRecordStream:
@@ -198,19 +207,19 @@ def extract_bits(coincidences: CoincidenceStream, clock: ClockConfig) -> BitReco
         raise CrossArmLabelPresent(
             "cross-arm coincidence labels must be filtered out before bit extraction"
         )
-    uniq, counts, first_labels = period_occupancy(coincidences, clock)
+    # period_occupancy returns fresh arrays, so the work below is in place
+    index, counts, first_labels = period_occupancy(coincidences, clock)
     multi = counts >= 2
-    natural = np.where(multi, uniq + 1, uniq)
-    symbols = np.where(
-        multi,
-        np.int8(Symbol.ERROR),
-        np.where(first_labels == int(PairLabel.D3D4), np.int8(Symbol.ONE), np.int8(Symbol.ZERO)),
-    )
+    symbols = (first_labels == int(PairLabel.D3D4)).view(np.int8)  # ONE or ZERO
+    symbols[multi] = Symbol.ERROR
+    index += multi  # natural index: an error lands on the next pulse
     # Resolve index collisions: each record lands on max(natural, prev+1),
     # i.e. out = cummax(natural - i) + i.
-    offsets = np.arange(len(natural), dtype=np.int64)
-    out = np.maximum.accumulate(natural - offsets) + offsets
-    return BitRecordStream(symbols, out)
+    offsets = np.arange(len(index), dtype=np.int64)
+    index -= offsets
+    np.maximum.accumulate(index, out=index)
+    index += offsets
+    return BitRecordStream(symbols, index)
 
 
 def ber_model(rate_hz: float, clock: ClockConfig) -> float:

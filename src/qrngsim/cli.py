@@ -242,6 +242,8 @@ def run_generation(
 
 
 def cmd_generate(args, manifest: RunManifest):
+    if args.monitor_threshold < 0:
+        raise UsageError("generate: --monitor-threshold must be >= 0")
     source = SourceConfig(pair_rate_hz=args.pair_rate, duration_s=args.duration,
                           seed=args.seed)
     interf, bank, timing = _configs_from_args(args, args.delay)

@@ -300,25 +300,29 @@ def simulate(
             membership[k, int(det)] = True
 
     per_det_times = []
-    per_det_ids = []
     sigma = timing.jitter_sigma_ps
     for det in range(4):
-        t = pair_times[membership[pattern_idx, det]] if n_pairs else np.empty(0, np.int64)
+        t = pair_times[membership[:, det][pattern_idx]]
         if sigma > 0.0 and len(t):
-            t = t + np.rint(rng.normal(0.0, sigma, size=len(t))).astype(np.int64)
+            jitter = rng.normal(0.0, sigma, size=len(t))
+            t += np.rint(jitter, out=jitter).astype(np.int64)
         n_dark = int(rng.poisson(bank.dark_rate_hz * source.duration_s))
         if n_dark:
             dark = rng.integers(0, run_ps, size=n_dark, dtype=np.int64)
             t = np.concatenate((t, dark))
         t = t[(t >= 0) & (t < run_ps)]
-        t.sort()
-        t = t[_dead_time_filter(t, timing.dead_time_ps)]
-        per_det_times.append(t)
-        per_det_ids.append(np.full(len(t), det, dtype=np.int8))
+        # jitter leaves the clicks nearly in pair order, where timsort is linear
+        t.sort(kind="stable")
+        per_det_times.append(t[_dead_time_filter(t, timing.dead_time_ps)])
+    del pair_times, pattern_idx
 
+    # A stable sort of the detector-ordered concatenation breaks time ties
+    # by detector, then by position within one detector: lexsort's order on
+    # (time, detector).
+    dets = np.repeat(np.arange(4, dtype=np.int8), [len(t) for t in per_det_times])
     times = np.concatenate(per_det_times)
-    dets = np.concatenate(per_det_ids)
-    order = np.lexsort((dets, times))
+    del per_det_times
+    order = np.argsort(times, kind="stable")
     return EventStream(times[order], dets[order])
 
 

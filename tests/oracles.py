@@ -236,23 +236,33 @@ def reference_events_csv(times_ps, detectors) -> bytes:
     return "".join(rows).encode("ascii")
 
 
-def clocked_records(times_ps, labels, period_fs):
-    """Clocked bit extraction by its scalar rule, in Python integers.
+def period_table(times_ps, labels, period_fs):
+    """{period index: (events in the period, label of its first event)}.
 
-    A timestamp t (ps) falls in period 1000 t // period_fs.  A period
-    holding one coincidence emits its bit (label 1, D3D4, records 1; label
-    0, D1D2, records 0) at index k; a period holding more emits an error
-    symbol (2) at k + 1.  Walking the periods in order, each record then
-    lands on max(natural index, previous index + 1).
-
-    Returns (records, error_rows): (symbol, index) per record, and
-    (index, events in the period) per error record.
+    A timestamp t (ps) falls in period 1000 t // period_fs, in Python
+    integers.
     """
     occupancy = {}
     for t, label in zip(times_ps, labels):
         k = int(t) * 1000 // period_fs
         count, first_label = occupancy.get(k, (0, int(label)))
         occupancy[k] = (count + 1, first_label)
+    return occupancy
+
+
+def clocked_records(times_ps, labels, period_fs):
+    """Clocked bit extraction by its scalar rule, in Python integers.
+
+    A period holding one coincidence (see period_table) emits its bit
+    (label 1, D3D4, records 1; label 0, D1D2, records 0) at index k; a
+    period holding more emits an error symbol (2) at k + 1.  Walking the
+    periods in order, each record then lands on max(natural index,
+    previous index + 1).
+
+    Returns (records, error_rows): (symbol, index) per record, and
+    (index, events in the period) per error record.
+    """
+    occupancy = period_table(times_ps, labels, period_fs)
     records, error_rows = [], []
     previous = None
     for k in sorted(occupancy):

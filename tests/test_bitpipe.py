@@ -1,6 +1,7 @@
 """Clocked bit extraction, BER model, unbiasing, and bit file formats."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,12 @@ from qrngsim.timetag import (
     synthetic_coincidences,
 )
 
-from oracles import clocked_records, poisson_error_fraction, poisson_period_occupancy
+from oracles import (
+    clocked_records,
+    period_table,
+    poisson_error_fraction,
+    poisson_period_occupancy,
+)
 
 MS = 10**9  # picoseconds per millisecond
 INT64_MAX = np.iinfo(np.int64).max
@@ -74,6 +80,20 @@ class TestClockConfig:
 
 
 class TestExtractBits:
+    def test_peak_memory_is_a_small_multiple_of_the_input(self):
+        # about 10^6 coincidences at L = R/f = 0.02, so nearly every one
+        # occupies its own period and the per-period arrays are full length
+        stream = synthetic_coincidences(100.0, 10_000.0, seed=4)
+        input_bytes = stream.times_ps.nbytes + stream.labels.nbytes
+        tracemalloc.start()
+        try:
+            extract_bits(stream, ClockConfig(5000.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(stream) > 900_000
+        assert peak < 5 * input_bytes
+
     def test_one_bit_per_singly_occupied_period(self):
         records = extract_bits(
             coincidences(
@@ -195,19 +215,26 @@ class TestClockedExtractionOracle:
         gaps = data.draw(st.lists(
             st.one_of(st.just(0), st.integers(0, period_ps // 4),
                       st.integers(0, 3 * period_ps)),
-            min_size=1, max_size=60,
+            min_size=0, max_size=60,
         ))
         times = np.cumsum(gaps, dtype=np.int64)
         # start at zero, or straddle the line
         if data.draw(st.booleans()):
-            times += self.LINE_PS - data.draw(st.integers(0, int(times[-1])))
+            last = int(times[-1]) if len(times) else 0
+            times += self.LINE_PS - data.draw(st.integers(0, last))
         labels = data.draw(st.lists(
             st.sampled_from([PairLabel.D1D2, PairLabel.D3D4]),
             min_size=len(times), max_size=len(times),
         ))
         stream = CoincidenceStream(times, labels)
+        given_times, given_labels = stream.times_ps.copy(), stream.labels.copy()
         want_records, want_rows = clocked_records(times.tolist(), labels, clock.period_fs)
 
+        index, counts, first_labels = bitpipe.period_occupancy(stream, clock)
+        table = period_table(times.tolist(), labels, clock.period_fs)
+        assert list(zip(index.tolist(), counts.tolist(), first_labels.tolist())) == [
+            (k, *table[k]) for k in sorted(table)
+        ]
         records = extract_bits(stream, clock)
         assert list(zip(records.symbols.tolist(), records.clock_indices.tolist())) == (
             want_records
@@ -219,6 +246,9 @@ class TestClockedExtractionOracle:
         assert rows == want_rows
         error_indices = records.clock_indices[records.symbols == int(Symbol.ERROR)]
         assert [index for index, _ in rows] == error_indices.tolist()
+        # the in-place work never writes through to the caller's arrays
+        assert np.array_equal(stream.times_ps, given_times)
+        assert np.array_equal(stream.labels, given_labels)
 
     def test_indices_up_to_int64_max(self):
         # a 1 THz clock has a 1000 fs period, so a timestamp's index is t;

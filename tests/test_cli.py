@@ -249,14 +249,15 @@ class TestDurationPastInt64Headroom:
 
 
 class TestUnusableTiming:
-    # non-finite timing values, a jitter past its one-second cap, and a
-    # parameter no manifest can record
+    # non-finite timing values, a jitter past its one-second cap, a
+    # parameter no manifest can record, and a negative alarm threshold
     @pytest.mark.parametrize("argv", [
         ["generate", "--duration", "1", "--dead-time", "inf"],
         ["generate", "--duration", "1", "--window", "inf"],
         ["generate", "--duration", "1", "--jitter", "1e30"],
         ["generate", "--duration", "1", "--jitter", "inf"],
         ["generate", "--duration", "1", "--coherence-time", "inf"],
+        ["generate", "--duration", "1", "--monitor-threshold", "-1"],
         ["scan-delay", "--from", "-600", "--to", "600", "--steps", "3",
          "--pairs-per-point", "1e3", "--window", "inf"],
     ])

@@ -147,6 +147,17 @@ class TestSimulate:
         assert stream.times_ps[0] >= 0
         assert stream.times_ps[-1] < 2 * 10**12
 
+    def test_equal_times_keep_detector_order(self):
+        # without jitter both clicks of a two-click pattern fall on the same
+        # picosecond, so the merge must order each tie by detector
+        src = SourceConfig(pair_rate_hz=5000.0, duration_s=2.0, seed=9)
+        stream = simulate(src, IDEAL, BANK, NO_NOISE)
+        tied = np.flatnonzero(np.diff(stream.times_ps) == 0)
+        assert len(tied) > 1000
+        assert np.all(stream.detectors[tied] != stream.detectors[tied + 1])
+        order = np.lexsort((stream.detectors, stream.times_ps))
+        assert np.array_equal(order, np.arange(len(stream)))
+
     def test_dead_time_enforced_per_detector(self):
         src = SourceConfig(pair_rate_hz=0.0, duration_s=0.01, seed=11)
         bank = DetectorBank(efficiency=1.0, dark_rate_hz=2_000_000.0)
