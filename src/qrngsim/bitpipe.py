@@ -101,10 +101,10 @@ class BitStream:
 
     @classmethod
     def from_string(cls, text: str) -> "BitStream":
-        cleaned = text.replace("\n", "").replace("\r", "")
-        if cleaned and set(cleaned) - {"0", "1"}:
+        bits = _ascii_bits(text.encode("ascii"))
+        if bits is None:
             raise ValueError("bit string may only contain '0' and '1'")
-        return cls(np.frombuffer(cleaned.encode("ascii"), dtype=np.uint8) - ord("0"))
+        return cls(bits)
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -280,15 +280,36 @@ def expected_yield(p_one: float) -> float:
 # --- bit file formats (shared with the command-line tools) ---------------
 
 _ASCII_LINE = 64
+# byte -> 0 or 1 for the digits, 2 for a line break, 3 for anything else
+_ASCII_CODE = np.full(256, 3, dtype=np.uint8)
+_ASCII_CODE[[ord("0"), ord("1"), ord("\n"), ord("\r")]] = (0, 1, 2, 2)
+
+
+def _ascii_bits(blob: bytes):
+    """The bits of ASCII 0/1 text with line breaks, or None if it holds any
+    other byte."""
+    codes = _ASCII_CODE[np.frombuffer(blob, dtype=np.uint8)]
+    if len(codes) and codes.max() == 3:
+        return None
+    return codes[codes < 2]
 
 
 def write_bit_file(stream: BitStream, path, fmt: str = "ascii") -> None:
+    """ASCII: 64 digits and a newline per line, the last line shorter;
+    packed: see ``BitStream.to_packed``."""
     if fmt == "ascii":
-        text = stream.to_string()
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            for i in range(0, len(text), _ASCII_LINE):
-                fh.write(text[i : i + _ASCII_LINE])
-                fh.write("\n")
+        bits = stream.bits
+        rows, tail = divmod(len(bits), _ASCII_LINE)
+        body = rows * (_ASCII_LINE + 1)
+        text = np.empty(body + (tail + 1 if tail else 0), dtype=np.uint8)
+        lines = text[:body].reshape(rows, _ASCII_LINE + 1)
+        np.add(bits[: rows * _ASCII_LINE].reshape(rows, _ASCII_LINE), ord("0"), out=lines[:, :-1])
+        lines[:, -1] = ord("\n")
+        if tail:
+            np.add(bits[rows * _ASCII_LINE :], ord("0"), out=text[body:-1])
+            text[-1] = ord("\n")
+        with open(path, "wb") as fh:
+            fh.write(text)
     elif fmt == "packed":
         with open(path, "wb") as fh:
             fh.write(stream.to_packed())
@@ -300,10 +321,13 @@ def read_bit_file(path, fmt: str = "auto") -> BitStream:
     """Read either bit file format; 'auto' sniffs ASCII 0/1 content."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if fmt == "auto":
-        fmt = "ascii" if not blob or not set(blob) - set(b"01\r\n") else "packed"
-    if fmt == "ascii":
-        return BitStream.from_string(blob.decode("ascii"))
+    if fmt in ("auto", "ascii"):
+        bits = _ascii_bits(blob)
+        if bits is not None:
+            return BitStream(bits)
+        if fmt == "ascii":
+            raise ValueError("ascii bit file may only contain '0', '1' and line breaks")
+        fmt = "packed"
     if fmt == "packed":
         return BitStream.from_packed(blob)
     raise ValueError(f"unknown bit file format {fmt!r}")

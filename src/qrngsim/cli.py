@@ -166,13 +166,17 @@ def cmd_ber_scan(args, manifest: RunManifest):
     if not freqs or args.rate < 0 or args.duration <= 0:
         raise UsageError("ber-scan: need a frequency list, rate >= 0 and duration > 0")
 
-    rows = []
-    for i, f in enumerate(freqs):
-        clock = ClockConfig(frequency_hz=f)
+    # every clock and model is checked before any frequency is simulated
+    clocks = [ClockConfig(frequency_hz=f) for f in freqs]
+    models = []
+    for f, clock in zip(freqs, clocks):
         try:
-            model = bitpipe.ber_model(args.rate, clock)
+            models.append(bitpipe.ber_model(args.rate, clock))
         except bitpipe.ModelOutOfRange as exc:
             raise UsageError(f"ber-scan: frequency {f} Hz: {exc}") from None
+
+    rows = []
+    for i, (f, clock, model) in enumerate(zip(freqs, clocks, models)):
         stream = timetag.synthetic_coincidences(
             args.rate, args.duration, seed=timetag.point_seed(args.seed, i)
         )

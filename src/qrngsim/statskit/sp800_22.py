@@ -306,14 +306,18 @@ def serial_test(bits, m: Optional[int] = None, alpha: float = 0.01) -> TestRepor
     if m < 2:
         raise InvalidPatternLength(f"serial test needs pattern length >= 2, got {m}")
 
-    def psi2(mm: int) -> float:
-        if mm <= 0:
-            return 0.0
-        counts = _overlapping_pattern_counts(b, mm).astype(float)
-        return float((counts * counts).sum() * (2**mm) / n - n)
+    # The windows wrap, so the (m-1)-bit windows are exactly the m-bit
+    # windows' prefixes: summing adjacent pattern counts shortens them by
+    # one bit, in integers, without another pass over the bits.
+    counts = _overlapping_pattern_counts(b, m)
+    psi2 = []
+    for mm in (m, m - 1, m - 2):
+        c = counts.astype(float)
+        psi2.append(float((c * c).sum() * (2**mm) / n - n) if mm > 0 else 0.0)
+        counts = counts[0::2] + counts[1::2]
 
-    d1 = psi2(m) - psi2(m - 1)
-    d2 = psi2(m) - 2.0 * psi2(m - 1) + psi2(m - 2)
+    d1 = psi2[0] - psi2[1]
+    d2 = psi2[0] - 2.0 * psi2[1] + psi2[2]
     p1 = igamc(2 ** (m - 2), d1 / 2.0)
     p2 = igamc(2 ** (m - 3), d2 / 2.0)
     applicable = n >= 100 and m <= int(math.floor(math.log2(n))) - 2

@@ -266,6 +266,24 @@ def _dead_time_filter(times: np.ndarray, dead_ps: int) -> np.ndarray:
     return keep
 
 
+def draw_patterns(rng: np.random.Generator, weights, n: int) -> np.ndarray:
+    """n pattern indices (uint8) drawn with probabilities ``weights``.
+
+    numpy's own recipe for ``rng.choice(len(weights), size=n, p=weights)``:
+    one ``random()`` per draw against the normalised cdf.  Counting the cdf
+    edges each draw passes gives the index ``searchsorted(side="right")``
+    would, so the indices and the generator state afterwards are the same,
+    without a binary search per draw.
+    """
+    cdf = np.cumsum(weights, dtype=np.float64)
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    idx = np.zeros(n, dtype=np.uint8)
+    for edge in cdf[:-1]:
+        idx += u >= edge
+    return idx
+
+
 def simulate(
     source: SourceConfig,
     interf: InterferometerConfig,
@@ -276,7 +294,9 @@ def simulate(
 
     Draw order is fixed (pair count, pair times, click patterns, then per
     detector D1..D4: jitter, dark counts) so a given seed always produces
-    the same stream.  Clicks jittered outside [0, duration) are dropped.
+    the same stream.  The pattern draw reproduces ``Generator.choice``
+    (``draw_patterns``; ``TestDrawPatterns`` pins it against ``choice``).
+    Clicks jittered outside [0, duration) are dropped.
     """
     rng = np.random.default_rng(source.seed)
     run_ps = duration_ps(source.duration_s)
@@ -287,22 +307,17 @@ def simulate(
 
     clicks = click_distribution(output_distribution(interf), bank)
     patterns, weights = clicks.patterns_and_weights()
-    pattern_idx = (
-        rng.choice(len(patterns), size=n_pairs, p=np.asarray(weights))
-        if n_pairs
-        else np.empty(0, dtype=np.int64)
-    )
+    # bit d of pattern k's mask is set if the pattern fires detector d
+    masks = np.array([sum(1 << int(det) for det in p) for p in patterns], dtype=np.uint8)
+    fired = masks[draw_patterns(rng, weights, n_pairs)]
 
-    # membership[k, d] = 1 if pattern k fires detector d
-    membership = np.zeros((len(patterns), 4), dtype=bool)
-    for k, pattern in enumerate(patterns):
-        for det in pattern:
-            membership[k, int(det)] = True
-
-    per_det_times = []
+    # Each detector's kept clicks become keys (t << 2) | d.  Kept times lie
+    # below MAX_DURATION_PS, just under 2^62 ps, so the key needs all 64
+    # bits: uint64, since a signed key wraps from 2^61 ps on.
+    keys = []
     sigma = timing.jitter_sigma_ps
     for det in range(4):
-        t = pair_times[membership[:, det][pattern_idx]]
+        t = pair_times[((fired >> det) & 1).view(bool)]
         if sigma > 0.0 and len(t):
             jitter = rng.normal(0.0, sigma, size=len(t))
             t += np.rint(jitter, out=jitter).astype(np.int64)
@@ -313,17 +328,22 @@ def simulate(
         t = t[(t >= 0) & (t < run_ps)]
         # jitter leaves the clicks nearly in pair order, where timsort is linear
         t.sort(kind="stable")
-        per_det_times.append(t[_dead_time_filter(t, timing.dead_time_ps)])
-    del pair_times, pattern_idx
+        key = t[_dead_time_filter(t, timing.dead_time_ps)].view(np.uint64)
+        key <<= np.uint64(2)
+        key |= np.uint64(det)
+        keys.append(key)
+    del pair_times, fired, t
 
-    # A stable sort of the detector-ordered concatenation breaks time ties
-    # by detector, then by position within one detector: lexsort's order on
-    # (time, detector).
-    dets = np.repeat(np.arange(4, dtype=np.int8), [len(t) for t in per_det_times])
-    times = np.concatenate(per_det_times)
-    del per_det_times
-    order = np.argsort(times, kind="stable")
-    return EventStream(times[order], dets[order])
+    # Sorting the keys orders clicks by time, then ties by detector:
+    # lexsort's order on (time, detector).  For uint64 the stable sort is
+    # timsort, which merges the four sorted runs in linear time.
+    key = np.concatenate(keys)
+    del keys
+    key.sort(kind="stable")
+    dets = key.astype(np.uint8)
+    dets &= 3
+    key >>= np.uint64(2)
+    return EventStream(key.view(np.int64), dets.view(np.int8))
 
 
 def _greedy_pair_cluster(times, dets, window_ps: int) -> list:
@@ -368,30 +388,42 @@ def coincidence_filter(events: EventStream, timing: TimingConfig) -> Coincidence
     n = len(times)
     if n == 0:
         return CoincidenceStream(np.empty(0, np.int64), np.empty(0, np.int8))
-    gaps = np.diff(times)
-    if np.any(gaps < 0):
-        raise UnsortedInput("detection events must be time-sorted")
-
     window = timing.window_ps
-    new_cluster = np.empty(n, dtype=bool)
-    new_cluster[0] = True
-    np.greater(gaps, window, out=new_cluster[1:])
-    starts = np.flatnonzero(new_cluster)
-    sizes = np.diff(starts, append=n)
+    # new_cluster[i]: click i opens a cluster; two sentinel clusters follow
+    # the last click, so a cluster's second and third clicks can always be
+    # looked up
+    new_cluster = np.ones(n + 2, dtype=bool)
+    gaps = np.diff(times)
+    if n > 1 and gaps.min() < 0:
+        raise UnsortedInput("detection events must be time-sorted")
+    np.greater(gaps, window, out=new_cluster[1:n])
+    del gaps
+    # bools compare as 0 < 1: a > b is a & ~b
+    multi = np.greater(new_cluster[:n], new_cluster[1 : n + 1])  # size >= 2 starts here
+    two = np.flatnonzero(multi & new_cluster[2:])
+    big_starts = np.flatnonzero(np.greater(multi, new_cluster[2:], out=multi))
+    del multi
 
     # label of the pair whose earlier click is i, or -1
     label_at = np.full(n, -1, dtype=np.int8)
 
-    two = starts[sizes == 2]
-    ok = dets[two] != dets[two + 1]
-    label_at[two[ok]] = _pair_labels(dets[two[ok]], dets[two[ok] + 1])
+    first_det = dets[two]
+    second_det = dets[two + 1]
+    ok = first_det != second_det
+    label_at[two[ok]] = _pair_labels(first_det[ok], second_det[ok])
+    del two, first_det, second_det, ok
 
-    big = sizes >= 3
-    big_sizes = sizes[big]
-    if len(big_sizes):
+    if len(big_starts):
+        # each big cluster ends at the next cluster start, three or more on
+        big_ends = big_starts + 3
+        open_ = np.flatnonzero(~new_cluster[big_ends])
+        while len(open_):
+            big_ends[open_] += 1
+            open_ = open_[~new_cluster[big_ends[open_]]]
+        big_sizes = big_ends - big_starts
         # gathered slot k holds click idx[k]; cluster c starts at slot offsets[c]
         offsets = np.cumsum(big_sizes) - big_sizes
-        idx = np.arange(big_sizes.sum()) + np.repeat(starts[big] - offsets, big_sizes)
+        idx = np.arange(big_sizes.sum()) + np.repeat(big_starts - offsets, big_sizes)
         t_big = times[idx].tolist()
         d_big = dets[idx].tolist()
         first: list = []
@@ -409,7 +441,7 @@ def coincidence_filter(events: EventStream, timing: TimingConfig) -> Coincidence
         label_at[paired],
         n_events_in=n,
         n_unpaired=n - 2 * len(paired),
-        n_multi_click_clusters=len(big_sizes),
+        n_multi_click_clusters=len(big_starts),
     )
 
 

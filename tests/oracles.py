@@ -236,6 +236,14 @@ def reference_events_csv(times_ps, detectors) -> bytes:
     return "".join(rows).encode("ascii")
 
 
+def reference_ascii_bits(bits) -> bytes:
+    """The ASCII bit file written one 64-digit line at a time, each line,
+    the last one too, ending in a newline."""
+    text = "".join("1" if b else "0" for b in bits)
+    lines = [text[i : i + 64] + "\n" for i in range(0, len(text), 64)]
+    return "".join(lines).encode("ascii")
+
+
 def period_table(times_ps, labels, period_fs):
     """{period index: (events in the period, label of its first event)}.
 

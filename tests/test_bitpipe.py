@@ -40,6 +40,7 @@ from oracles import (
     period_table,
     poisson_error_fraction,
     poisson_period_occupancy,
+    reference_ascii_bits,
 )
 
 MS = 10**9  # picoseconds per millisecond
@@ -448,6 +449,50 @@ class TestPackingAndFiles:
         write_bit_file(stream, path, fmt="packed")
         assert read_bit_file(path) == stream
         assert read_bit_file(path, fmt="packed") == stream
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 64 * 1000 + 5])
+    def test_ascii_writer_matches_line_oracle(self, tmp_path, n):
+        stream = BitStream(np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8))
+        path = tmp_path / "bits.txt"
+        write_bit_file(stream, path, fmt="ascii")
+        assert path.read_bytes() == reference_ascii_bits(stream.bits)
+        assert read_bit_file(path) == stream
+        assert read_bit_file(path, fmt="ascii") == stream
+
+    def test_crlf_and_blank_lines_read_back_the_same_bits(self, tmp_path):
+        stream = BitStream(np.random.default_rng(79).integers(0, 2, 300, dtype=np.uint8))
+        text = stream.to_string()
+        path = tmp_path / "bits.txt"
+        path.write_bytes(
+            ("\r\n" + text[:100] + "\r\n\r\n" + text[100:250] + "\n\n\r\n"
+             + text[250:] + "\r\n").encode("ascii")
+        )
+        assert read_bit_file(path) == stream
+        assert read_bit_file(path, fmt="ascii") == stream
+
+    @pytest.mark.parametrize("bad", [b"2", b"\x80", b"\xff", b" "])
+    def test_ascii_rejects_other_bytes(self, tmp_path, bad):
+        path = tmp_path / "bits.txt"
+        path.write_bytes(b"0110\n01" + bad + b"0\n")
+        with pytest.raises(ValueError):
+            read_bit_file(path, fmt="ascii")
+        with pytest.raises(ValueError):
+            BitStream.from_string(path.read_bytes().decode("latin-1"))
+
+    @pytest.mark.parametrize("n", [0, 1, 8, 64, 12345])
+    def test_autodetect_picks_packed_for_packed_files(self, tmp_path, n):
+        stream = BitStream(np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8))
+        path = tmp_path / "bits.dat"
+        write_bit_file(stream, path, fmt="packed")
+        assert read_bit_file(path) == stream
+
+    def test_unknown_format_rejected(self, tmp_path):
+        path = tmp_path / "bits.txt"
+        path.write_bytes(b"01\n")
+        with pytest.raises(ValueError):
+            write_bit_file(BitStream([0, 1]), path, fmt="hex")
+        with pytest.raises(ValueError):
+            read_bit_file(path, fmt="hex")
 
     def test_records_to_stream_drops_errors(self):
         records = BitRecordStream([Symbol.ONE, Symbol.ERROR, Symbol.ZERO], [0, 1, 2])

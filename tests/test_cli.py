@@ -288,6 +288,29 @@ class TestUnusableClock:
         assert not out.exists()
 
 
+    # an unusable clock, then a frequency where R/(2f) = 1.25 passes 1
+    @pytest.mark.parametrize("freqs", ["12500,1250,1e16", "12500,1250,100"])
+    def test_ber_scan_checks_every_frequency_before_simulating(
+        self, tmp_path, capsys, monkeypatch, freqs
+    ):
+        calls = []
+        real = timetag.synthetic_coincidences
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(timetag, "synthetic_coincidences", counting)
+        out = tmp_path / "b.csv"
+        code = run("ber-scan", "--rate", "250", "--freqs", freqs,
+                   "--duration", "10", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert calls == []
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_ber_scan_index_past_int64(self, tmp_path, capsys):
         # a 1 fs period puts 9,300 s at clock index 9.3e18, past int64
         out = tmp_path / "o.csv"
@@ -327,6 +350,19 @@ class TestUnbias:
         assert run("unbias", str(raw), "--out", str(out)) == EXIT_OK
         assert "yield: n/a" in capsys.readouterr().out
         assert read_bit_file(out).n == 0
+
+
+    # a digit other than 0 or 1, and a byte past ASCII
+    @pytest.mark.parametrize("text", [b"0110\n0120\n", b"0110\n01\xff0\n"])
+    def test_bad_ascii_input_exits_2(self, tmp_path, capsys, text):
+        raw = tmp_path / "raw.txt"
+        raw.write_bytes(text)
+        out = tmp_path / "out.txt"
+        assert run("unbias", str(raw), "--in-format", "ascii", "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestTestCommand:

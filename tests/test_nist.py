@@ -24,6 +24,7 @@ from qrngsim.statskit import (
     serial_test,
     spectral_test,
 )
+from qrngsim.statskit.special import igamc
 from qrngsim.statskit.sp800_22 import _overlapping_pattern_counts
 
 from oracles import (
@@ -230,6 +231,25 @@ class TestSerial:
         assert report.p_values[1] == pytest.approx(
             igamc_quadrature(1.0, 200.0), rel=1e-6, abs=1e-95
         )
+
+    # n below m wraps the windows more than once
+    @pytest.mark.parametrize("n, m", [(4000, 2), (4000, 3), (999, 5), (70_000, 16), (5, 7)])
+    def test_matches_separately_counted_patterns(self, n, m):
+        # the m-bit counts, shortened by summing neighbours, against the m-1
+        # and m-2 bit counts built from the bits
+        bits = fair_bits(n, seed=n + m)
+
+        def psi2(mm):
+            if mm == 0:
+                return 0.0
+            counts = _overlapping_pattern_counts(bits, mm).astype(float)
+            return float((counts * counts).sum() * (2**mm) / n - n)
+
+        d1 = psi2(m) - psi2(m - 1)
+        d2 = psi2(m) - 2.0 * psi2(m - 1) + psi2(m - 2)
+        report = serial_test(bits, m=m)
+        assert report.statistic == d1
+        assert report.p_values == (igamc(2 ** (m - 2), d1 / 2.0), igamc(2 ** (m - 3), d2 / 2.0))
 
     def test_default_pattern_length_scales(self):
         assert default_serial_m(10**6) == 16

@@ -2,10 +2,11 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -31,6 +32,7 @@ from qrngsim.timetag import (
     UnsortedInput,
     _dead_time_filter,
     coincidence_filter,
+    draw_patterns,
     fit_dip_visibility,
     point_seed,
     purity_monitor,
@@ -158,6 +160,26 @@ class TestSimulate:
         order = np.lexsort((stream.detectors, stream.times_ps))
         assert np.array_equal(order, np.arange(len(stream)))
 
+    def test_key_merge_past_2_61_ps(self):
+        # Over about 4.6e6 s, half the clicks lie at or past 2^61 ps, where
+        # a signed (t << 2) | d key would wrap negative.
+        duration_s = 4.6e6
+        src = SourceConfig(pair_rate_hz=1e-3, duration_s=duration_s, seed=21)
+        stream = simulate(src, IDEAL, DetectorBank(dark_rate_hz=1e-4), NO_NOISE)
+        times, dets = stream.times_ps, stream.detectors
+        assert len(stream) > 5000
+        order = np.lexsort((dets, times))
+        assert np.array_equal(order, np.arange(len(stream)))
+        tied = np.flatnonzero(np.diff(times) == 0)
+        assert len(tied) > 1000
+        assert np.all(dets[tied] < dets[tied + 1])
+        assert times[0] >= 0
+        assert times[-1] < round(duration_s * 1e12)
+        past = np.count_nonzero(times >= 2**61)
+        # 2^61 ps is 49.9 % of the run
+        assert past > 0.45 * len(stream)
+        assert np.count_nonzero(times[tied] >= 2**61) > 500
+
     def test_dead_time_enforced_per_detector(self):
         src = SourceConfig(pair_rate_hz=0.0, duration_s=0.01, seed=11)
         bank = DetectorBank(efficiency=1.0, dark_rate_hz=2_000_000.0)
@@ -187,6 +209,50 @@ class TestSimulate:
         assert len(gaps) >= 100_000 - 1
         result = stats.kstest(gaps, "expon", args=(0.0, 1e-6))
         assert result.pvalue > 0.01
+
+
+@st.composite
+def pattern_weights(draw):
+    """1 to 11 normalised weights, some of them zero, first, last or inside."""
+    k = draw(st.integers(1, 11))
+    weights = draw(st.lists(st.floats(0.001, 1.0), min_size=k, max_size=k))
+    zeros = draw(st.sets(st.integers(0, k - 1), max_size=k - 1))
+    w = np.array([0.0 if i in zeros else x for i, x in enumerate(weights)])
+    return w / w.sum()
+
+
+class TestDrawPatterns:
+    """``draw_patterns`` against the ``Generator.choice`` call it replaces:
+    a numpy release that changes ``choice`` fails here by name."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(w=pattern_weights(), n=st.integers(0, 5000), seed=st.integers(0, 2**32 - 1))
+    @example(w=np.array([0.0, 0.5, 0.5]), n=5000, seed=1)
+    @example(w=np.array([0.5, 0.5, 0.0]), n=5000, seed=2)
+    @example(w=np.array([0.25, 0.0, 0.0, 0.75]), n=5000, seed=3)
+    @example(w=np.array([1.0]), n=100, seed=4)
+    @example(w=np.array([0.0, 1.0, 0.0]), n=0, seed=5)
+    def test_matches_generator_choice(self, w, n, seed):
+        ours = np.random.default_rng(seed)
+        numpys = np.random.default_rng(seed)
+        got = draw_patterns(ours, w, n)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, numpys.choice(len(w), size=n, p=w))
+        assert ours.random() == numpys.random()
+
+    @pytest.mark.parametrize("delay_fs", [0.0, 150.0, 1e4])
+    @pytest.mark.parametrize("efficiency", [1.0, 0.6, 0.0])
+    def test_matches_generator_choice_on_click_patterns(self, delay_fs, efficiency):
+        clicks = click_distribution(
+            output_distribution(InterferometerConfig(delay_fs=delay_fs)),
+            DetectorBank(efficiency=efficiency),
+        )
+        _, weights = clicks.patterns_and_weights()
+        ours = np.random.default_rng(31)
+        numpys = np.random.default_rng(31)
+        got = draw_patterns(ours, weights, 20_000)
+        assert np.array_equal(got, numpys.choice(len(weights), size=20_000, p=np.asarray(weights)))
+        assert ours.random() == numpys.random()
 
 
 @st.composite
@@ -331,6 +397,20 @@ class TestCoincidenceFilter:
         assert got.n_unpaired == len(times) - 2 * len(want)
         assert got.n_multi_click_clusters == n_big
         assert got.n_events_in == len(times)
+
+    def test_peak_memory_is_below_twice_the_input(self):
+        # about 0.9 M clicks; the input's times and detectors are 9 bytes a click
+        src = SourceConfig(pair_rate_hz=2000.0, duration_s=300.0, seed=5)
+        stream = simulate(src, IDEAL, BANK, TimingConfig())
+        input_bytes = stream.times_ps.nbytes + stream.detectors.nbytes
+        tracemalloc.start()
+        try:
+            coincidence_filter(stream, TimingConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(stream) > 850_000
+        assert peak < 2 * input_bytes
 
     def test_every_click_consumed_at_most_once(self):
         # conservation: coincidences * 2 + unpaired = events
