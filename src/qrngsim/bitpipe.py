@@ -259,7 +259,9 @@ def von_neumann(stream: BitStream) -> BitStream:
     even = len(bits) - (len(bits) % 2)
     first = bits[0:even:2]
     second = bits[1:even:2]
-    return BitStream(first[first != second])
+    # about half the pairs survive: np.compress gathers them several times
+    # faster than a boolean index at that density
+    return BitStream(np.compress(first != second, first))
 
 
 def bias_estimate(stream: BitStream):

@@ -3,13 +3,14 @@ and randomness testing.
 
 Exit codes are a stable contract: 0 success / suite pass, 1 randomness
 test failure, 2 usage error, 3 purity-monitor alarm, 4 I/O failure.
-Usage errors print one line on stderr.  Every command honors --seed and
-writes a manifest next to its outputs holding the command line (``argv``)
-and the parameters it parsed to.  ``rerun`` replays that argv through
-this module's parser, so reruns get the same defaults and validation as
-direct runs, and reproduces every output file byte for byte.  A manifest
-without ``argv`` (written before 0.2.0) or whose parameters disagree with
-its argv is refused with exit 2.
+Usage errors print one line on stderr.  A run too large for memory is a
+usage error too, a command line that cannot run as given: it exits 2 with
+one line.  Every command honors --seed and writes a manifest next to its
+outputs holding the command line (``argv``) and the parameters it parsed
+to.  ``rerun`` replays that argv through this module's parser, so reruns
+get the same defaults and validation as direct runs, and reproduces every
+output file byte for byte.  A manifest without ``argv`` (written before
+0.2.0) or whose parameters disagree with its argv is refused with exit 2.
 """
 
 from __future__ import annotations
@@ -500,6 +501,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:  # numpy refusing an array past the address space
+        print(f"error: run too large for memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

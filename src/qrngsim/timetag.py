@@ -241,20 +241,24 @@ def _dead_time_filter(times: np.ndarray, dead_ps: int) -> np.ndarray:
     click's successor is the first click more than dead_ps after it, found
     by searchsorted for every chain at once.  The loop therefore runs once
     per kept click of the longest chain.  Targets are clipped at INT64_MAX
-    so that times + dead_ps cannot wrap.
+    so that times + dead_ps cannot wrap.  Short gaps are rare (about 1e-4
+    of the clicks at 2 kHz), so the chains are found from their indices
+    alone, not from full-length passes.
     """
     n = len(times)
     keep = np.ones(n, dtype=bool)
     if n < 2 or dead_ps <= 0:
         return keep
-    close = np.diff(times) <= dead_ps
-    if not close.any():
+    # click gap[i] + 1 comes within dead_ps of click gap[i]
+    gap = np.flatnonzero(np.diff(times) <= dead_ps)
+    if not len(gap):
         return keep
-    keep[1:] = ~close
-    # runs of short gaps: head click (first of the run) and last click
-    edges = np.diff(close.view(np.int8), prepend=0, append=0)
-    frontier = np.flatnonzero(edges == 1)
-    last = np.flatnonzero(edges == -1)
+    keep[gap + 1] = False
+    # runs of consecutive short gaps: head click (first of the run) and
+    # last click
+    breaks = np.flatnonzero(gap[1:] != gap[:-1] + 1)
+    frontier = gap[np.concatenate(([0], breaks + 1))]
+    last = gap[np.append(breaks, len(gap) - 1)] + 1
     dead = min(dead_ps, _INT64_MAX)
     while len(frontier):
         target = np.minimum(times[frontier], _INT64_MAX - dead) + dead
@@ -297,6 +301,15 @@ def simulate(
     the same stream.  The pattern draw reproduces ``Generator.choice``
     (``draw_patterns``; ``TestDrawPatterns`` pins it against ``choice``).
     Clicks jittered outside [0, duration) are dropped.
+
+    Which gather each pass uses follows from how much of its input it
+    keeps (numpy 2.4, 3.5 M random int64, one core of a 2-vCPU host).  A
+    detector keeps about 37.5 % of the pairs at the dip.  A boolean index
+    that keeps a third to a half takes 26-27 ms there, ``np.compress``
+    (nonzero, then take) 10-11 ms, and at 90 % compress is only a little
+    slower (15 against 12 ms), so the selection always uses ``compress``.
+    The dead-time keep mask drops about 1e-4 of the clicks, the boolean
+    index's fast case: 7 ms against ``compress``'s 14 ms.
     """
     rng = np.random.default_rng(source.seed)
     run_ps = duration_ps(source.duration_s)
@@ -317,22 +330,25 @@ def simulate(
     keys = []
     sigma = timing.jitter_sigma_ps
     for det in range(4):
-        t = pair_times[((fired >> det) & 1).view(bool)]
+        t = np.compress(((fired >> det) & 1).view(bool), pair_times)
         if sigma > 0.0 and len(t):
             jitter = rng.normal(0.0, sigma, size=len(t))
             t += np.rint(jitter, out=jitter).astype(np.int64)
+            del jitter
         n_dark = int(rng.poisson(bank.dark_rate_hz * source.duration_s))
         if n_dark:
-            dark = rng.integers(0, run_ps, size=n_dark, dtype=np.int64)
-            t = np.concatenate((t, dark))
-        t = t[(t >= 0) & (t < run_ps)]
-        # jitter leaves the clicks nearly in pair order, where timsort is linear
+            t = np.concatenate((t, rng.integers(0, run_ps, size=n_dark, dtype=np.int64)))
+        # jitter leaves the clicks nearly in pair order, where timsort is
+        # linear; once sorted, the clicks jittered outside [0, run_ps) are
+        # the two ends, so the clip is a slice
         t.sort(kind="stable")
+        t = t[np.searchsorted(t, 0) : np.searchsorted(t, run_ps)]
         key = t[_dead_time_filter(t, timing.dead_time_ps)].view(np.uint64)
         key <<= np.uint64(2)
         key |= np.uint64(det)
         keys.append(key)
-    del pair_times, fired, t
+        del t  # free this detector's clicks before the next one's
+    del pair_times, fired
 
     # Sorting the keys orders clicks by time, then ties by detector:
     # lexsort's order on (time, detector).  For uint64 the stable sort is

@@ -195,6 +195,46 @@ def reference_dead_time_keep(times, dead_ps):
     return keep
 
 
+def reference_simulate(
+    pair_rate_hz, duration_s, seed, patterns, weights, jitter_sigma_ps,
+    dark_rate_hz, dead_ps,
+):
+    """The click simulation by its stated rule, one click at a time.
+
+    Same draws in the same order as the package: the pair count, the
+    sorted pair times, the click patterns by ``Generator.choice``, then
+    for each detector D1..D4 its jitter (rounded to whole picoseconds) and
+    its dark counts.  Each detector's clicks are clipped to [0, T) and
+    sorted in Python, pass the scalar dead-time rule, and the four
+    detectors merge by (time, detector) through ``np.lexsort``.
+    ``patterns`` holds the detector indices each pattern fires.
+    """
+    rng = np.random.default_rng(seed)
+    run_ps = round(duration_s * 10**12)
+    n_pairs = int(rng.poisson(pair_rate_hz * duration_s))
+    pair_times = np.sort(rng.integers(0, run_ps, size=n_pairs, dtype=np.int64)).tolist()
+    chosen = rng.choice(len(weights), size=n_pairs, p=np.asarray(weights)).tolist()
+    fires = [{int(d) for d in pattern} for pattern in patterns]
+    times, dets = [], []
+    for det in range(4):
+        clicks = [t for t, k in zip(pair_times, chosen) if det in fires[k]]
+        if jitter_sigma_ps > 0.0 and clicks:
+            jitter = np.rint(rng.normal(0.0, jitter_sigma_ps, size=len(clicks)))
+            clicks = [t + int(j) for t, j in zip(clicks, jitter)]
+        n_dark = int(rng.poisson(dark_rate_hz * duration_s))
+        if n_dark:
+            clicks += rng.integers(0, run_ps, size=n_dark, dtype=np.int64).tolist()
+        clicks = sorted(t for t in clicks if 0 <= t < run_ps)
+        for t, kept in zip(clicks, reference_dead_time_keep(clicks, dead_ps)):
+            if kept:
+                times.append(t)
+                dets.append(det)
+    times = np.array(times, dtype=np.int64)
+    dets = np.array(dets, dtype=np.int8)
+    order = np.lexsort((dets, times))
+    return times[order], dets[order]
+
+
 def curve_fit_dip(delays_fs, rates_hz, sigmas_hz=None):
     """The Gaussian dip fitted by scipy's MINPACK Levenberg-Marquardt, from
     the package's start values and sigma floor, run to the limit of its

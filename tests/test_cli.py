@@ -248,6 +248,26 @@ class TestDurationPastInt64Headroom:
         assert not out.exists()
 
 
+class TestRunTooLargeForMemory:
+    # each asks numpy for an array of about 1e15 int64 (7.11 PiB), which it
+    # refuses before touching memory: in-process, in ber-scan's synthetic
+    # stream, and inside a scan worker, whose error the pool re-raises
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--duration", "1e6", "--pair-rate", "1e9"],
+        ["ber-scan", "--rate", "1e9", "--freqs", "1e12", "--duration", "1e6"],
+        ["scan-delay", "--from", "-600", "--to", "600", "--steps", "3",
+         "--pairs-per-point", "1e15"],
+    ])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.txt"
+        assert run(*argv, "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "too large for memory" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestUnusableTiming:
     # non-finite timing values, a jitter past its one-second cap, a
     # parameter no manifest can record, and a negative alarm threshold

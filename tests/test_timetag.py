@@ -49,6 +49,7 @@ from oracles import (
     reference_dead_time_keep,
     reference_events_csv,
     reference_greedy_pairs,
+    reference_simulate,
 )
 
 INT64_MAX = np.iinfo(np.int64).max
@@ -180,6 +181,22 @@ class TestSimulate:
         assert past > 0.45 * len(stream)
         assert np.count_nonzero(times[tied] >= 2**61) > 500
 
+    def test_peak_memory_is_below_two_and_a_half_times_the_output(self):
+        # 600,987 clicks; the output's times and detectors are 9 bytes a
+        # click.  A short run first keeps one-off allocations (numpy's
+        # first calls) out of the measurement.
+        simulate(SourceConfig(pair_rate_hz=2000.0, duration_s=1.0, seed=1),
+                 IDEAL, BANK, TimingConfig())
+        src = SourceConfig(pair_rate_hz=2000.0, duration_s=200.0, seed=5)
+        tracemalloc.start()
+        try:
+            stream = simulate(src, IDEAL, BANK, TimingConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(stream) == 600_987
+        assert peak < 2.5 * (stream.times_ps.nbytes + stream.detectors.nbytes)
+
     def test_dead_time_enforced_per_detector(self):
         src = SourceConfig(pair_rate_hz=0.0, duration_s=0.01, seed=11)
         bank = DetectorBank(efficiency=1.0, dark_rate_hz=2_000_000.0)
@@ -209,6 +226,79 @@ class TestSimulate:
         assert len(gaps) >= 100_000 - 1
         result = stats.kstest(gaps, "expon", args=(0.0, 1e-6))
         assert result.pvalue > 0.01
+
+
+@st.composite
+def small_runs(draw):
+    """(source, interferometer, bank, timing) of a run a scalar oracle can
+    follow: up to 1,500 pairs and 400 darks per detector.  A 1e6 ps jitter
+    on a 1e-6 s run throws clicks outside [0, T), and any jitter on a 1 ps
+    run lands clicks on both of its edges, 0 and 1 ps; a dead time of 50 ns
+    or 10 us on the longer runs forms chains; delays off the dip fire the
+    cross-arm patterns, and efficiencies below 1 the single clicks."""
+    duration_s = draw(st.sampled_from([1e-12, 1e-6, 1e-4, 1e-2]))
+    pairs = draw(st.integers(0, 1500))
+    darks = draw(st.sampled_from([0, 1, 40, 400]))
+    source = SourceConfig(
+        pair_rate_hz=pairs / duration_s, duration_s=duration_s,
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    interf = InterferometerConfig(delay_fs=draw(st.sampled_from([0.0, 0.1, 60.0, 150.0, 1e4])))
+    bank = DetectorBank(
+        efficiency=draw(st.sampled_from([1.0, 0.8, 0.3])), dark_rate_hz=darks / duration_s
+    )
+    timing = TimingConfig(
+        jitter_sigma_ps=draw(st.sampled_from([0.0, 300.0, 1e6])),
+        dead_time_ns=draw(st.sampled_from([0.0, 50.0, 1e4])),
+    )
+    return source, interf, bank, timing
+
+
+class TestSimulateOracle:
+    """``simulate`` against ``reference_simulate``, its rule followed one
+    click at a time with the same draws: a byte change in the click layer
+    fails here by name, not only in the end-to-end digests."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(run=small_runs())
+    @example(run=(SourceConfig(1.5e15, 1e-12, seed=4), IDEAL, BANK,
+                  TimingConfig(jitter_sigma_ps=3.0, dead_time_ns=0.0)))
+    @example(run=(SourceConfig(1.5e9, 1e-6, seed=1), IDEAL, BANK,
+                  TimingConfig(jitter_sigma_ps=1e6, dead_time_ns=50.0)))
+    @example(run=(SourceConfig(1.5e5, 1e-2, seed=2), InterferometerConfig(delay_fs=1e4),
+                  DetectorBank(efficiency=0.8, dark_rate_hz=4e4),
+                  TimingConfig(jitter_sigma_ps=300.0, dead_time_ns=1e4)))
+    @example(run=(SourceConfig(1.5e7, 1e-4, seed=3), IDEAL, DetectorBank(dark_rate_hz=4e6),
+                  TimingConfig(jitter_sigma_ps=0.0, dead_time_ns=50.0)))
+    def test_matches_scalar_oracle(self, run):
+        source, interf, bank, timing = run
+        got = simulate(source, interf, bank, timing)
+        patterns, weights = click_distribution(output_distribution(interf), bank).patterns_and_weights()
+        times, dets = reference_simulate(
+            source.pair_rate_hz, source.duration_s, source.seed, patterns, weights,
+            timing.jitter_sigma_ps, bank.dark_rate_hz, timing.dead_time_ps,
+        )
+        assert got.times_ps.tolist() == times.tolist()
+        assert got.detectors.tolist() == dets.tolist()
+
+    def test_examples_reach_the_edges(self):
+        # the first two examples lose clicks outside [0, T), the first of
+        # them right at both edges; about 1,500 pairs would give 2,250
+        # clicks.  Before dead time, the third holds chains, two or more
+        # short gaps in a row, on every detector.
+        edges = simulate(SourceConfig(1.5e15, 1e-12, seed=4), IDEAL, BANK,
+                         TimingConfig(jitter_sigma_ps=3.0, dead_time_ns=0.0))
+        assert 100 < len(edges) < 1500
+        assert set(edges.times_ps.tolist()) == {0}
+        wide = simulate(SourceConfig(1.5e9, 1e-6, seed=1), IDEAL, BANK,
+                        TimingConfig(jitter_sigma_ps=1e6, dead_time_ns=0.0))
+        assert len(wide) < 1500
+        every = simulate(SourceConfig(1.5e5, 1e-2, seed=2), InterferometerConfig(delay_fs=1e4),
+                         DetectorBank(efficiency=0.8, dark_rate_hz=4e4),
+                         TimingConfig(jitter_sigma_ps=300.0, dead_time_ns=0.0))
+        for det in range(4):
+            short = np.diff(every.times_ps[every.detectors == det]) <= 10_000_000
+            assert np.count_nonzero(short[1:] & short[:-1]) > 50
 
 
 @st.composite
