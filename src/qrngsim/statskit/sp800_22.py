@@ -153,14 +153,16 @@ def runs_test(bits, alpha: float = 0.01) -> TestReport:
 
     The frequency pre-test |pi - 1/2| >= 2/sqrt(n) marks the report not
     applicable (rather than forging P = 0): the runs statistic is
-    meaningless once the balance hypothesis already failed.
+    meaningless once the balance hypothesis already failed.  A constant
+    sequence is marked the same way: below 16 bits the pre-test cannot
+    fire, and at pi = 0 or 1 the statistic's denominator is zero.
     """
     b = as_bit_array(bits)
     n = len(b)
     if n == 0:
         raise EmptyStream("runs test needs at least one bit")
     pi = int(b.sum()) / n
-    if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
+    if pi in (0.0, 1.0) or abs(pi - 0.5) >= 2.0 / math.sqrt(n):
         return TestReport("runs", (), pi, passed=False, applicable=False)
     v = 1 + int(np.count_nonzero(b[1:] != b[:-1]))
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
@@ -316,8 +318,10 @@ def serial_test(bits, m: Optional[int] = None, alpha: float = 0.01) -> TestRepor
         psi2.append(float((c * c).sum() * (2**mm) / n - n) if mm > 0 else 0.0)
         counts = counts[0::2] + counts[1::2]
 
-    d1 = psi2[0] - psi2[1]
-    d2 = psi2[0] - 2.0 * psi2[1] + psi2[2]
+    # Both differences are >= 0 in exact arithmetic; rounding can leave
+    # them a few ulps below zero, where igamc is 1 as in NIST's cephes.
+    d1 = max(psi2[0] - psi2[1], 0.0)
+    d2 = max(psi2[0] - 2.0 * psi2[1] + psi2[2], 0.0)
     p1 = igamc(2 ** (m - 2), d1 / 2.0)
     p2 = igamc(2 ** (m - 3), d2 / 2.0)
     applicable = n >= 100 and m <= int(math.floor(math.log2(n))) - 2

@@ -17,6 +17,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import sys
+import threading
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
@@ -527,10 +529,17 @@ def scan_delay(
     scan is reproducible point by point regardless of which process runs
     which point.  They run in a pool of ``scan_workers(len(delays_fs))``
     processes, and the pool's ordered map returns them in delay order.
-    Workers are spawned, not forked: numpy's BLAS threads make the parent
-    a threaded process, which fork does not copy safely.  Spawned workers
-    import the caller's main module, so a script that scans must guard
-    its entry point with ``if __name__ == "__main__":``.
+    On Linux, while the caller runs a single Python thread, the workers
+    are forked from it: they start without a new interpreter and without
+    importing anything again.  The only other threads numpy leaves in
+    the process are OpenBLAS's, and OpenBLAS joins them in a
+    ``pthread_atfork`` handler before each fork (2 threads before
+    ``os.fork()``, 1 in parent and child after it, with numpy 2.4.6 and
+    OpenBLAS 0.3.31), and the pool forks all its workers before it
+    starts a thread of its own.  Elsewhere, or while other Python threads
+    run, the workers are spawned: they import the caller's main module,
+    so a script that scans must then guard its entry point with
+    ``if __name__ == "__main__":``.
     """
     # imported here so that commands without a scan do not pay for them
     import multiprocessing
@@ -542,8 +551,9 @@ def scan_delay(
     sources = [dataclasses.replace(source, seed=point_seed(source.seed, i))
                for i in range(len(delays))]
     interfs = [dataclasses.replace(interf, delay_fs=delay) for delay in delays]
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(scan_workers(len(delays)), mp_context=spawn) as pool:
+    single_threaded_linux = sys.platform == "linux" and threading.active_count() == 1
+    context = multiprocessing.get_context("fork" if single_threaded_linux else "spawn")
+    with ProcessPoolExecutor(scan_workers(len(delays)), mp_context=context) as pool:
         counts = list(pool.map(_scan_point, sources, interfs,
                                [bank] * len(delays), [timing] * len(delays)))
     points = []

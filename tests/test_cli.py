@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import qrngsim
 from qrngsim import timetag
@@ -430,6 +432,37 @@ class TestTestCommand:
         assert run("test", str(bits)) == EXIT_OK
         # an absurdly strict significance level fails the same sequence
         assert run("test", str(bits), "--alpha", "0.999999") == EXIT_TEST_FAIL
+
+
+# constant, alternating and random bit strings of 0 to 300 bits
+_lengths = st.integers(0, 300)
+_bit_strings = st.one_of(
+    st.builds(lambda n, b: b * n, _lengths, st.sampled_from("01")),
+    st.builds(lambda n, b: (b * n)[:n], _lengths, st.sampled_from(["01", "10"])),
+    st.text("01", max_size=300),
+)
+
+
+class TestBitFileCommandsFuzz:
+    # a one-bit constant file gives the runs test a zero denominator, and
+    # the other two give the serial test a psi-square difference that
+    # rounds below zero
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_bit_strings, fmt=st.sampled_from(["ascii", "packed"]))
+    @example(text="0", fmt="ascii")
+    @example(text="010011101000", fmt="packed")
+    @example(text="1101000110111001100101110011", fmt="ascii")
+    def test_test_and_unbias_exit_cleanly(self, tmp_path, capsys, text, fmt):
+        bits = tmp_path / f"bits.{fmt}"
+        write_bit_file(BitStream.from_string(text), bits, fmt=fmt)
+        for argv in (["test", str(bits)],
+                     ["unbias", str(bits), "--out", str(tmp_path / "unb.txt")]):
+            capsys.readouterr()
+            assert run(*argv) in (EXIT_OK, EXIT_TEST_FAIL)
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert len(err.splitlines()) <= 1
 
 
 class TestRerunAndManifest:

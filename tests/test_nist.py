@@ -102,6 +102,14 @@ class TestRuns:
         assert not report.applicable
         assert report.p_values == ()
 
+    # below 16 bits the frequency pre-test cannot fire, and pi = 0 or 1
+    # would divide by zero
+    @pytest.mark.parametrize("bits", ["0", "1", "0" * 15, "1" * 15])
+    def test_short_constant_sequence_not_applicable(self, bits):
+        report = runs_test(bits)
+        assert not report.applicable
+        assert report.p_values == ()
+
     def test_alternating_fails(self):
         report = runs_test("10" * 50)
         want = erfc_quadrature(50.0 / (2.0 * math.sqrt(200.0) * 0.25))
@@ -250,6 +258,15 @@ class TestSerial:
         report = serial_test(bits, m=m)
         assert report.statistic == d1
         assert report.p_values == (igamc(2 ** (m - 2), d1 / 2.0), igamc(2 ** (m - 3), d2 / 2.0))
+
+    # psi-square differences that are 0 in exact arithmetic but come out
+    # -8.9e-16 and -1.8e-15 in floating point
+    @pytest.mark.parametrize("bits", ["010011101000", "1101000110111001100101110011"])
+    def test_rounding_negative_difference_gives_p_one(self, bits):
+        report = serial_test(bits)
+        assert report.p_values[1] == 1.0
+        assert report.p_values[0] == igamc(2 ** (default_serial_m(len(bits)) - 2),
+                                           report.statistic / 2.0)
 
     def test_default_pattern_length_scales(self):
         assert default_serial_m(10**6) == 16

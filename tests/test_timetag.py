@@ -2,6 +2,8 @@
 
 import math
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -635,7 +637,8 @@ class TestScanDelay:
         assert abs(fit.visibility - ceiling) < 4.0 * max(fit.visibility_err, 1e-4)
         assert abs(fit.width_fs - 222.0) < 0.05 * 222.0
 
-    def test_matches_serial_point_loop(self):
+    @staticmethod
+    def assert_matches_serial_point_loop():
         # more points than workers, so workers take several points each
         n_points = max(7, scan_workers(10**6) + 1)
         delays = np.linspace(-500.0, 500.0, n_points)
@@ -658,7 +661,9 @@ class TestScanDelay:
             assert point.cross_arm.counts == coinc.cross_arm_count()
             assert point.cross_arm.duration_s == src.duration_s
 
-    def test_one_pool_of_at_most_one_worker_per_cpu_and_point(self, monkeypatch):
+    @staticmethod
+    def record_pools(monkeypatch) -> list:
+        """Each scan pool's (max_workers, start method), as it is made."""
         import concurrent.futures
 
         pools = []
@@ -669,11 +674,51 @@ class TestScanDelay:
                 super().__init__(max_workers, mp_context=mp_context)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        return pools
+
+    def test_matches_serial_point_loop(self):
+        self.assert_matches_serial_point_loop()
+
+    def test_one_pool_of_at_most_one_worker_per_cpu_and_point(self, monkeypatch):
+        pools = self.record_pools(monkeypatch)
+        assert threading.active_count() == 1
         src = SourceConfig(pair_rate_hz=1000.0, duration_s=0.1, seed=3)
         for n_points in (2, 5):
             scan_delay(np.linspace(0.0, 400.0, n_points), src, IDEAL, BANK, TimingConfig())
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        assert pools == [(min(cpus, 2), "spawn"), (min(cpus, 5), "spawn")]
+        # forked from a single-threaded caller on Linux, spawned elsewhere
+        method = "fork" if sys.platform == "linux" else "spawn"
+        assert pools == [(min(cpus, 2), method), (min(cpus, 5), method)]
+
+    def test_spawns_while_another_python_thread_runs(self, monkeypatch):
+        pools = self.record_pools(monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            self.assert_matches_serial_point_loop()
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert [method for _, method in pools] == ["spawn"]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_blas_threads_are_joined_across_fork(self):
+        # Forking the scan workers is safe only because numpy's OpenBLAS
+        # joins its threads in a pthread_atfork handler before a fork.
+        def os_threads():
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+
+        a = np.ones((64, 64))
+        a @ a
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0)
+        after = os_threads()
+        os.waitpid(pid, 0)
+        assert after == 1
 
     def test_workers_without_cpu_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
