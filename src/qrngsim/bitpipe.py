@@ -22,6 +22,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from .statskit import EmptyStream
 from .timetag import CoincidenceStream, PairLabel, UnsortedInput
 
 FS_PER_SECOND = 10**15
@@ -35,10 +36,6 @@ class CrossArmLabelPresent(ValueError):
 
 
 class ModelOutOfRange(ValueError):
-    pass
-
-
-class EmptyStream(ValueError):
     pass
 
 
@@ -89,7 +86,7 @@ class BitRecordStream:
 
 
 class BitStream:
-    """A packed-friendly sequence of 0/1 bits with zero/one tallies."""
+    """A one-dimensional uint8 array of 0/1 bits."""
 
     def __init__(self, bits):
         arr = np.asarray(bits, dtype=np.uint8)
@@ -99,49 +96,12 @@ class BitStream:
             raise ValueError("bits must be 0 or 1")
         self.bits = arr
 
-    @classmethod
-    def from_string(cls, text: str) -> "BitStream":
-        bits = _ascii_bits(text.encode("ascii"))
-        if bits is None:
-            raise ValueError("bit string may only contain '0' and '1'")
-        return cls(bits)
-
     def __len__(self) -> int:
         return len(self.bits)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BitStream) and np.array_equal(self.bits, other.bits)
 
     @property
     def n(self) -> int:
         return len(self.bits)
-
-    @property
-    def ones(self) -> int:
-        return int(self.bits.sum())
-
-    @property
-    def zeros(self) -> int:
-        return self.n - self.ones
-
-    def to_string(self) -> str:
-        return (self.bits + ord("0")).tobytes().decode("ascii")
-
-    def to_packed(self) -> bytes:
-        """8-byte little-endian bit count, then MSB-first packed payload."""
-        header = len(self.bits).to_bytes(8, "little")
-        return header + np.packbits(self.bits).tobytes()
-
-    @classmethod
-    def from_packed(cls, blob: bytes) -> "BitStream":
-        if len(blob) < 8:
-            raise ValueError("packed bit blob shorter than its 8-byte header")
-        n = int.from_bytes(blob[:8], "little")
-        need = (n + 7) // 8
-        payload = np.frombuffer(blob[8 : 8 + need], dtype=np.uint8)
-        if len(payload) != need:
-            raise ValueError("packed bit blob truncated")
-        return cls(np.unpackbits(payload, count=n) if n else np.empty(0, np.uint8))
 
 
 def records_to_stream(records: BitRecordStream) -> BitStream:
@@ -268,15 +228,8 @@ def bias_estimate(stream: BitStream):
     """(fraction of ones, its binomial standard error)."""
     if stream.n == 0:
         raise EmptyStream("cannot estimate bias of an empty bit stream")
-    p = stream.ones / stream.n
+    p = int(stream.bits.sum()) / stream.n
     return p, math.sqrt(p * (1.0 - p) / stream.n)
-
-
-def expected_yield(p_one: float) -> float:
-    """Expected von Neumann output/input length ratio for i.i.d. bias p."""
-    if not (0.0 <= p_one <= 1.0):
-        raise ValueError("p_one must lie in [0, 1]")
-    return p_one * (1.0 - p_one)
 
 
 # --- bit file formats (shared with the command-line tools) ---------------
@@ -298,7 +251,8 @@ def _ascii_bits(blob: bytes):
 
 def write_bit_file(stream: BitStream, path, fmt: str = "ascii") -> None:
     """ASCII: 64 digits and a newline per line, the last line shorter;
-    packed: see ``BitStream.to_packed``."""
+    packed: the bit count as 8 little-endian bytes, then the bits packed
+    MSB first."""
     if fmt == "ascii":
         bits = stream.bits
         rows, tail = divmod(len(bits), _ASCII_LINE)
@@ -314,7 +268,8 @@ def write_bit_file(stream: BitStream, path, fmt: str = "ascii") -> None:
             fh.write(text)
     elif fmt == "packed":
         with open(path, "wb") as fh:
-            fh.write(stream.to_packed())
+            fh.write(len(stream.bits).to_bytes(8, "little"))
+            fh.write(np.packbits(stream.bits))
     else:
         raise ValueError(f"unknown bit file format {fmt!r}")
 
@@ -331,7 +286,13 @@ def read_bit_file(path, fmt: str = "auto") -> BitStream:
             raise ValueError("ascii bit file may only contain '0', '1' and line breaks")
         fmt = "packed"
     if fmt == "packed":
-        return BitStream.from_packed(blob)
+        if len(blob) < 8:
+            raise ValueError("packed bit file shorter than its 8-byte header")
+        n = int.from_bytes(blob[:8], "little")
+        payload = np.frombuffer(blob, dtype=np.uint8, offset=8)
+        if len(payload) < (n + 7) // 8:
+            raise ValueError("packed bit file truncated")
+        return BitStream(np.unpackbits(payload, count=n))
     raise ValueError(f"unknown bit file format {fmt!r}")
 
 

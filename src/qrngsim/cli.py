@@ -5,12 +5,15 @@ Exit codes are a stable contract: 0 success / suite pass, 1 randomness
 test failure, 2 usage error, 3 purity-monitor alarm, 4 I/O failure.
 Usage errors print one line on stderr.  A run too large for memory is a
 usage error too, a command line that cannot run as given: it exits 2 with
-one line.  Every command honors --seed and writes a manifest next to its
-outputs holding the command line (``argv``) and the parameters it parsed
-to.  ``rerun`` replays that argv through this module's parser, so reruns
-get the same defaults and validation as direct runs, and reproduces every
-output file byte for byte.  A manifest without ``argv`` (written before
-0.2.0) or whose parameters disagree with its argv is refused with exit 2.
+one line.  So is ``test`` on a file under 100 bits, where no test of the
+battery applies: it exits 2 with one line and writes no report, so a file
+that nothing examined never reads as a pass.  Every command honors
+--seed and writes a manifest next to its outputs holding the command line
+(``argv``) and the parameters it parsed to.  ``rerun`` replays that argv
+through this module's parser, so reruns get the same defaults and
+validation as direct runs, and reproduces every output file byte for
+byte.  A manifest without ``argv`` (written before 0.2.0) or whose
+parameters disagree with its argv is refused with exit 2.
 """
 
 from __future__ import annotations
@@ -339,7 +342,10 @@ def cmd_test(args, manifest: RunManifest):
         serial_m=args.serial_m,
     )
     sequence_id = args.sequence_id or os.path.basename(args.infile)
-    report = statskit.run_suite(stream, config, sequence_id=sequence_id)
+    report = statskit.run_suite(stream.bits, config, sequence_id=sequence_id)
+    if not report.n_applicable:
+        raise UsageError(f"test: {args.infile} is too short to test "
+                         f"(bits: {stream.n}; no test applies below 100)")
 
     out = _report_path(args)
     with open(out, "w", encoding="ascii", newline="\n") as fh:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator, Mapping
 
 # Transform-limited coherence time of a 10 nm FWHM filter at 816 nm,
 # tau_c = lambda^2 / (c * d_lambda) ~= 222 fs.
@@ -78,7 +77,6 @@ class DetectorBank:
 
     efficiency: float = 1.0
     dark_rate_hz: float = 0.0
-    labels = (Detector.D1, Detector.D2, Detector.D3, Detector.D4)
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.efficiency <= 1.0):
@@ -104,52 +102,6 @@ class OutputDistribution:
                 raise ValueError(f"{name} must be non-negative")
         if abs(self.p20 + self.p02 + self.p11 - 1.0) > _PROB_TOL:
             raise ValueError("outcome probabilities must sum to 1")
-
-
-ClickPattern = frozenset  # frozenset[Detector]
-
-
-class ClickDistribution(Mapping):
-    """Probability map over detector click patterns (subsets of D1..D4).
-
-    Iteration order is canonical (by pattern size, then detector indices)
-    so downstream sampling is reproducible.
-    """
-
-    def __init__(self, probs: dict):
-        total = 0.0
-        for pattern, p in probs.items():
-            if p < -_PROB_TOL:
-                raise ValueError(f"negative probability for pattern {pattern}")
-            total += p
-        if abs(total - 1.0) > _PROB_TOL:
-            raise ValueError(f"click probabilities sum to {total}, expected 1")
-        self._probs = {
-            pattern: probs.get(pattern, 0.0)
-            for pattern in sorted(probs, key=_pattern_key)
-        }
-
-    def __getitem__(self, pattern) -> float:
-        return self._probs.get(frozenset(pattern), 0.0)
-
-    def __iter__(self) -> Iterator[ClickPattern]:
-        return iter(self._probs)
-
-    def __len__(self) -> int:
-        return len(self._probs)
-
-    def probability(self, *detectors: Detector) -> float:
-        return self[frozenset(detectors)]
-
-    def patterns_and_weights(self):
-        """Canonically ordered (patterns, weights) for samplers."""
-        patterns = tuple(self._probs)
-        weights = tuple(self._probs[p] for p in patterns)
-        return patterns, weights
-
-
-def _pattern_key(pattern: ClickPattern):
-    return (len(pattern), tuple(sorted(int(d) for d in pattern)))
 
 
 def visibility(config: InterferometerConfig) -> float:
@@ -203,8 +155,12 @@ def _one_photon_arm_patterns(arm, eta: float):
     }
 
 
-def click_distribution(dist: OutputDistribution, bank: DetectorBank) -> ClickDistribution:
+def click_distribution(dist: OutputDistribution, bank: DetectorBank) -> dict:
     """Detector click-pattern probabilities for one emitted pair.
+
+    Maps each pattern (a frozenset of ``Detector``) to its probability, in
+    canonical order: by pattern size, then detector indices.  ``simulate``
+    numbers the patterns in that order, so its draws depend on it.
 
     Composes the two-photon outcome with independent routing at the arm
     splitters and Bernoulli detection.  Dark counts are deliberately
@@ -225,21 +181,9 @@ def click_distribution(dist: OutputDistribution, bank: DetectorBank) -> ClickDis
                 pattern = pat_a | pat_b
                 acc[pattern] = acc.get(pattern, 0.0) + dist.p11 * pa * pb
 
-    return ClickDistribution(acc)
-
-
-def single_photon_split(eta: float) -> ClickDistribution:
-    """Degenerate single-photon case: one photon into the first splitter.
-
-    The transmitted side is represented by D1 (arm A) and the reflected
-    side by D3 (arm B); each registers with probability eta/2.
-    """
-    if not (0.0 <= eta <= 1.0):
-        raise ValueError("eta must lie in [0, 1]")
-    return ClickDistribution(
-        {
-            frozenset((Detector.D1,)): eta / 2.0,
-            frozenset((Detector.D3,)): eta / 2.0,
-            frozenset(): 1.0 - eta,
-        }
-    )
+    if min(acc.values()) < -_PROB_TOL:
+        raise ValueError("negative click-pattern probability")
+    total = sum(acc.values())
+    if abs(total - 1.0) > _PROB_TOL:
+        raise ValueError(f"click probabilities sum to {total}, expected 1")
+    return {p: acc[p] for p in sorted(acc, key=lambda p: (len(p), sorted(p)))}

@@ -40,21 +40,13 @@ class InvalidPatternLength(ValueError):
     pass
 
 
-def as_bit_array(bits) -> np.ndarray:
-    """Coerce str / sequence / BitStream input to a flat uint8 0-1 array."""
-    inner = getattr(bits, "bits", None)
-    if inner is not None:
-        bits = inner
-    if isinstance(bits, str):
-        cleaned = bits.replace("\n", "").replace("\r", "")
-        arr = np.frombuffer(cleaned.encode("ascii"), dtype=np.uint8) - ord("0")
-    else:
-        arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ValueError("bits must be one-dimensional")
-    if len(arr) and arr.max() > 1:
+def as_bit_array(bits: np.ndarray) -> np.ndarray:
+    """Check that ``bits`` is a one-dimensional uint8 array of 0s and 1s."""
+    if not isinstance(bits, np.ndarray) or bits.dtype != np.uint8 or bits.ndim != 1:
+        raise ValueError("bits must be a one-dimensional uint8 array")
+    if len(bits) and bits.max() > 1:
         raise ValueError("bits must be 0 or 1")
-    return arr
+    return bits
 
 
 @dataclass(frozen=True)
@@ -96,6 +88,10 @@ class SuiteReport:
     alpha: float
     tests: list = field(default_factory=list)
     overall_pass: bool = True
+
+    @property
+    def n_applicable(self) -> int:
+        return sum(t.applicable for t in self.tests)
 
     def as_dict(self) -> dict:
         return {
@@ -359,7 +355,8 @@ def run_suite(bits, config: Optional[SuiteConfig] = None, sequence_id: str = "")
     (p_values = (forward, backward), statistic = forward excursion).
     Tests whose length preconditions cannot even be evaluated appear as
     non-applicable reports with no P-values.  ``overall_pass`` is the
-    conjunction over applicable tests only.
+    conjunction over applicable tests only, and false when no test
+    applies (``n_applicable`` is 0, as below 100 bits).
     """
     if config is None:
         config = SuiteConfig()
@@ -395,5 +392,7 @@ def run_suite(bits, config: Optional[SuiteConfig] = None, sequence_id: str = "")
         except _PRECONDITION_ERRORS:
             result = TestReport(name, (), 0.0, passed=False, applicable=False)
         report.tests.append(result)
-    report.overall_pass = all(t.passed for t in report.tests if t.applicable)
+    report.overall_pass = report.n_applicable > 0 and all(
+        t.passed for t in report.tests if t.applicable
+    )
     return report

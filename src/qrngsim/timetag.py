@@ -321,10 +321,9 @@ def simulate(
     pair_times.sort()
 
     clicks = click_distribution(output_distribution(interf), bank)
-    patterns, weights = clicks.patterns_and_weights()
     # bit d of pattern k's mask is set if the pattern fires detector d
-    masks = np.array([sum(1 << int(det) for det in p) for p in patterns], dtype=np.uint8)
-    fired = masks[draw_patterns(rng, weights, n_pairs)]
+    masks = np.array([sum(1 << int(det) for det in p) for p in clicks], dtype=np.uint8)
+    fired = masks[draw_patterns(rng, list(clicks.values()), n_pairs)]
 
     # Each detector's kept clicks become keys (t << 2) | d.  Kept times lie
     # below MAX_DURATION_PS, just under 2^62 ps, so the key needs all 64

@@ -276,12 +276,32 @@ def reference_events_csv(times_ps, detectors) -> bytes:
     return "".join(rows).encode("ascii")
 
 
+def bit_array(text: str) -> np.ndarray:
+    """The uint8 0/1 array spelled by a string of '0' and '1' digits."""
+    if set(text) - {"0", "1"}:
+        raise ValueError(f"not a bit string: {text!r}")
+    return np.array([int(c) for c in text], dtype=np.uint8)
+
+
+def bit_text(bits) -> str:
+    """The '0'/'1' string of a 0/1 array, one digit per bit."""
+    return "".join("1" if b else "0" for b in bits)
+
+
 def reference_ascii_bits(bits) -> bytes:
     """The ASCII bit file written one 64-digit line at a time, each line,
     the last one too, ending in a newline."""
-    text = "".join("1" if b else "0" for b in bits)
+    text = bit_text(bits)
     lines = [text[i : i + 64] + "\n" for i in range(0, len(text), 64)]
     return "".join(lines).encode("ascii")
+
+
+def expected_yield(p_one: float) -> float:
+    """Expected von Neumann output/input length ratio for i.i.d. bias p:
+    each of the n/2 pairs survives with probability 2 p (1 - p)."""
+    if not (0.0 <= p_one <= 1.0):
+        raise ValueError("p_one must lie in [0, 1]")
+    return p_one * (1.0 - p_one)
 
 
 def period_table(times_ps, labels, period_fs):

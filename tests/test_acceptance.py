@@ -20,7 +20,7 @@ from qrngsim.optics import DetectorBank, InterferometerConfig
 from qrngsim.statskit import SuiteConfig, run_suite
 from qrngsim.timetag import PairLabel, SourceConfig, TimingConfig
 
-from oracles import poisson_error_fraction
+from oracles import bit_array, poisson_error_fraction
 
 TAU_C = 222.0
 IDEAL = InterferometerConfig()
@@ -158,10 +158,10 @@ def test_criterion_4_unbiasing_yield_and_balance():
 
 def test_criterion_5a_worked_p_values_match_oracles():
     """Small worked inputs reproduce oracle P-values to 6 significant figures."""
-    freq = statskit.frequency_test("11010").p_values[0]
-    runs = statskit.runs_test("1001101011").p_values[0]
-    block = statskit.block_frequency_test("0110011010", m=3).p_values[0]
-    spectral = statskit.spectral_test("10" * 500)
+    freq = statskit.frequency_test(bit_array("11010")).p_values[0]
+    runs = statskit.runs_test(bit_array("1001101011")).p_values[0]
+    block = statskit.block_frequency_test(bit_array("0110011010"), m=3).p_values[0]
+    spectral = statskit.spectral_test(bit_array("10" * 500))
     checks = [
         ("frequency", freq, 0.654721, 5e-7),
         ("runs", runs, 0.147232, 5e-7),
@@ -222,10 +222,10 @@ def test_criterion_5c_full_pipeline_megabit_sequences():
         )
         unbiased = bitpipe.von_neumann(result.bits)
         assert unbiased.n >= 1_090_000
-        trimmed = BitStream(unbiased.bits[:1_090_000])
+        trimmed = unbiased.bits[:1_090_000]
         report = run_suite(trimmed, SuiteConfig(), sequence_id=f"seed-{seed}")
         worst = min(p for t in report.tests if t.applicable for p in t.p_values)
-        summaries.append(f"[seed {seed}: n={trimmed.n} worst_p={worst:.4f} "
+        summaries.append(f"[seed {seed}: n={len(trimmed)} worst_p={worst:.4f} "
                          f"pass={report.overall_pass}]")
         all_pass = all_pass and report.overall_pass
     elapsed = time.perf_counter() - start

@@ -24,6 +24,8 @@ from qrngsim.cli import (
 from qrngsim.manifest import RunManifest, sha256_file
 from qrngsim.timetag import scan_workers
 
+from oracles import bit_array
+
 
 def run(*argv):
     return main(list(argv))
@@ -422,6 +424,15 @@ class TestTestCommand:
             assert name in stdout
         assert "overall: PASS" in stdout
 
+    @pytest.mark.parametrize("n", [0, 1, 99])
+    def test_file_under_100_bits_is_too_short_to_test(self, tmp_path, capsys, n):
+        bits = tmp_path / "short.txt"
+        write_bit_file(BitStream(np.ones(n, dtype=np.uint8)), bits)
+        assert run("test", str(bits)) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "too short to test" in err[0]
+        assert not (tmp_path / "short.txt.report.json").exists()
+
     def test_missing_input_is_io_error(self, tmp_path):
         assert run("test", str(tmp_path / "nope.txt")) == EXIT_IO
 
@@ -453,13 +464,18 @@ class TestBitFileCommandsFuzz:
     @example(text="0", fmt="ascii")
     @example(text="010011101000", fmt="packed")
     @example(text="1101000110111001100101110011", fmt="ascii")
+    @example(text="1" * 99, fmt="packed")  # the longest file too short to test
+    @example(text="01" * 50, fmt="ascii")  # the shortest one tested
     def test_test_and_unbias_exit_cleanly(self, tmp_path, capsys, text, fmt):
         bits = tmp_path / f"bits.{fmt}"
-        write_bit_file(BitStream.from_string(text), bits, fmt=fmt)
-        for argv in (["test", str(bits)],
-                     ["unbias", str(bits), "--out", str(tmp_path / "unb.txt")]):
+        write_bit_file(BitStream(bit_array(text)), bits, fmt=fmt)
+        # below 100 bits no test of the battery applies
+        test_codes = (EXIT_USAGE,) if len(text) < 100 else (EXIT_OK, EXIT_TEST_FAIL)
+        for argv, codes in ((["test", str(bits)], test_codes),
+                            (["unbias", str(bits), "--out", str(tmp_path / "unb.txt")],
+                             (EXIT_OK, EXIT_TEST_FAIL))):
             capsys.readouterr()
-            assert run(*argv) in (EXIT_OK, EXIT_TEST_FAIL)
+            assert run(*argv) in codes
             err = capsys.readouterr().err
             assert "Traceback" not in err
             assert len(err.splitlines()) <= 1

@@ -28,6 +28,7 @@ from qrngsim.statskit.special import igamc
 from qrngsim.statskit.sp800_22 import _overlapping_pattern_counts
 
 from oracles import (
+    bit_array,
     cusum_pvalue_reference,
     direct_dft_magnitudes,
     erfc_quadrature,
@@ -42,7 +43,7 @@ def fair_bits(n, seed):
 
 class TestFrequency:
     def test_worked_example(self):
-        report = frequency_test("11010")
+        report = frequency_test(bit_array("11010"))
         assert report.p_values[0] == pytest.approx(0.654721, abs=5e-7)
         assert report.p_values[0] == pytest.approx(
             erfc_quadrature(1.0 / math.sqrt(10.0)), rel=1e-12
@@ -50,12 +51,12 @@ class TestFrequency:
         assert not report.applicable  # n < 100
 
     def test_alternating_is_perfectly_balanced(self):
-        report = frequency_test("10" * 200)
+        report = frequency_test(bit_array("10" * 200))
         assert report.p_values[0] == 1.0
         assert report.applicable and report.passed
 
     def test_all_zeros_fails(self):
-        report = frequency_test("0" * 100)
+        report = frequency_test(bit_array("0" * 100))
         want = erfc_quadrature(100.0 / math.sqrt(200.0))
         assert report.p_values[0] == pytest.approx(want, rel=1e-9, abs=1e-30)
         assert report.p_values[0] < 2e-23
@@ -63,42 +64,42 @@ class TestFrequency:
 
     def test_empty_raises(self):
         with pytest.raises(EmptyStream):
-            frequency_test("")
+            frequency_test(bit_array(""))
 
 
 class TestBlockFrequency:
     def test_worked_example(self):
-        report = block_frequency_test("0110011010", m=3)
+        report = block_frequency_test(bit_array("0110011010"), m=3)
         assert report.statistic == pytest.approx(1.0)
         assert report.p_values[0] == pytest.approx(0.801252, abs=5e-7)
         assert report.p_values[0] == pytest.approx(igamc_quadrature(1.5, 0.5), rel=1e-10)
 
     def test_perfectly_balanced_blocks(self):
-        report = block_frequency_test("0101" * 64, m=4)
+        report = block_frequency_test(bit_array("0101" * 64), m=4)
         assert report.statistic == 0.0
         assert report.p_values[0] == 1.0
 
     def test_all_ones_example(self):
-        report = block_frequency_test("1" * 12, m=3)
+        report = block_frequency_test(bit_array("1" * 12), m=3)
         assert report.statistic == pytest.approx(12.0)
         assert report.p_values[0] == pytest.approx(0.017351, abs=5e-7)
         assert report.p_values[0] == pytest.approx(7.0 * math.exp(-6.0), rel=1e-10)
 
     def test_invalid_block_length(self):
         with pytest.raises(InvalidBlockLength):
-            block_frequency_test("0101", m=0)
+            block_frequency_test(bit_array("0101"), m=0)
         with pytest.raises(InvalidBlockLength):
-            block_frequency_test("0101", m=10)
+            block_frequency_test(bit_array("0101"), m=10)
 
 
 class TestRuns:
     def test_worked_example(self):
-        report = runs_test("1001101011")
+        report = runs_test(bit_array("1001101011"))
         assert report.statistic == 7.0
         assert report.p_values[0] == pytest.approx(0.147232, abs=5e-7)
 
     def test_constant_sequence_not_applicable(self):
-        report = runs_test("1" * 256)
+        report = runs_test(bit_array("1" * 256))
         assert not report.applicable
         assert report.p_values == ()
 
@@ -106,12 +107,12 @@ class TestRuns:
     # would divide by zero
     @pytest.mark.parametrize("bits", ["0", "1", "0" * 15, "1" * 15])
     def test_short_constant_sequence_not_applicable(self, bits):
-        report = runs_test(bits)
+        report = runs_test(bit_array(bits))
         assert not report.applicable
         assert report.p_values == ()
 
     def test_alternating_fails(self):
-        report = runs_test("10" * 50)
+        report = runs_test(bit_array("10" * 50))
         want = erfc_quadrature(50.0 / (2.0 * math.sqrt(200.0) * 0.25))
         assert report.p_values[0] == pytest.approx(want, rel=1e-9, abs=1e-40)
         assert report.p_values[0] < 1e-21
@@ -121,10 +122,10 @@ class TestRuns:
 class TestLongestRun:
     def test_too_short(self):
         with pytest.raises(SequenceTooShort):
-            longest_run_test("1" * 127)
+            longest_run_test(bit_array("1" * 127))
 
     def test_all_zeros_matches_brute_force(self):
-        report = longest_run_test("0" * 128)
+        report = longest_run_test(bit_array("0" * 128))
         want = longest_run_reference(
             "0" * 128, 8, (1, 2, 3, 4), (0.21484375, 0.3671875, 0.23046875, 0.1875)
         )
@@ -132,7 +133,7 @@ class TestLongestRun:
         assert not report.passed
 
     def test_all_ones_lands_in_top_category_and_fails(self):
-        report = longest_run_test("1" * 128)
+        report = longest_run_test(bit_array("1" * 128))
         want = longest_run_reference(
             "1" * 128, 8, (1, 2, 3, 4), (0.21484375, 0.3671875, 0.23046875, 0.1875)
         )
@@ -162,12 +163,12 @@ class TestLongestRun:
 
 class TestCusum:
     def test_alternating_is_near_one(self):
-        report = cusum_test("10" * 5000, "forward")
+        report = cusum_test(bit_array("10" * 5000), "forward")
         assert report.statistic == 1.0
         assert report.p_values[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_constant_fails_hard(self):
-        report = cusum_test("1" * 100, "forward")
+        report = cusum_test(bit_array("1" * 100), "forward")
         want = cusum_pvalue_reference(100, 100)
         assert report.p_values[0] == pytest.approx(want, rel=1e-8, abs=1e-30)
         assert report.p_values[0] < 1e-20
@@ -175,8 +176,8 @@ class TestCusum:
     def test_palindrome_modes_agree(self):
         text = "0110011001100110"[::-1] + "0110011001100110"  # its own reversal
         assert text == text[::-1]
-        fwd = cusum_test(text, "forward").p_values[0]
-        bwd = cusum_test(text, "backward").p_values[0]
+        fwd = cusum_test(bit_array(text), "forward").p_values[0]
+        bwd = cusum_test(bit_array(text), "backward").p_values[0]
         assert fwd == pytest.approx(bwd, rel=1e-14)
 
     def test_formula_against_quadrature_phi(self):
@@ -189,7 +190,7 @@ class TestCusum:
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
-            cusum_test("0101", "sideways")
+            cusum_test(bit_array("0101"), "sideways")
 
 
 class TestApproxEntropy:
@@ -200,7 +201,7 @@ class TestApproxEntropy:
 
     def test_constant_sequence_fails(self):
         n = 200
-        report = approx_entropy_test("1" * n, m=2)
+        report = approx_entropy_test(bit_array("1" * n), m=2)
         assert report.statistic == pytest.approx(2.0 * n * math.log(2.0), rel=1e-12)
         want = igamc_quadrature(2.0, n * math.log(2.0))
         assert report.p_values[0] == pytest.approx(want, rel=1e-8, abs=1e-70)
@@ -208,13 +209,13 @@ class TestApproxEntropy:
 
     def test_alternating_m1_is_deterministic(self):
         # balanced single bits, fully determined two-bit patterns
-        report = approx_entropy_test("10" * 100, m=1)
+        report = approx_entropy_test(bit_array("10" * 100), m=1)
         assert report.statistic == pytest.approx(2.0 * 200 * math.log(2.0), rel=1e-12)
         assert report.p_values[0] < 1e-50
 
     def test_invalid_pattern_length(self):
         with pytest.raises(InvalidPatternLength):
-            approx_entropy_test("0101", m=0)
+            approx_entropy_test(bit_array("0101"), m=0)
 
 
 class TestSerial:
@@ -226,13 +227,13 @@ class TestSerial:
         assert psi1 == pytest.approx(s * s / 4000, rel=1e-9)
 
     def test_constant_sequence_fails(self):
-        report = serial_test("1" * 200, m=3)
+        report = serial_test(bit_array("1" * 200), m=3)
         assert report.statistic == pytest.approx(800.0)
         assert max(report.p_values) < 1e-80
         assert not report.passed
 
     def test_worked_constant_values(self):
-        report = serial_test("1" * 200, m=3)
+        report = serial_test(bit_array("1" * 200), m=3)
         assert report.p_values[0] == pytest.approx(
             igamc_quadrature(2.0, 400.0), rel=1e-6, abs=1e-180
         )
@@ -263,7 +264,7 @@ class TestSerial:
     # -8.9e-16 and -1.8e-15 in floating point
     @pytest.mark.parametrize("bits", ["010011101000", "1101000110111001100101110011"])
     def test_rounding_negative_difference_gives_p_one(self, bits):
-        report = serial_test(bits)
+        report = serial_test(bit_array(bits))
         assert report.p_values[1] == 1.0
         assert report.p_values[0] == igamc(2 ** (default_serial_m(len(bits)) - 2),
                                            report.statistic / 2.0)
@@ -276,12 +277,12 @@ class TestSerial:
 
     def test_invalid_pattern_length(self):
         with pytest.raises(InvalidPatternLength):
-            serial_test("0101", m=1)
+            serial_test(bit_array("0101"), m=1)
 
 
 class TestSpectral:
     def test_alternating_fails_with_known_statistic(self):
-        report = spectral_test("10" * 500)
+        report = spectral_test(bit_array("10" * 500))
         assert report.statistic == pytest.approx(7.2547625011, rel=1e-9)
         assert report.p_values[0] == pytest.approx(4.0236721907e-13, rel=1e-8)
         assert not report.passed
@@ -306,7 +307,7 @@ class TestSpectral:
 
     def test_too_short(self):
         with pytest.raises(SequenceTooShort):
-            spectral_test("1")
+            spectral_test(bit_array("1"))
 
 
 class TestComplementSymmetry:
@@ -330,18 +331,18 @@ class TestComplementSymmetry:
 
 class TestSensitivity:
     def test_constant_fails_frequency_runs_apen(self):
-        bits = "0" * 2048
+        bits = bit_array("0" * 2048)
         assert not frequency_test(bits).passed
         assert not runs_test(bits).applicable
         assert not approx_entropy_test(bits).passed
 
     def test_periodic_fails_spectral_and_serial(self):
-        bits = "10" * 2048
+        bits = bit_array("10" * 2048)
         assert not spectral_test(bits).passed
         assert not serial_test(bits, m=4).passed
 
     def test_blockwise_skew_fails_block_frequency(self):
-        bits = ("1" * 128 + "0" * 128) * 16
+        bits = bit_array(("1" * 128 + "0" * 128) * 16)
         assert not block_frequency_test(bits, m=128).passed
 
 
@@ -377,11 +378,26 @@ class TestSuiteRunner:
         assert len(by_name["serial"].p_values) == 2
 
     def test_short_input_marks_tests_not_applicable_without_crashing(self):
-        report = run_suite("1010011", SuiteConfig())
+        report = run_suite(bit_array("1010011"), SuiteConfig())
         by_name = {t.test_name: t for t in report.tests}
         assert not by_name["longest_run"].applicable
         assert by_name["longest_run"].p_values == ()
         assert not by_name["block_frequency"].applicable
+
+    # a suite on which no test applies is not a pass; from 100 bits the
+    # frequency test applies whatever the configuration
+    @pytest.mark.parametrize("n", [0, 1, 99])
+    def test_no_applicable_test_is_no_pass(self, n):
+        report = run_suite(fair_bits(n, seed=n))
+        assert report.n_applicable == 0
+        assert not report.overall_pass
+
+    def test_hundred_bits_are_tested(self):
+        report = run_suite(fair_bits(100, seed=100))
+        applicable = [t for t in report.tests if t.applicable]
+        assert report.n_applicable == len(applicable) > 0
+        assert applicable[0].test_name == "frequency"
+        assert report.overall_pass == all(t.passed for t in applicable)
 
     def test_fuzz_corpus_p_values_stay_in_range(self):
         rng = np.random.default_rng(123)
@@ -432,6 +448,18 @@ class TestSuiteRunner:
         below = sum(p < 0.5 for p in p_values) / len(p_values)
         assert abs(below - 0.5) < 4.0 * math.sqrt(0.25 / len(p_values))
 
-    def test_as_bit_array_accepts_newlines(self):
-        arr = as_bit_array("10\n01\r\n1")
-        assert arr.tolist() == [1, 0, 0, 1, 1]
+    def test_as_bit_array_passes_a_bit_array_through(self):
+        bits = bit_array("10011")
+        assert as_bit_array(bits) is bits
+
+    # text, lists, other dtypes and shapes are the caller's to convert
+    @pytest.mark.parametrize(
+        "bad",
+        ["10011", [1, 0, 0, 1, 1], np.array([1, 0, 1], dtype=np.int64),
+         np.array([True, False]), np.zeros((2, 2), dtype=np.uint8),
+         np.array([0, 2], dtype=np.uint8)],
+        ids=["str", "list", "int64", "bool", "2-D", "digit-2"],
+    )
+    def test_as_bit_array_refuses_anything_but_flat_uint8_bits(self, bad):
+        with pytest.raises(ValueError):
+            as_bit_array(bad)

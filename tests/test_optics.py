@@ -5,7 +5,6 @@ import math
 import pytest
 
 from qrngsim.optics import (
-    ClickDistribution,
     Detector,
     DetectorBank,
     InterferometerConfig,
@@ -13,7 +12,6 @@ from qrngsim.optics import (
     UnsupportedReflectivity,
     click_distribution,
     output_distribution,
-    single_photon_split,
     visibility,
 )
 
@@ -114,29 +112,34 @@ class TestOutputDistribution:
         assert bunched == sorted(bunched, reverse=True)
 
 
+def prob(cd, *detectors):
+    """Probability of the pattern firing exactly ``detectors``; 0 if absent."""
+    return cd.get(frozenset(detectors), 0.0)
+
+
 class TestClickDistribution:
     def test_perfect_state_pattern_probabilities(self):
         dist = OutputDistribution(0.5, 0.5, 0.0)
         cd = click_distribution(dist, DetectorBank(efficiency=1.0))
-        assert cd.probability(Detector.D1, Detector.D2) == pytest.approx(0.25)
-        assert cd.probability(Detector.D3, Detector.D4) == pytest.approx(0.25)
+        assert prob(cd, Detector.D1, Detector.D2) == pytest.approx(0.25)
+        assert prob(cd, Detector.D3, Detector.D4) == pytest.approx(0.25)
         for det in Detector:
-            assert cd.probability(det) == pytest.approx(0.125)
+            assert prob(cd, det) == pytest.approx(0.125)
         for d_a in (Detector.D1, Detector.D2):
             for d_b in (Detector.D3, Detector.D4):
-                assert cd.probability(d_a, d_b) == 0.0
+                assert prob(cd, d_a, d_b) == 0.0
 
     def test_mixed_state_cross_patterns(self):
         dist = OutputDistribution(0.25, 0.25, 0.5)
         cd = click_distribution(dist, DetectorBank(efficiency=1.0))
         for d_a in (Detector.D1, Detector.D2):
             for d_b in (Detector.D3, Detector.D4):
-                assert cd.probability(d_a, d_b) == pytest.approx(0.125)
+                assert prob(cd, d_a, d_b) == pytest.approx(0.125)
 
     def test_zero_efficiency_never_clicks(self):
         dist = OutputDistribution(0.25, 0.25, 0.5)
         cd = click_distribution(dist, DetectorBank(efficiency=0.0))
-        assert cd.probability() == pytest.approx(1.0)
+        assert prob(cd) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("eta", [0.05, 0.3, 0.6, 0.85, 1.0])
     @pytest.mark.parametrize("delay", [0.0, 100.0, 250.0, 600.0])
@@ -147,7 +150,7 @@ class TestClickDistribution:
         patterns = set(oracle) | {frozenset(int(d) for d in p) for p in cd}
         for pattern in patterns:
             want = oracle.get(pattern, 0.0)
-            got = cd[frozenset(Detector(i) for i in pattern)]
+            got = prob(cd, *pattern)
             assert got == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("target_v", [0.25, 0.5, 0.75, 1.0])
@@ -161,7 +164,7 @@ class TestClickDistribution:
                 output_distribution(ideal(delay)), DetectorBank(efficiency=eta)
             )
             for pattern, want in oracle.items():
-                got = cd[frozenset(Detector(i) for i in pattern)]
+                got = prob(cd, *pattern)
                 assert got == pytest.approx(want, abs=1e-9)
 
     def test_distinguishable_oracle_equivalence(self):
@@ -171,7 +174,7 @@ class TestClickDistribution:
             output_distribution(ideal(7.0 * TAU_C)), DetectorBank(efficiency=0.7)
         )
         for pattern, want in oracle.items():
-            got = cd[frozenset(Detector(i) for i in pattern)]
+            got = prob(cd, *pattern)
             assert got == pytest.approx(want, abs=1e-9)
 
     @pytest.mark.parametrize("eta", [0.2, 0.7, 1.0])
@@ -197,24 +200,36 @@ class TestClickDistribution:
             mirrored = frozenset(swap[d] for d in pattern)
             assert cd[pattern] == pytest.approx(cd[mirrored], abs=1e-15)
 
+    # simulate numbers the patterns in this order, so every golden digest
+    # depends on it: by size, then detector indices
+    SINGLES = [(), (0,), (1,), (2,), (3,)]
+    BUNCHED = SINGLES + [(0, 1), (2, 3)]
+    MIXED = SINGLES + [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
-class TestSinglePhotonSplit:
-    def test_unit_efficiency_is_fifty_fifty(self):
-        cd = single_photon_split(1.0)
-        assert cd.probability(Detector.D1) == pytest.approx(0.5)
-        assert cd.probability(Detector.D3) == pytest.approx(0.5)
-        assert cd.probability() == 0.0
+    @pytest.mark.parametrize(
+        "delay, eta, order",
+        [
+            (0.0, 1.0, BUNCHED),   # V = 1: no cross-arm pattern
+            (150.0, 1.0, MIXED),   # V < 1
+            (0.0, 0.6, BUNCHED),   # eta < 1, V = 1
+            (150.0, 0.6, MIXED),   # eta < 1, V < 1
+        ],
+    )
+    def test_iteration_order_is_size_then_detector_indices(self, delay, eta, order):
+        cd = click_distribution(
+            output_distribution(ideal(delay)), DetectorBank(efficiency=eta)
+        )
+        assert [tuple(sorted(int(d) for d in p)) for p in cd] == order
 
-    def test_zero_efficiency(self):
-        cd = single_photon_split(0.0)
-        assert cd.probability() == pytest.approx(1.0)
-
-    def test_partial_efficiency_scales_linearly(self):
-        cd = single_photon_split(0.6)
-        assert cd.probability(Detector.D1) == pytest.approx(0.3)
-        assert cd.probability(Detector.D3) == pytest.approx(0.3)
-        assert cd.probability() == pytest.approx(0.4)
-
-    def test_rejects_bad_efficiency(self):
-        with pytest.raises(ValueError):
-            single_photon_split(1.01)
+    # OutputDistribution checks itself; bypass that to reach the checks on
+    # the click patterns: a sum past 1, and a negative pattern at sum 1
+    @pytest.mark.parametrize(
+        "p20, p02, p11, message",
+        [(0.5, 0.5, 0.5, "sum to"), (-0.5, 0.5, 1.0, "negative")],
+    )
+    def test_rejects_patterns_that_are_not_a_distribution(self, p20, p02, p11, message):
+        dist = object.__new__(OutputDistribution)
+        for name, value in (("p20", p20), ("p02", p02), ("p11", p11)):
+            object.__setattr__(dist, name, value)
+        with pytest.raises(ValueError, match=message):
+            click_distribution(dist, DetectorBank())
