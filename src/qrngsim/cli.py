@@ -12,27 +12,29 @@ that nothing examined never reads as a pass.  Every command honors
 (``argv``) and the parameters it parsed to.  ``rerun`` replays that argv
 through this module's parser, so reruns get the same defaults and
 validation as direct runs, and reproduces every output file byte for
-byte.  A manifest without ``argv`` (written before 0.2.0) or whose
-parameters disagree with its argv is refused with exit 2.
+byte.  A manifest without ``argv`` (written before 0.2.0), whose
+parameters disagree with its argv, or whose argv asks for help or the
+version is refused with exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__, bitpipe, statskit, timetag
-from .bitpipe import BitStream, ClockConfig
+from .bitpipe import ClockConfig
 from .manifest import RunManifest, utc_now
 from .optics import DEFAULT_COHERENCE_TIME_FS, DetectorBank, InterferometerConfig
 from .timetag import (
-    CoincidenceStream,
-    MonitorStatus,
+    CROSS_ARM_LABELS,
+    MonitorAlarm,
     PairLabel,
     SourceConfig,
     TimingConfig,
@@ -43,10 +45,6 @@ EXIT_TEST_FAIL = 1
 EXIT_USAGE = 2
 EXIT_ALARM = 3
 EXIT_IO = 4
-
-
-class MonitorAlarm(RuntimeError):
-    """Cross-arm coincidences exceeded the monitor threshold mid-run."""
 
 
 class UsageError(ValueError):
@@ -137,16 +135,16 @@ def cmd_scan_delay(args, manifest: RunManifest):
         seed=args.seed,
     )
     interf, bank, timing = _configs_from_args(args, 0.0)
-    points = timetag.scan_delay(delays, source, interf, bank, timing)
+    counts = timetag.scan_delay(delays, source, interf, bank, timing)
     manifest.metadata["scan_workers"] = timetag.scan_workers(len(delays))
 
-    timetag.write_scan_csv(points, args.out)
+    timetag.write_scan_csv(delays, counts, source.duration_s, args.out)
     manifest.add_output("scan_csv", args.out)
 
     if args.fit:
-        cross_rates = [p.cross_arm.rate_hz for p in points]
-        cross_sigmas = [p.cross_arm.sigma_hz for p in points]
-        fit = timetag.fit_dip_visibility(delays, cross_rates, cross_sigmas)
+        cross = counts[:, sorted(CROSS_ARM_LABELS)].sum(axis=1)
+        fit = timetag.fit_dip_visibility(delays, cross / source.duration_s,
+                                         np.sqrt(cross) / source.duration_s)
         manifest.metadata["fitted_visibility"] = fit.visibility
         manifest.metadata["fitted_visibility_err"] = fit.visibility_err
         manifest.metadata["fitted_width_fs"] = fit.width_fs
@@ -205,16 +203,6 @@ def cmd_ber_scan(args, manifest: RunManifest):
 # ----------------------------------------------------------------- generate
 
 
-@dataclass
-class GenerationResult:
-    events: timetag.EventStream
-    coincidences: CoincidenceStream
-    monitor: timetag.MonitorReport
-    records: bitpipe.BitRecordStream
-    bits: BitStream
-    qualifying: CoincidenceStream
-
-
 def run_generation(
     source: SourceConfig,
     interf: InterferometerConfig,
@@ -222,31 +210,48 @@ def run_generation(
     timing: TimingConfig,
     clock: ClockConfig,
     monitor_threshold: int = 0,
-) -> GenerationResult:
+    dump_events=None,
+):
     """Full chain: simulate, pair, monitor, and clock out bits.
 
-    Raises MonitorAlarm when the cross-arm budget is exceeded; monitoring
-    runs on the same coincidence stream that feeds the bit recorder.
+    Returns the bit stream, the qualifying (D1D2/D3D4) coincidences the
+    error log is cut from, and the run's counts for the manifest.  Each
+    stage's input is dropped once its counts are taken, so the peak stays
+    the simulation's own.  Raises MonitorAlarm when the cross-arm budget
+    is exceeded, before anything is written; monitoring runs on the same
+    coincidence stream that feeds the bit recorder.  The event CSV goes
+    to ``dump_events`` if given.
     """
     events = timetag.simulate(source, interf, bank, timing)
     coincidences = timetag.coincidence_filter(events, timing)
-    monitor = timetag.purity_monitor(coincidences, threshold=monitor_threshold)
-    if monitor.status is MonitorStatus.ALARM:
-        raise MonitorAlarm(
-            f"{monitor.cross_arm_count} cross-arm coincidences exceed "
-            f"threshold {monitor_threshold}"
-        )
+    cross_arm = timetag.purity_monitor(coincidences, threshold=monitor_threshold)
+    if dump_events:
+        timetag.write_events_csv(events, dump_events)
+    counts = {
+        "n_events": len(events),
+        "n_coincidences": len(coincidences),
+        "label_counts": {l.name: c for l, c in coincidences.label_counts().items()},
+        "cross_arm_count": cross_arm,
+        "multi_click_clusters": coincidences.n_multi_click_clusters,
+        "unpaired_clicks": coincidences.n_unpaired,
+    }
+    del events
     qualifying = coincidences.select((PairLabel.D1D2, PairLabel.D3D4))
+    del coincidences
     records = bitpipe.extract_bits(qualifying, clock)
     bits = bitpipe.records_to_stream(records)
-    return GenerationResult(
-        events=events,
-        coincidences=coincidences,
-        monitor=monitor,
-        records=records,
-        bits=bits,
-        qualifying=qualifying,
-    )
+    counts["bits_recorded"] = len(bits)
+    counts["error_records"] = records.counts()[bitpipe.Symbol.ERROR]
+    counts["empirical_ber"] = bitpipe.empirical_ber(records)
+    del records
+    measured_rate = len(qualifying) / source.duration_s
+    try:
+        model_ber = bitpipe.ber_model(measured_rate, clock)
+    except bitpipe.ModelOutOfRange:
+        model_ber = None
+    counts["measured_coincidence_rate_hz"] = measured_rate
+    counts["model_ber"] = model_ber
+    return bits, qualifying, counts
 
 
 def cmd_generate(args, manifest: RunManifest):
@@ -257,47 +262,26 @@ def cmd_generate(args, manifest: RunManifest):
     interf, bank, timing = _configs_from_args(args, args.delay)
     clock = ClockConfig(frequency_hz=args.clock)
 
-    result = run_generation(source, interf, bank, timing, clock,
-                            monitor_threshold=args.monitor_threshold)
+    bits, qualifying, counts = run_generation(
+        source, interf, bank, timing, clock,
+        monitor_threshold=args.monitor_threshold, dump_events=args.dump_events,
+    )
 
-    bitpipe.write_bit_file(result.bits, args.out, fmt=args.format)
+    bitpipe.write_bit_file(bits, args.out, fmt=args.format)
     manifest.add_output("bits", args.out)
 
     error_log = args.error_log or args.out + ".errors.csv"
-    bitpipe.write_error_log(error_log, result.qualifying, clock)
+    bitpipe.write_error_log(error_log, qualifying, clock)
     manifest.add_output("error_log", error_log)
 
     if args.dump_events:
-        timetag.write_events_csv(result.events, args.dump_events)
         manifest.add_output("events", args.dump_events)
 
-    counts = result.records.counts()
-    label_counts = result.coincidences.label_counts()
-    measured_rate = len(result.qualifying) / source.duration_s
-    try:
-        model_ber = bitpipe.ber_model(measured_rate, clock)
-    except bitpipe.ModelOutOfRange:
-        model_ber = None
-    manifest.metadata.update(
-        {
-            "n_events": len(result.events),
-            "n_coincidences": len(result.coincidences),
-            "label_counts": {l.name: c for l, c in label_counts.items()},
-            "cross_arm_count": result.monitor.cross_arm_count,
-            "multi_click_clusters": result.coincidences.n_multi_click_clusters,
-            "unpaired_clicks": result.coincidences.n_unpaired,
-            "bits_recorded": len(result.bits),
-            "error_records": counts[bitpipe.Symbol.ERROR],
-            "empirical_ber": bitpipe.empirical_ber(result.records),
-            "measured_coincidence_rate_hz": measured_rate,
-            "model_ber": model_ber,
-        }
-    )
-
-    print(f"events: {len(result.events)}  coincidences: {len(result.coincidences)}"
-          f"  cross-arm: {result.monitor.cross_arm_count}")
-    print(f"bits: {len(result.bits)}  errors: {counts[bitpipe.Symbol.ERROR]}"
-          f"  empirical BER: {bitpipe.empirical_ber(result.records):.3e}")
+    manifest.metadata.update(counts)
+    print(f"events: {counts['n_events']}  coincidences: {counts['n_coincidences']}"
+          f"  cross-arm: {counts['cross_arm_count']}")
+    print(f"bits: {counts['bits_recorded']}  errors: {counts['error_records']}"
+          f"  empirical BER: {counts['empirical_ber']:.3e}")
     print(f"wrote {args.out}")
     return EXIT_OK, args.manifest or args.out + ".manifest.json"
 
@@ -334,13 +318,13 @@ def _report_path(args) -> str:
 
 
 def cmd_test(args, manifest: RunManifest):
-    stream = bitpipe.read_bit_file(args.infile)
     config = statskit.SuiteConfig(
         alpha=args.alpha,
         block_frequency_m=args.block_m,
         approx_entropy_m=args.apen_m,
         serial_m=args.serial_m,
     )
+    stream = bitpipe.read_bit_file(args.infile)
     sequence_id = args.sequence_id or os.path.basename(args.infile)
     report = statskit.run_suite(stream.bits, config, sequence_id=sequence_id)
     if not report.n_applicable:
@@ -383,7 +367,12 @@ def cmd_rerun(args) -> int:
     recorded = RunManifest.load(args.manifest_file)
     parser = build_parser()
     argv = list(recorded.argv)
-    replay = parser.parse_args(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            replay = parser.parse_args(argv)
+    except SystemExit:  # the parser's own errors raise UsageError instead
+        raise UsageError(f"rerun: {args.manifest_file} records a help or version "
+                         "request, which does not replay") from None
     if replay.command == "rerun":
         raise UsageError(f"rerun: {args.manifest_file} records a rerun, which does not replay")
     if _parameters(replay) != recorded.parameters:

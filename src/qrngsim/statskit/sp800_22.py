@@ -79,6 +79,11 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
+        # a length its test cannot use would only mark that test not applicable
+        for name, least in (("block_frequency_m", 1), ("approx_entropy_m", 1), ("serial_m", 2)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass

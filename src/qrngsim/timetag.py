@@ -55,6 +55,10 @@ class UnsortedInput(ValueError):
     pass
 
 
+class MonitorAlarm(RuntimeError):
+    """Cross-arm coincidences exceeded the purity monitor's threshold."""
+
+
 class PairLabel(IntEnum):
     """Coincidence labels; D1D2/D3D4 carry bits, the rest are cross-arm."""
 
@@ -204,34 +208,6 @@ class CoincidenceStream:
             n_unpaired=self.n_unpaired,
             n_multi_click_clusters=self.n_multi_click_clusters,
         )
-
-
-@dataclass(frozen=True)
-class RateEstimate:
-    """A counted rate with its Poisson uncertainty."""
-
-    counts: int
-    duration_s: float
-
-    @property
-    def rate_hz(self) -> float:
-        return self.counts / self.duration_s
-
-    @property
-    def sigma_hz(self) -> float:
-        return math.sqrt(self.counts) / self.duration_s
-
-
-class MonitorStatus(IntEnum):
-    OK = 0
-    ALARM = 1
-
-
-@dataclass(frozen=True)
-class MonitorReport:
-    status: MonitorStatus
-    cross_arm_count: int
-    threshold: int
 
 
 def _dead_time_filter(times: np.ndarray, dead_ps: int) -> np.ndarray:
@@ -482,18 +458,12 @@ def synthetic_coincidences(
     return CoincidenceStream(times, label_values[which], n_events_in=2 * n)
 
 
-def purity_monitor(coincidences: CoincidenceStream, threshold: int = 0) -> MonitorReport:
-    """ALARM when cross-arm coincidences exceed the allowed threshold."""
+def purity_monitor(coincidences: CoincidenceStream, threshold: int = 0) -> int:
+    """The cross-arm count; raises MonitorAlarm when it exceeds threshold."""
     cross = coincidences.cross_arm_count()
-    status = MonitorStatus.ALARM if cross > threshold else MonitorStatus.OK
-    return MonitorReport(status=status, cross_arm_count=cross, threshold=threshold)
-
-
-@dataclass(frozen=True)
-class ScanPoint:
-    delay_fs: float
-    rates: dict
-    cross_arm: RateEstimate
+    if cross > threshold:
+        raise MonitorAlarm(f"{cross} cross-arm coincidences exceed threshold {threshold}")
+    return cross
 
 
 def point_seed(seed: int, index: int) -> int:
@@ -510,9 +480,10 @@ def scan_workers(n_points: int) -> int:
     return min(cpus, n_points)
 
 
-def _scan_point(source, interf, bank, timing) -> dict:
+def _scan_point(source, interf, bank, timing) -> np.ndarray:
     """One delay point, run in a worker process: its six label counts."""
-    return coincidence_filter(simulate(source, interf, bank, timing), timing).label_counts()
+    labels = coincidence_filter(simulate(source, interf, bank, timing), timing).labels
+    return np.bincount(labels, minlength=len(PairLabel))
 
 
 def scan_delay(
@@ -521,8 +492,11 @@ def scan_delay(
     interf: InterferometerConfig,
     bank: DetectorBank,
     timing: TimingConfig,
-) -> list:
-    """Run the simulation at each delay and tabulate per-label rates.
+) -> np.ndarray:
+    """Run the simulation at each delay and count each pair label.
+
+    Returns an int array with one row per delay and one column per
+    ``PairLabel``, in label order.
 
     Points draw from independent child seeds keyed by (seed, index), so a
     scan is reproducible point by point regardless of which process runs
@@ -555,27 +529,20 @@ def scan_delay(
     with ProcessPoolExecutor(scan_workers(len(delays)), mp_context=context) as pool:
         counts = list(pool.map(_scan_point, sources, interfs,
                                [bank] * len(delays), [timing] * len(delays)))
-    points = []
-    for delay, point_counts in zip(delays, counts):
-        rates = {
-            label: RateEstimate(point_counts[label], source.duration_s) for label in PairLabel
-        }
-        cross = RateEstimate(
-            sum(point_counts[label] for label in CROSS_ARM_LABELS), source.duration_s
-        )
-        points.append(ScanPoint(delay_fs=delay, rates=rates, cross_arm=cross))
-    return points
+    return np.stack(counts)
 
 
-def write_scan_csv(points, path) -> None:
+def write_scan_csv(delays_fs, counts: np.ndarray, duration_s: float, path) -> None:
+    """One row per delay and label: its counts, and the rate and Poisson
+    sigma they give over ``duration_s``.  The values are Python scalars, so
+    each prints as its plain repr."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("delay_fs,pair_label,counts,duration_s,rate_hz,sigma_hz\n")
-        for point in points:
-            for label in PairLabel:
-                est = point.rates[label]
+        for delay, row in zip(np.asarray(delays_fs, dtype=float).tolist(), counts.tolist()):
+            for label, n in zip(PairLabel, row):
                 fh.write(
-                    f"{point.delay_fs!r},{label.name},{est.counts},"
-                    f"{est.duration_s!r},{est.rate_hz!r},{est.sigma_hz!r}\n"
+                    f"{delay!r},{label.name},{n},{duration_s!r},"
+                    f"{n / duration_s!r},{math.sqrt(n) / duration_s!r}\n"
                 )
 
 

@@ -62,9 +62,8 @@ def test_criterion_2_bunching_peak_ratio():
     """Same-arm coincidence rate doubles on the dip versus far delay."""
     start = time.perf_counter()
     source = SourceConfig(pair_rate_hz=2500.0, duration_s=100.0, seed=201)
-    points = timetag.scan_delay([0.0, 10.0 * TAU_C], source, IDEAL, BANK, TIMING)
-    peak = points[0].rates[PairLabel.D1D2].counts
-    base = points[1].rates[PairLabel.D1D2].counts
+    counts = timetag.scan_delay([0.0, 10.0 * TAU_C], source, IDEAL, BANK, TIMING)
+    peak, base = counts[:, PairLabel.D1D2].tolist()
     ratio = peak / base
     sigma = ratio * math.sqrt(1.0 / peak + 1.0 / base)
     elapsed = time.perf_counter() - start
@@ -216,11 +215,11 @@ def test_criterion_5c_full_pipeline_megabit_sequences():
     all_pass = True
     for seed in (502, 504, 505):
         source = SourceConfig(pair_rate_hz=2000.0, duration_s=4700.0, seed=seed)
-        result = run_generation(
+        bits, _, _ = run_generation(
             source, IDEAL, BANK, TIMING, ClockConfig(500_000.0),
             monitor_threshold=500,  # accidental-overlap allowance at this rate
         )
-        unbiased = bitpipe.von_neumann(result.bits)
+        unbiased = bitpipe.von_neumann(bits)
         assert unbiased.n >= 1_090_000
         trimmed = unbiased.bits[:1_090_000]
         report = run_suite(trimmed, SuiteConfig(), sequence_id=f"seed-{seed}")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from qrngsim.cli import (
     main,
 )
 from qrngsim.manifest import RunManifest, sha256_file
+from qrngsim.optics import DetectorBank, InterferometerConfig
 from qrngsim.timetag import scan_workers
 
 from oracles import bit_array
@@ -231,6 +233,30 @@ class TestGenerate:
         assert meta["multi_click_clusters"] > 0
         assert 2 * meta["n_coincidences"] + meta["unpaired_clicks"] == meta["n_events"]
 
+    def test_traced_peak_is_simulates_own(self, tmp_path):
+        # each stage's input is dropped once the next stage holds its
+        # output, so nothing after simulate holds more than simulate did
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        source = timetag.SourceConfig(pair_rate_hz=2000.0, duration_s=100.0, seed=8)
+
+        def simulate():
+            timetag.simulate(source, InterferometerConfig(), DetectorBank(),
+                             timetag.TimingConfig())
+
+        simulate()  # one-time allocations stay out of both peaks
+        simulate_peak = traced_peak(simulate)
+        command_peak = traced_peak(lambda: run(
+            "generate", "--duration", "100", "--pair-rate", "2000", "--seed", "8",
+            "--monitor-threshold", "500", "--out", str(tmp_path / "m.txt")))
+        assert command_peak <= 1.2 * simulate_peak, command_peak / simulate_peak
+
 
 class TestDurationPastInt64Headroom:
     # 1e7 s is 1e19 ps, past the INT64_MAX // 2 ps (about 4.6e6 s) cap
@@ -436,6 +462,20 @@ class TestTestCommand:
     def test_missing_input_is_io_error(self, tmp_path):
         assert run("test", str(tmp_path / "nope.txt")) == EXIT_IO
 
+    @pytest.mark.parametrize("flags", [
+        ("--block-m", "0"), ("--block-m", "-5"), ("--apen-m", "0"),
+        ("--serial-m", "1"), ("--serial-m", "0"),
+    ])
+    def test_length_no_test_can_use_exits_2(self, tmp_path, capsys, flags):
+        # each would only mark its test not applicable and let the rest pass
+        bits = tmp_path / "fair.txt"
+        rng = np.random.default_rng(66)
+        write_bit_file(BitStream(rng.integers(0, 2, 10_000, dtype=np.uint8)), bits)
+        assert run("test", str(bits), *flags) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "must be >= " in err[0]
+        assert not (tmp_path / "fair.txt.report.json").exists()
+
     def test_alpha_flag_moves_the_bar(self, tmp_path):
         rng = np.random.default_rng(65)
         bits = tmp_path / "fair.txt"
@@ -621,3 +661,19 @@ class TestRerunContract:
         # a manifest replaying itself would recurse without end
         manifest["argv"] = ["rerun", "--manifest", str(tmp_path / "edited.json")]
         self.rerun(tmp_path, capsys, manifest)
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["--version"], ["generate", "--help"], ["ber-scan", "-h"],
+        ["--vers"],  # an abbreviation argparse expands
+    ])
+    def test_argv_asking_for_help_or_version(self, tmp_path, capsys, manifest, argv):
+        # nothing to replay: no help text, no version, no outputs
+        manifest["argv"] = argv
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run("rerun", "--manifest", str(path), "--outdir", str(tmp_path / "rr")) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "help or version" in captured.err
+        assert not (tmp_path / "rr").exists()

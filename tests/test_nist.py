@@ -435,6 +435,15 @@ class TestSuiteRunner:
         with pytest.raises(ValueError):
             SuiteConfig(alpha=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("block_frequency_m", 0), ("block_frequency_m", -5), ("approx_entropy_m", 0),
+        ("serial_m", 1), ("serial_m", 0),
+    ])
+    def test_lengths_no_test_can_use_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= "):
+            SuiteConfig(**{field: value})
+        SuiteConfig(block_frequency_m=1, approx_entropy_m=1, serial_m=2)
+
     def test_alpha_plumbing_at_half(self):
         # at alpha = 0.5 on fair input, about half of all P-values sit
         # below the bar, so pass flags must track the configured level

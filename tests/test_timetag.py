@@ -21,15 +21,15 @@ from qrngsim.optics import (
     output_distribution,
 )
 from qrngsim.timetag import (
+    CROSS_ARM_LABELS,
     MAX_DURATION_PS,
     MAX_JITTER_SIGMA_PS,
     CoincidenceStream,
     EventStream,
     InvalidDuration,
     InvalidRate,
-    MonitorStatus,
+    MonitorAlarm,
     PairLabel,
-    RateEstimate,
     SourceConfig,
     TimingConfig,
     UnsortedInput,
@@ -112,11 +112,6 @@ class TestConfigs:
     def test_window_quantization(self):
         assert TimingConfig(coincidence_window_ns=3.0).window_ps == 3000
         assert TimingConfig(dead_time_ns=50.0).dead_time_ps == 50_000
-
-    def test_rate_estimate(self):
-        est = RateEstimate(counts=400, duration_s=100.0)
-        assert est.rate_hz == 4.0
-        assert est.sigma_hz == pytest.approx(0.2)
 
 
 class TestSimulate:
@@ -623,28 +618,27 @@ class TestPurityMonitor:
     def test_ideal_zero_delay_stays_quiet(self):
         src = SourceConfig(pair_rate_hz=1000.0, duration_s=20.0, seed=23)
         coinc = coincidence_filter(simulate(src, IDEAL, BANK, TimingConfig()), TimingConfig())
-        report = purity_monitor(coinc)
-        assert report.status is MonitorStatus.OK
-        assert report.cross_arm_count == 0
+        assert purity_monitor(coinc) == 0
 
     def test_large_delay_raises_alarm(self):
         src = SourceConfig(pair_rate_hz=5000.0, duration_s=2.0, seed=24)
         interf = InterferometerConfig(delay_fs=3 * 222.0)
         coinc = coincidence_filter(simulate(src, interf, BANK, TimingConfig()), TimingConfig())
-        report = purity_monitor(coinc)
-        assert report.status is MonitorStatus.ALARM
+        cross = coinc.cross_arm_count()
+        with pytest.raises(MonitorAlarm, match=f"^{cross} cross-arm coincidences exceed "
+                                               "threshold 0$"):
+            purity_monitor(coinc)
         # near-total distinguishability: cross-arm rate ~ pair rate / 2
-        assert report.cross_arm_count > 4000
+        assert cross > 4000
 
     def test_empty_stream_is_ok(self):
-        report = purity_monitor(CoincidenceStream([], []))
-        assert report.status is MonitorStatus.OK
-        assert report.cross_arm_count == 0
+        assert purity_monitor(CoincidenceStream([], [])) == 0
 
     def test_threshold_is_respected(self):
         stream = CoincidenceStream([100, 900], [PairLabel.D1D3, PairLabel.D2D4])
-        assert purity_monitor(stream, threshold=2).status is MonitorStatus.OK
-        assert purity_monitor(stream, threshold=1).status is MonitorStatus.ALARM
+        assert purity_monitor(stream, threshold=2) == 2
+        with pytest.raises(MonitorAlarm, match="2 cross-arm coincidences exceed threshold 1"):
+            purity_monitor(stream, threshold=1)
 
 
 class TestScanDelay:
@@ -659,32 +653,28 @@ class TestScanDelay:
 
     def test_peak_to_baseline_ratio_is_two(self):
         src = SourceConfig(pair_rate_hz=250_000.0, duration_s=1.0, seed=29)
-        points = scan_delay([0.0, 10 * 222.0], src, IDEAL, BANK, TimingConfig())
-        peak = points[0].rates[PairLabel.D1D2]
-        base = points[1].rates[PairLabel.D1D2]
-        ratio = peak.counts / base.counts
-        sigma = ratio * math.sqrt(1.0 / peak.counts + 1.0 / base.counts)
+        counts = scan_delay([0.0, 10 * 222.0], src, IDEAL, BANK, TimingConfig())
+        peak, base = counts[:, PairLabel.D1D2].tolist()
+        ratio = peak / base
+        sigma = ratio * math.sqrt(1.0 / peak + 1.0 / base)
         assert abs(ratio - 2.0) < 3.0 * sigma
 
     def test_cross_arm_silent_on_the_dip(self):
         src = SourceConfig(pair_rate_hz=20_000.0, duration_s=1.0, seed=30)
-        points = scan_delay([0.0, 10 * 222.0], src, IDEAL, BANK, TimingConfig())
-        dip = points[0]
-        assert dip.cross_arm.counts <= 2  # statistically consistent with 0
-        far = points[1]
-        assert far.cross_arm.counts > 8000
+        counts = scan_delay([0.0, 10 * 222.0], src, IDEAL, BANK, TimingConfig())
+        dip, far = counts[:, sorted(CROSS_ARM_LABELS)].sum(axis=1)
+        assert dip <= 2  # statistically consistent with 0
+        assert far > 8000
 
     @pytest.mark.parametrize("ceiling", [0.8, 0.9, 1.0])
     def test_visibility_transfer_through_full_chain(self, ceiling):
         delays = np.linspace(-650.0, 650.0, 11)
         src = SourceConfig(pair_rate_hz=100_000.0, duration_s=1.0, seed=31)
         interf = InterferometerConfig(visibility_ceiling=ceiling)
-        points = scan_delay(delays, src, interf, BANK, TimingConfig())
-        fit = fit_dip_visibility(
-            delays,
-            [p.cross_arm.rate_hz for p in points],
-            [p.cross_arm.sigma_hz for p in points],
-        )
+        cross = scan_delay(delays, src, interf, BANK, TimingConfig())[
+            :, sorted(CROSS_ARM_LABELS)
+        ].sum(axis=1)
+        fit = fit_dip_visibility(delays, cross / src.duration_s, np.sqrt(cross) / src.duration_s)
         assert abs(fit.visibility - ceiling) < 4.0 * max(fit.visibility_err, 1e-4)
         assert abs(fit.width_fs - 222.0) < 0.05 * 222.0
 
@@ -696,9 +686,10 @@ class TestScanDelay:
         src = SourceConfig(pair_rate_hz=20_000.0, duration_s=0.2, seed=17)
         bank = DetectorBank(dark_rate_hz=2000.0)
         timing = TimingConfig()
-        points = scan_delay(delays, src, IDEAL, bank, timing)
-        assert [p.delay_fs for p in points] == delays.tolist()
-        for i, (delay, point) in enumerate(zip(delays, points)):
+        counts = scan_delay(delays, src, IDEAL, bank, timing)
+        assert counts.shape == (n_points, len(PairLabel))
+        assert counts.dtype.kind == "i"
+        for i, (delay, point) in enumerate(zip(delays, counts.tolist())):
             coinc = coincidence_filter(
                 simulate(
                     SourceConfig(src.pair_rate_hz, src.duration_s, point_seed(src.seed, i)),
@@ -708,9 +699,7 @@ class TestScanDelay:
                 ),
                 timing,
             )
-            assert {l: r.counts for l, r in point.rates.items()} == coinc.label_counts()
-            assert point.cross_arm.counts == coinc.cross_arm_count()
-            assert point.cross_arm.duration_s == src.duration_s
+            assert dict(zip(PairLabel, point)) == coinc.label_counts()
 
     @staticmethod
     def record_pools(monkeypatch) -> list:
@@ -780,13 +769,26 @@ class TestScanDelay:
 
     def test_csv_schema(self, tmp_path):
         src = SourceConfig(pair_rate_hz=1000.0, duration_s=0.5, seed=2)
-        points = scan_delay([0.0, 400.0], src, IDEAL, BANK, TimingConfig())
+        counts = scan_delay([0.0, 400.0], src, IDEAL, BANK, TimingConfig())
         path = tmp_path / "scan.csv"
-        write_scan_csv(points, path)
+        write_scan_csv([0.0, 400.0], counts, src.duration_s, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "delay_fs,pair_label,counts,duration_s,rate_hz,sigma_hz"
         assert len(lines) == 1 + 2 * 6
         assert lines[1].startswith("0.0,D1D2,")
+
+    def test_csv_rates_and_sigmas(self, tmp_path):
+        # rate = counts / duration and sigma = sqrt(counts) / duration, each
+        # written as a plain Python repr, never as np.float64(...)
+        counts = np.zeros((2, 6), dtype=np.int64)
+        counts[0, PairLabel.D1D2] = 400
+        counts[1, PairLabel.D2D4] = 3
+        path = tmp_path / "scan.csv"
+        write_scan_csv(np.array([-1.5, 2.0]), counts, 100.0, path)
+        lines = path.read_text().splitlines()
+        assert lines[1] == "-1.5,D1D2,400,100.0,4.0,0.2"
+        assert lines[2] == "-1.5,D3D4,0,100.0,0.0,0.0"
+        assert lines[12] == f"2.0,D2D4,3,100.0,0.03,{math.sqrt(3) / 100.0!r}"
 
     def test_events_csv(self, tmp_path):
         stream = events((Detector.D1, 5), (Detector.D4, 10))
