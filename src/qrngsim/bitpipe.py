@@ -1,13 +1,12 @@
 """Clocked bit extraction, error accounting, and von Neumann unbiasing.
 
 A free-running clock of frequency f slices time into periods.  A period
-holding exactly one D1D2 or D3D4 coincidence records a 0 or 1 at that
-period's index; a period holding two or more records an error symbol at
-the next clock pulse.  The expected error fraction for a Poisson
-coincidence stream of rate R is modeled as R / (2 f): with L = R / f the
-exact occupancy law is P(N >= 2) / P(N >= 1) = (1 - (1 + L) e^-L) /
-(1 - e^-L), R / (2 f) = L / 2 is its first-order term, and it lies 0 to
-L^2 / 12 above the exact law.
+holding exactly one D1D2 or D3D4 coincidence records a 0 or 1; a period
+holding two or more records an error symbol, logged at the next clock
+pulse.  The expected error fraction for a Poisson coincidence stream of
+rate R is modeled as R / (2 f): with L = R / f the exact occupancy law is
+P(N >= 2) / P(N >= 1) = (1 - (1 + L) e^-L) / (1 - e^-L), R / (2 f) = L / 2
+is its first-order term, and it lies 0 to L^2 / 12 above the exact law.
 
 Error symbols never enter the bit stream handed to the unbiaser: they are
 logged separately, mirroring a recording clock fast enough that error
@@ -69,13 +68,14 @@ class ClockConfig:
 
 
 class BitRecordStream:
-    """Clock-ordered records as parallel arrays; indices strictly increase."""
+    """One int8 symbol per occupied clock period, in period order.
 
-    def __init__(self, symbols: np.ndarray, clock_indices: np.ndarray):
+    Kept as a class only because the benchmark's record counter reads
+    ``.symbols`` off extract_bits' result.
+    """
+
+    def __init__(self, symbols: np.ndarray):
         self.symbols = np.asarray(symbols, dtype=np.int8)
-        self.clock_indices = np.asarray(clock_indices, dtype=np.int64)
-        if len(self.symbols) != len(self.clock_indices):
-            raise ValueError("symbols and clock_indices must have equal length")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -115,12 +115,12 @@ def _period_indices(times_ps: np.ndarray, clock: ClockConfig) -> np.ndarray:
 
     Works in femtoseconds so common clocks (500 kHz, 3 ns windows) divide
     exactly; t = q P + r keeps every product in int64 at any duration.
-    Raises ValueError if the indices extract_bits may emit (up to the last
-    index plus the number of timestamps) would pass int64.
+    Raises ValueError if the error log's index k + 1 of the last period
+    would pass int64.
     """
     period_fs = clock.period_fs
     last = int(times_ps[-1]) * 1000 // period_fs if len(times_ps) else 0
-    if last + len(times_ps) > _INT64_MAX:
+    if last + 1 > _INT64_MAX:
         raise ValueError(f"clock indices pass int64 at {int(times_ps[-1])} ps")
     q, r = np.divmod(times_ps, period_fs)
     # in place, so the peak holds two arrays of the input's size, not five
@@ -153,12 +153,9 @@ def extract_bits(coincidences: CoincidenceStream, clock: ClockConfig) -> BitReco
     """Clocked bit extraction from qualifying (D1D2/D3D4) coincidences.
 
     Cross-arm labels must have been routed to the purity monitor first;
-    their presence here is an error.  A single-coincidence period k emits
-    its data bit at index k; a multi-coincidence period emits one error
-    symbol at index k+1.  When an error symbol and a following period's
-    data bit would land on the same index, the error keeps it and the data
-    bit shifts to the next free index, so every coincidence stays
-    accounted for and indices strictly increase.
+    their presence here is an error.  Each occupied period emits one
+    symbol, in period order: its data bit if it holds one coincidence, an
+    error symbol if it holds more.
     """
     if len(coincidences) and np.any(
         (coincidences.labels != int(PairLabel.D1D2))
@@ -167,19 +164,11 @@ def extract_bits(coincidences: CoincidenceStream, clock: ClockConfig) -> BitReco
         raise CrossArmLabelPresent(
             "cross-arm coincidence labels must be filtered out before bit extraction"
         )
-    # period_occupancy returns fresh arrays, so the work below is in place
-    index, counts, first_labels = period_occupancy(coincidences, clock)
-    multi = counts >= 2
+    _, counts, first_labels = period_occupancy(coincidences, clock)
+    # period_occupancy returns fresh arrays, so the view writes nowhere shared
     symbols = (first_labels == int(PairLabel.D3D4)).view(np.int8)  # ONE or ZERO
-    symbols[multi] = Symbol.ERROR
-    index += multi  # natural index: an error lands on the next pulse
-    # Resolve index collisions: each record lands on max(natural, prev+1),
-    # i.e. out = cummax(natural - i) + i.
-    offsets = np.arange(len(index), dtype=np.int64)
-    index -= offsets
-    np.maximum.accumulate(index, out=index)
-    index += offsets
-    return BitRecordStream(symbols, index)
+    symbols[counts >= 2] = Symbol.ERROR
+    return BitRecordStream(symbols)
 
 
 def ber_model(rate_hz: float, clock: ClockConfig) -> float:
@@ -297,11 +286,8 @@ def read_bit_file(path, fmt: str = "auto") -> BitStream:
 
 
 def write_error_log(path, coincidences: CoincidenceStream, clock: ClockConfig) -> None:
-    """CSV of error records: emitted clock index and period occupancy.
-
-    A multi-occupied period k emits its error at k + 1 and is never
-    displaced, since period indices strictly increase.
-    """
+    """CSV of error records: a multi-occupied period k is logged at the
+    next clock pulse, k + 1, with its number of coincidences."""
     uniq, counts, _ = period_occupancy(coincidences, clock)
     multi = counts >= 2
     rows = zip((uniq[multi] + 1).tolist(), counts[multi].tolist())

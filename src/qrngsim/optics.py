@@ -26,10 +26,6 @@ DEFAULT_COHERENCE_TIME_FS = 222.0
 _PROB_TOL = 1e-12
 
 
-class UnsupportedReflectivity(ValueError):
-    """Raised for splitter ratios the closed-form model does not cover."""
-
-
 class Detector(IntEnum):
     """The four threshold detectors; D1/D2 watch arm A, D3/D4 arm B."""
 
@@ -49,15 +45,12 @@ class InterferometerConfig:
 
     delay_fs: relative arrival-time offset of the two photons (scan axis).
     coherence_time_fs: 1/e half-width of the Gaussian dip.
-    reflectivity: intensity reflectance of the first splitter; only the
-        balanced 0.5 case has a closed form, other values raise at use.
     visibility_ceiling: cap on the achievable interference visibility,
         a single scalar standing in for residual mode mismatch.
     """
 
     delay_fs: float = 0.0
     coherence_time_fs: float = DEFAULT_COHERENCE_TIME_FS
-    reflectivity: float = 0.5
     visibility_ceiling: float = 1.0
 
     def __post_init__(self) -> None:
@@ -65,8 +58,6 @@ class InterferometerConfig:
             raise ValueError("delay_fs must be finite")
         if not (self.coherence_time_fs > 0):
             raise ValueError("coherence_time_fs must be > 0")
-        if not (0.0 <= self.reflectivity <= 1.0):
-            raise ValueError("reflectivity must lie in [0, 1]")
         if not (0.0 <= self.visibility_ceiling <= 1.0):
             raise ValueError("visibility_ceiling must lie in [0, 1]")
 
@@ -113,15 +104,10 @@ def visibility(config: InterferometerConfig) -> float:
 def output_distribution(config: InterferometerConfig) -> OutputDistribution:
     """Two-photon outcome probabilities after the first splitter.
 
-    For a balanced splitter the bunched outcomes carry (1 + V)/4 each and
+    The splitter is balanced: the bunched outcomes carry (1 + V)/4 each and
     the cross-arm outcome (1 - V)/2, interpolating between the entangled
     state at V = 1 and independent classical routing at V = 0.
     """
-    if config.reflectivity != 0.5:
-        raise UnsupportedReflectivity(
-            f"only the balanced 50/50 splitter is modeled, "
-            f"got reflectivity {config.reflectivity}"
-        )
     v = visibility(config)
     return OutputDistribution(p20=(1.0 + v) / 4.0, p02=(1.0 + v) / 4.0, p11=(1.0 - v) / 2.0)
 

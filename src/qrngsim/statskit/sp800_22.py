@@ -256,13 +256,7 @@ def cusum_test(bits, mode: str = "forward", alpha: float = 0.01) -> TestReport:
 def _overlapping_pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
     """Counts of all 2^m overlapping m-bit windows with wraparound."""
     n = len(b)
-    if m > n:  # wrap repeatedly when the window exceeds the sequence
-        reps = (n + m - 1 + n - 1) // n
-        ext = np.tile(b, reps)[: n + m - 1]
-    elif m > 1:
-        ext = np.concatenate((b, b[: m - 1]))
-    else:
-        ext = b
+    ext = np.resize(b, n + m - 1)  # repeats b, so windows longer than n wrap again
     codes = np.zeros(n, dtype=np.int64)
     for j in range(m):
         codes = (codes << 1) | ext[j : j + n]

@@ -72,10 +72,6 @@ def erfc(x: float) -> float:
     return _erfc_cf(x)
 
 
-def erf(x: float) -> float:
-    return 1.0 - erfc(x)
-
-
 def normal_cdf(x: float) -> float:
     """Standard normal CDF via erfc."""
     return 0.5 * erfc(-x / math.sqrt(2.0))

@@ -169,7 +169,8 @@ class CoincidenceStream:
     ``n_multi_click_clusters`` counts windows holding three or more clicks
     (the simulation analog of four-fold pile-up); such clusters are paired
     greedily rather than dropped, and the count travels with the stream so
-    run metadata can flag them.
+    run metadata can flag them.  Only coincidence_filter fills the counts;
+    select and synthetic_coincidences leave them 0.
     """
 
     def __init__(
@@ -201,13 +202,7 @@ class CoincidenceStream:
 
     def select(self, labels) -> "CoincidenceStream":
         wanted = np.isin(self.labels, [int(l) for l in labels])
-        return CoincidenceStream(
-            self.times_ps[wanted],
-            self.labels[wanted],
-            n_events_in=self.n_events_in,
-            n_unpaired=self.n_unpaired,
-            n_multi_click_clusters=self.n_multi_click_clusters,
-        )
+        return CoincidenceStream(self.times_ps[wanted], self.labels[wanted])
 
 
 def _dead_time_filter(times: np.ndarray, dead_ps: int) -> np.ndarray:
@@ -438,9 +433,7 @@ def coincidence_filter(events: EventStream, timing: TimingConfig) -> Coincidence
     )
 
 
-def synthetic_coincidences(
-    rate_hz: float, duration_s: float, seed: int = 0, labels=(PairLabel.D1D2, PairLabel.D3D4)
-) -> CoincidenceStream:
+def synthetic_coincidences(rate_hz: float, duration_s: float, seed: int = 0) -> CoincidenceStream:
     """Poisson stream of ready-made coincidences with fair random labels.
 
     Bypasses the optical chain; used to exercise the clocked bit recorder
@@ -453,9 +446,8 @@ def synthetic_coincidences(
     n = int(rng.poisson(rate_hz * duration_s))
     times = rng.integers(0, run_ps, size=n, dtype=np.int64)
     times.sort()
-    which = rng.integers(0, len(labels), size=n)
-    label_values = np.array([int(l) for l in labels], dtype=np.int8)
-    return CoincidenceStream(times, label_values[which], n_events_in=2 * n)
+    # D1D2 is 0 and D3D4 is 1
+    return CoincidenceStream(times, rng.integers(0, 2, size=n))
 
 
 def purity_monitor(coincidences: CoincidenceStream, threshold: int = 0) -> int:

@@ -321,27 +321,23 @@ def period_table(times_ps, labels, period_fs):
 def clocked_records(times_ps, labels, period_fs):
     """Clocked bit extraction by its scalar rule, in Python integers.
 
-    A period holding one coincidence (see period_table) emits its bit
-    (label 1, D3D4, records 1; label 0, D1D2, records 0) at index k; a
-    period holding more emits an error symbol (2) at k + 1.  Walking the
-    periods in order, each record then lands on max(natural index,
-    previous index + 1).
+    Each occupied period k (see period_table) emits one symbol in period
+    order: its bit if it holds one coincidence (label 1, D3D4, records 1;
+    label 0, D1D2, records 0), else an error symbol (2), logged at k + 1.
 
-    Returns (records, error_rows): (symbol, index) per record, and
-    (index, events in the period) per error record.
+    Returns (symbols, error_rows): the symbols, and (k + 1, events in the
+    period) per error symbol.
     """
     occupancy = period_table(times_ps, labels, period_fs)
-    records, error_rows = [], []
-    previous = None
+    symbols, error_rows = [], []
     for k in sorted(occupancy):
         count, first_label = occupancy[k]
-        symbol, natural = (2, k + 1) if count >= 2 else (first_label, k)
-        index = natural if previous is None else max(natural, previous + 1)
-        records.append((symbol, index))
-        if symbol == 2:
-            error_rows.append((index, count))
-        previous = index
-    return records, error_rows
+        if count >= 2:
+            symbols.append(2)
+            error_rows.append((k + 1, count))
+        else:
+            symbols.append(first_label)
+    return symbols, error_rows
 
 
 def poisson_period_occupancy(rate_hz, frequency_hz, duration_s, seed):
@@ -375,6 +371,20 @@ def poisson_error_fraction(lam: float) -> float:
         multi += term
         if term < 1e-18 * multi:
             return multi / (lam + multi)
+
+
+def wrapped_pattern_counts(bits, m: int) -> dict:
+    """{pattern code: count} of the m-bit windows starting at each of the n
+    bits, reading bit (i + j) mod n, MSB first; the windows wrap as often
+    as m needs."""
+    n = len(bits)
+    counts: dict = {}
+    for i in range(n):
+        code = 0
+        for j in range(m):
+            code = (code << 1) | int(bits[(i + j) % n])
+        counts[code] = counts.get(code, 0) + 1
+    return counts
 
 
 def direct_dft_magnitudes(x) -> np.ndarray:

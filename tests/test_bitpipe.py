@@ -54,8 +54,15 @@ def coincidences(*events):
 
 
 def symbols_at(records):
-    """(symbol, clock index) per record, as plain Python values."""
-    return list(zip(map(Symbol, records.symbols.tolist()), records.clock_indices.tolist()))
+    """The records' symbols, as Symbol members."""
+    return list(map(Symbol, records.symbols.tolist()))
+
+
+def error_rows(tmp_path, stream, clock):
+    """(clock index, events in the period) per row of the error log."""
+    path = tmp_path / "errors.csv"
+    write_error_log(path, stream, clock)
+    return [tuple(map(int, line.split(","))) for line in path.read_text().splitlines()[1:]]
 
 
 # the slowest accepted clock: its period rounds to INT64_MAX // 1000 - 1 fs
@@ -97,63 +104,36 @@ class TestExtractBits:
         assert len(stream) > 900_000
         assert peak < 5 * input_bytes
 
-    def test_one_bit_per_singly_occupied_period(self):
-        records = extract_bits(
-            coincidences(
-                (PairLabel.D1D2, int(0.5 * MS)), (PairLabel.D3D4, int(1.2 * MS))
-            ),
-            ClockConfig(1000.0),
+    def test_one_bit_per_singly_occupied_period(self, tmp_path):
+        stream = coincidences(
+            (PairLabel.D1D2, int(0.5 * MS)), (PairLabel.D3D4, int(1.2 * MS))
         )
-        assert symbols_at(records) == [
-            (Symbol.ZERO, 0),
-            (Symbol.ONE, 1),
-        ]
+        clock = ClockConfig(1000.0)
+        assert symbols_at(extract_bits(stream, clock)) == [Symbol.ZERO, Symbol.ONE]
+        assert error_rows(tmp_path, stream, clock) == []
 
-    def test_double_occupancy_records_error_at_next_pulse(self):
-        records = extract_bits(
-            coincidences(
-                (PairLabel.D1D2, int(0.2 * MS)), (PairLabel.D3D4, int(0.7 * MS))
-            ),
-            ClockConfig(1000.0),
+    def test_double_occupancy_records_error_at_next_pulse(self, tmp_path):
+        stream = coincidences(
+            (PairLabel.D1D2, int(0.2 * MS)), (PairLabel.D3D4, int(0.7 * MS))
         )
-        assert symbols_at(records) == [(Symbol.ERROR, 1)]
+        clock = ClockConfig(1000.0)
+        assert symbols_at(extract_bits(stream, clock)) == [Symbol.ERROR]
+        assert error_rows(tmp_path, stream, clock) == [(1, 2)]
 
     def test_empty_input(self):
         records = extract_bits(coincidences(), ClockConfig(1000.0))
         assert len(records) == 0
         assert empirical_ber(records) == 0.0
 
-    def test_error_displaces_following_data_bit(self):
-        # period 0 is multi (error at 1); period 1's lone bit shifts to 2;
-        # period 2's bit collides with that and shifts to 3
-        records = extract_bits(
-            coincidences(
-                (PairLabel.D1D2, int(0.1 * MS)),
-                (PairLabel.D1D2, int(0.2 * MS)),
-                (PairLabel.D3D4, int(1.5 * MS)),
-                (PairLabel.D1D2, int(2.3 * MS)),
-            ),
-            ClockConfig(1000.0),
+    def test_gap_after_error_needs_no_displacement(self, tmp_path):
+        stream = coincidences(
+            (PairLabel.D1D2, int(0.1 * MS)),
+            (PairLabel.D1D2, int(0.2 * MS)),
+            (PairLabel.D3D4, int(5.5 * MS)),
         )
-        assert symbols_at(records) == [
-            (Symbol.ERROR, 1),
-            (Symbol.ONE, 2),
-            (Symbol.ZERO, 3),
-        ]
-
-    def test_gap_after_error_needs_no_displacement(self):
-        records = extract_bits(
-            coincidences(
-                (PairLabel.D1D2, int(0.1 * MS)),
-                (PairLabel.D1D2, int(0.2 * MS)),
-                (PairLabel.D3D4, int(5.5 * MS)),
-            ),
-            ClockConfig(1000.0),
-        )
-        assert symbols_at(records) == [
-            (Symbol.ERROR, 1),
-            (Symbol.ONE, 5),
-        ]
+        clock = ClockConfig(1000.0)
+        assert symbols_at(extract_bits(stream, clock)) == [Symbol.ERROR, Symbol.ONE]
+        assert error_rows(tmp_path, stream, clock) == [(1, 2)]
 
     def test_cross_arm_labels_rejected(self):
         with pytest.raises(CrossArmLabelPresent):
@@ -170,22 +150,19 @@ class TestExtractBits:
                 ClockConfig(1000.0),
             )
 
-    def test_indices_strictly_increase_and_errors_follow_multis(self):
-        rng = np.random.default_rng(99)
+    def test_indices_strictly_increase_and_errors_follow_multis(self, tmp_path):
         clock = ClockConfig(5000.0)
         for trial in range(20):
             stream = synthetic_coincidences(800.0, 20.0, seed=trial)
             records = extract_bits(stream, clock)
-            idx = records.clock_indices
+            rows = error_rows(tmp_path, stream, clock)
+            idx = np.array([index for index, _ in rows], dtype=np.int64)
             assert np.all(np.diff(idx) >= 1)
-            period_fs = clock.period_fs
-            periods = (stream.times_ps * 1000) // period_fs
-            _, counts = np.unique(periods, return_counts=True)
-            uniq = np.unique(periods)
-            multi_periods = set(uniq[counts >= 2].tolist())
-            for symbol, index in symbols_at(records):
-                if symbol is Symbol.ERROR:
-                    assert index - 1 in multi_periods
+            periods = (stream.times_ps * 1000) // clock.period_fs
+            uniq, counts = np.unique(periods, return_counts=True)
+            assert rows == list(zip((uniq[counts >= 2] + 1).tolist(),
+                                    counts[counts >= 2].tolist()))
+            assert records.counts()[Symbol.ERROR] == len(rows)
 
     def test_error_count_matches_independent_integer_arithmetic(self):
         stream = synthetic_coincidences(668.0, 50.0, seed=12)
@@ -231,47 +208,39 @@ class TestClockedExtractionOracle:
         ))
         stream = CoincidenceStream(times, labels)
         given_times, given_labels = stream.times_ps.copy(), stream.labels.copy()
-        want_records, want_rows = clocked_records(times.tolist(), labels, clock.period_fs)
+        want_symbols, want_rows = clocked_records(times.tolist(), labels, clock.period_fs)
 
         index, counts, first_labels = bitpipe.period_occupancy(stream, clock)
         table = period_table(times.tolist(), labels, clock.period_fs)
         assert list(zip(index.tolist(), counts.tolist(), first_labels.tolist())) == [
             (k, *table[k]) for k in sorted(table)
         ]
-        records = extract_bits(stream, clock)
-        assert list(zip(records.symbols.tolist(), records.clock_indices.tolist())) == (
-            want_records
-        )
-        path = tmp_path / "errors.csv"
-        write_error_log(path, stream, clock)
-        rows = [tuple(map(int, line.split(",")))
-                for line in path.read_text().splitlines()[1:]]
-        assert rows == want_rows
-        error_indices = records.clock_indices[records.symbols == int(Symbol.ERROR)]
-        assert [index for index, _ in rows] == error_indices.tolist()
+        assert extract_bits(stream, clock).symbols.tolist() == want_symbols
+        assert error_rows(tmp_path, stream, clock) == want_rows
         # the in-place work never writes through to the caller's arrays
         assert np.array_equal(stream.times_ps, given_times)
         assert np.array_equal(stream.labels, given_labels)
 
-    def test_indices_up_to_int64_max(self):
+    def test_indices_up_to_int64_max(self, tmp_path):
         # a 1 THz clock has a 1000 fs period, so a timestamp's index is t;
-        # the last index plus the number of timestamps may reach INT64_MAX
+        # the last period may sit one below INT64_MAX, where the error log's
+        # k + 1 reaches it
         clock = ClockConfig(1e12)
-        records = extract_bits(
-            coincidences((PairLabel.D3D4, INT64_MAX - 3), (PairLabel.D3D4, INT64_MAX - 2)),
-            clock,
-        )
-        assert symbols_at(records) == [(Symbol.ONE, INT64_MAX - 3), (Symbol.ONE, INT64_MAX - 2)]
-        both = coincidences((PairLabel.D1D2, INT64_MAX - 2), (PairLabel.D3D4, INT64_MAX - 2))
-        assert symbols_at(extract_bits(both, clock)) == [(Symbol.ERROR, INT64_MAX - 1)]
+        lone = coincidences((PairLabel.D3D4, INT64_MAX - 2), (PairLabel.D3D4, INT64_MAX - 1))
+        assert symbols_at(extract_bits(lone, clock)) == [Symbol.ONE, Symbol.ONE]
+        assert error_rows(tmp_path, lone, clock) == []
+        both = coincidences((PairLabel.D1D2, INT64_MAX - 1), (PairLabel.D3D4, INT64_MAX - 1))
+        assert symbols_at(extract_bits(both, clock)) == [Symbol.ERROR]
+        assert error_rows(tmp_path, both, clock) == [(INT64_MAX, 2)]
 
-    def test_index_past_int64_rejected(self):
+    def test_index_past_int64_rejected(self, tmp_path):
+        # a period at INT64_MAX would log its error at INT64_MAX + 1
         clock = ClockConfig(1e12)
+        stream = coincidences((PairLabel.D3D4, INT64_MAX - 1), (PairLabel.D3D4, INT64_MAX))
         with pytest.raises(ValueError):
-            extract_bits(
-                coincidences((PairLabel.D3D4, INT64_MAX - 2), (PairLabel.D3D4, INT64_MAX - 1)),
-                clock,
-            )
+            extract_bits(stream, clock)
+        with pytest.raises(ValueError):
+            write_error_log(tmp_path / "errors.csv", stream, clock)
 
 
 class TestBerModel:
@@ -302,13 +271,11 @@ class TestBerModel:
 
 class TestEmpiricalBer:
     def test_direct_count(self):
-        records = BitRecordStream(
-            [Symbol.ZERO, Symbol.ONE, Symbol.ERROR, Symbol.ONE], [0, 1, 2, 3]
-        )
+        records = BitRecordStream([Symbol.ZERO, Symbol.ONE, Symbol.ERROR, Symbol.ONE])
         assert empirical_ber(records) == 0.25
 
     def test_all_errors(self):
-        records = BitRecordStream([Symbol.ERROR] * 5, range(5))
+        records = BitRecordStream([Symbol.ERROR] * 5)
         assert empirical_ber(records) == 1.0
 
     def test_poisson_stream_matches_model_at_low_duty_cycle(self):
@@ -501,7 +468,7 @@ class TestPackingAndFiles:
             read_bit_file(path, fmt="hex")
 
     def test_records_to_stream_drops_errors(self):
-        records = BitRecordStream([Symbol.ONE, Symbol.ERROR, Symbol.ZERO], [0, 1, 2])
+        records = BitRecordStream([Symbol.ONE, Symbol.ERROR, Symbol.ZERO])
         assert bit_text(records_to_stream(records).bits) == "10"
 
     def test_error_log_contents(self, tmp_path):

@@ -34,6 +34,7 @@ from oracles import (
     erfc_quadrature,
     igamc_quadrature,
     longest_run_reference,
+    wrapped_pattern_counts,
 )
 
 
@@ -198,6 +199,16 @@ class TestApproxEntropy:
         bits = fair_bits(999, seed=11)
         for m in (1, 2, 3, 7):
             assert _overlapping_pattern_counts(bits, m).sum() == 999
+
+    def test_pattern_counts_match_wrapped_window_oracle(self):
+        # for the short sequences m passes n, so the windows wrap many times
+        for n in range(1, 40):
+            bits = fair_bits(n, seed=n)
+            for m in range(1, 20):
+                counts = _overlapping_pattern_counts(bits, m)
+                assert len(counts) == 2**m
+                got = {int(c): int(counts[c]) for c in np.flatnonzero(counts)}
+                assert got == wrapped_pattern_counts(bits.tolist(), m), (n, m)
 
     def test_constant_sequence_fails(self):
         n = 200

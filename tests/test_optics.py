@@ -9,7 +9,6 @@ from qrngsim.optics import (
     DetectorBank,
     InterferometerConfig,
     OutputDistribution,
-    UnsupportedReflectivity,
     click_distribution,
     output_distribution,
     visibility,
@@ -35,10 +34,6 @@ class TestConfigValidation:
     def test_rejects_nonpositive_coherence_time(self):
         with pytest.raises(ValueError):
             InterferometerConfig(coherence_time_fs=0.0)
-
-    def test_rejects_out_of_range_reflectivity(self):
-        with pytest.raises(ValueError):
-            InterferometerConfig(reflectivity=1.2)
 
     def test_rejects_out_of_range_ceiling(self):
         with pytest.raises(ValueError):
@@ -91,10 +86,6 @@ class TestOutputDistribution:
         assert dist.p11 == pytest.approx(oracle[2], abs=1e-9)
         assert dist.p11 == pytest.approx(0.316060, abs=5e-7)
         assert dist.p20 == pytest.approx(0.341970, abs=5e-7)
-
-    def test_unbalanced_splitter_rejected(self):
-        with pytest.raises(UnsupportedReflectivity):
-            output_distribution(InterferometerConfig(reflectivity=0.4))
 
     @pytest.mark.parametrize("delay", [0.0, 50.0, 150.0, 400.0, 2000.0])
     @pytest.mark.parametrize("v0", [0.5, 0.9, 1.0])
