@@ -68,21 +68,22 @@ class ClockConfig:
 
 
 class BitRecordStream:
-    """One int8 symbol per occupied clock period, in period order.
+    """One int8 symbol per occupied clock period, in period order, with the
+    period index and coincidence count of each ERROR symbol's period.
 
-    Kept as a class only because the benchmark's record counter reads
-    ``.symbols`` off extract_bits' result.
+    Built only by extract_bits, from one occupancy pass, so the error rows
+    always agree with the symbols.  The benchmark's record counter reads
+    ``.symbols``.
     """
 
-    def __init__(self, symbols: np.ndarray):
-        self.symbols = np.asarray(symbols, dtype=np.int8)
+    def __init__(self, symbols: np.ndarray, error_periods: np.ndarray,
+                 error_counts: np.ndarray):
+        self.symbols = symbols
+        self.error_periods = error_periods
+        self.error_counts = error_counts
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-    def counts(self) -> dict:
-        c = np.bincount(self.symbols, minlength=3)
-        return {Symbol.ZERO: int(c[0]), Symbol.ONE: int(c[1]), Symbol.ERROR: int(c[2])}
 
 
 class BitStream:
@@ -155,7 +156,8 @@ def extract_bits(coincidences: CoincidenceStream, clock: ClockConfig) -> BitReco
     Cross-arm labels must have been routed to the purity monitor first;
     their presence here is an error.  Each occupied period emits one
     symbol, in period order: its data bit if it holds one coincidence, an
-    error symbol if it holds more.
+    error symbol if it holds more.  The error periods' indices and counts
+    come out of the same pass, for the error log.
     """
     if len(coincidences) and np.any(
         (coincidences.labels != int(PairLabel.D1D2))
@@ -164,11 +166,12 @@ def extract_bits(coincidences: CoincidenceStream, clock: ClockConfig) -> BitReco
         raise CrossArmLabelPresent(
             "cross-arm coincidence labels must be filtered out before bit extraction"
         )
-    _, counts, first_labels = period_occupancy(coincidences, clock)
+    index, counts, first_labels = period_occupancy(coincidences, clock)
     # period_occupancy returns fresh arrays, so the view writes nowhere shared
     symbols = (first_labels == int(PairLabel.D3D4)).view(np.int8)  # ONE or ZERO
-    symbols[counts >= 2] = Symbol.ERROR
-    return BitRecordStream(symbols)
+    multi = np.flatnonzero(counts >= 2)
+    symbols[multi] = Symbol.ERROR
+    return BitRecordStream(symbols, index[multi], counts[multi])
 
 
 def ber_model(rate_hz: float, clock: ClockConfig) -> float:
@@ -190,11 +193,7 @@ def ber_model(rate_hz: float, clock: ClockConfig) -> float:
 
 def empirical_ber(records: BitRecordStream) -> float:
     """Observed error fraction: errors / all recorded symbols (0 if none)."""
-    total = len(records)
-    if total == 0:
-        return 0.0
-    errors = int(np.count_nonzero(records.symbols == int(Symbol.ERROR)))
-    return errors / total
+    return len(records.error_periods) / len(records) if len(records) else 0.0
 
 
 def von_neumann(stream: BitStream) -> BitStream:
@@ -285,12 +284,10 @@ def read_bit_file(path, fmt: str = "auto") -> BitStream:
     raise ValueError(f"unknown bit file format {fmt!r}")
 
 
-def write_error_log(path, coincidences: CoincidenceStream, clock: ClockConfig) -> None:
+def write_error_log(path, records: BitRecordStream) -> None:
     """CSV of error records: a multi-occupied period k is logged at the
     next clock pulse, k + 1, with its number of coincidences."""
-    uniq, counts, _ = period_occupancy(coincidences, clock)
-    multi = counts >= 2
-    rows = zip((uniq[multi] + 1).tolist(), counts[multi].tolist())
+    rows = zip((records.error_periods + 1).tolist(), records.error_counts.tolist())
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("clock_index,n_events_in_period\n")
         fh.writelines(f"{k},{n}\n" for k, n in rows)

@@ -214,10 +214,10 @@ def run_generation(
 ):
     """Full chain: simulate, pair, monitor, and clock out bits.
 
-    Returns the bit stream, the qualifying (D1D2/D3D4) coincidences the
-    error log is cut from, and the run's counts for the manifest.  Each
-    stage's input is dropped once its counts are taken, so the peak stays
-    the simulation's own.  Raises MonitorAlarm when the cross-arm budget
+    Returns the bit stream, the clocked records (whose error rows feed the
+    error log) and the run's counts for the manifest.  Each stage's input
+    is dropped once its counts are taken, so the peak stays the
+    simulation's own.  Raises MonitorAlarm when the cross-arm budget
     is exceeded, before anything is written; monitoring runs on the same
     coincidence stream that feeds the bit recorder.  The event CSV goes
     to ``dump_events`` if given.
@@ -239,19 +239,19 @@ def run_generation(
     qualifying = coincidences.select((PairLabel.D1D2, PairLabel.D3D4))
     del coincidences
     records = bitpipe.extract_bits(qualifying, clock)
+    measured_rate = len(qualifying) / source.duration_s
+    del qualifying
     bits = bitpipe.records_to_stream(records)
     counts["bits_recorded"] = len(bits)
-    counts["error_records"] = records.counts()[bitpipe.Symbol.ERROR]
+    counts["error_records"] = len(records.error_periods)
     counts["empirical_ber"] = bitpipe.empirical_ber(records)
-    del records
-    measured_rate = len(qualifying) / source.duration_s
     try:
         model_ber = bitpipe.ber_model(measured_rate, clock)
     except bitpipe.ModelOutOfRange:
         model_ber = None
     counts["measured_coincidence_rate_hz"] = measured_rate
     counts["model_ber"] = model_ber
-    return bits, qualifying, counts
+    return bits, records, counts
 
 
 def cmd_generate(args, manifest: RunManifest):
@@ -262,7 +262,7 @@ def cmd_generate(args, manifest: RunManifest):
     interf, bank, timing = _configs_from_args(args, args.delay)
     clock = ClockConfig(frequency_hz=args.clock)
 
-    bits, qualifying, counts = run_generation(
+    bits, records, counts = run_generation(
         source, interf, bank, timing, clock,
         monitor_threshold=args.monitor_threshold, dump_events=args.dump_events,
     )
@@ -271,7 +271,7 @@ def cmd_generate(args, manifest: RunManifest):
     manifest.add_output("bits", args.out)
 
     error_log = args.error_log or args.out + ".errors.csv"
-    bitpipe.write_error_log(error_log, qualifying, clock)
+    bitpipe.write_error_log(error_log, records)
     manifest.add_output("error_log", error_log)
 
     if args.dump_events:

@@ -133,11 +133,10 @@ class TimingConfig:
             )
         if not (self.dead_time_ns >= 0.0) or not math.isfinite(self.dead_time_ns):
             raise ValueError(f"dead_time_ns must be finite and >= 0, got {self.dead_time_ns}")
-        if not (self.coincidence_window_ns > 0.0) or not math.isfinite(
-            self.coincidence_window_ns
-        ):
+        # the window is used in whole ps, so one that rounds to 0 ps pairs nothing
+        if not (math.isfinite(self.coincidence_window_ns) and self.window_ps >= 1):
             raise ValueError(
-                f"coincidence_window_ns must be finite and > 0, "
+                f"coincidence_window_ns must be finite and round to at least 1 ps, "
                 f"got {self.coincidence_window_ns}"
             )
 

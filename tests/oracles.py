@@ -340,6 +340,48 @@ def clocked_records(times_ps, labels, period_fs):
     return symbols, error_rows
 
 
+# detector pair (lower index first) -> pair label and its name, D1..D4 = 0..3
+_PAIR_LABELS = {(0, 1): 0, (2, 3): 1, (0, 2): 2, (0, 3): 3, (1, 2): 4, (1, 3): 5}
+_LABEL_NAMES = ["D1D2", "D3D4", "D1D3", "D1D4", "D2D3", "D2D4"]
+
+
+def reference_generate(
+    pair_rate_hz, duration_s, seed, patterns, weights, jitter_sigma_ps,
+    dark_rate_hz, dead_ps, window_ps, period_fs,
+):
+    """``generate``'s outputs, composed from the per-stage oracles.
+
+    reference_simulate gives the clicks and reference_greedy_pairs pairs
+    them; a pair is stamped with its earlier click's time and labelled by
+    its two detectors.  The D1D2 and D3D4 pairs go through clocked_records.
+    Returns (ASCII bit-file bytes, error-log bytes, manifest counts).
+    """
+    times, dets = reference_simulate(
+        pair_rate_hz, duration_s, seed, patterns, weights, jitter_sigma_ps,
+        dark_rate_hz, dead_ps,
+    )
+    times, dets = times.tolist(), dets.tolist()
+    pairs = reference_greedy_pairs(times, dets, window_ps)
+    labels = [_PAIR_LABELS[tuple(sorted((dets[i], dets[j])))] for i, j in pairs]
+    kept = [(times[i], label) for (i, _), label in zip(pairs, labels) if label < 2]
+    symbols, error_rows = clocked_records(
+        [t for t, _ in kept], [label for _, label in kept], period_fs
+    )
+    bits = [s for s in symbols if s != 2]
+    error_log = "clock_index,n_events_in_period\n" + "".join(
+        f"{k},{n}\n" for k, n in error_rows
+    )
+    counts = {
+        "n_events": len(times),
+        "n_coincidences": len(pairs),
+        "label_counts": {name: labels.count(code) for code, name in enumerate(_LABEL_NAMES)},
+        "unpaired_clicks": len(times) - 2 * len(pairs),
+        "bits_recorded": len(bits),
+        "error_records": len(error_rows),
+    }
+    return reference_ascii_bits(bits), error_log.encode("ascii"), counts
+
+
 def poisson_period_occupancy(rate_hz, frequency_hz, duration_s, seed):
     """Independent float-based Poisson placement into clock periods.
 

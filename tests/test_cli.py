@@ -23,10 +23,15 @@ from qrngsim.cli import (
     main,
 )
 from qrngsim.manifest import RunManifest, sha256_file
-from qrngsim.optics import DetectorBank, InterferometerConfig
+from qrngsim.optics import (
+    DetectorBank,
+    InterferometerConfig,
+    click_distribution,
+    output_distribution,
+)
 from qrngsim.timetag import scan_workers
 
-from oracles import bit_array
+from oracles import bit_array, reference_generate
 
 
 def run(*argv):
@@ -258,6 +263,68 @@ class TestGenerate:
         assert command_peak <= 1.2 * simulate_peak, command_peak / simulate_peak
 
 
+@st.composite
+def tiny_generate_runs(draw):
+    """(duration s, pairs, darks per detector, jitter ps, dead time ns,
+    window ns, clock periods per run, delay fs, efficiency, seed) of a
+    generate run the scalar oracles can follow.  Up to 400 pairs in 1 us
+    is a 400 MHz flux, where clicks pile up in one window; a 50 ns or
+    10 us dead time outlasts the 3 ns window, and a 1 us window pairs
+    across whole runs; one or two clock periods per run hold many
+    coincidences each, and 100,000 (a 1e15 Hz clock at most) hold one
+    each."""
+    return (
+        draw(st.sampled_from([1e-12, 1e-6, 1e-4, 1e-2])),
+        draw(st.integers(0, 400)),
+        draw(st.sampled_from([0, 1, 40, 100])),
+        draw(st.sampled_from([0.0, 300.0, 1e6])),
+        draw(st.sampled_from([0.0, 50.0, 1e4])),
+        draw(st.sampled_from([0.001, 3.0, 1e3])),
+        draw(st.sampled_from([1, 2, 7, 1000, 100_000])),
+        draw(st.sampled_from([0.0, 60.0, 1e4])),
+        draw(st.sampled_from([1.0, 0.8])),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestGenerateOracle:
+    """``generate``'s bit file, error log and manifest counts against
+    ``reference_generate``, the per-stage scalar oracles composed: a stage
+    handing the next one the wrong stream, or a count taken before a
+    filter, fails here even where each stage passes its own oracle."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(run_=tiny_generate_runs())
+    # 4 MHz pairs with 4 MHz darks, 50 ns dead time, one clock period
+    @example(run_=(1e-4, 400, 400, 300.0, 50.0, 3.0, 1, 0.0, 1.0, 3))
+    # off the dip, with cross-arm pairs, no jitter and no dead time
+    @example(run_=(1e-2, 300, 40, 0.0, 0.0, 3.0, 1000, 1e4, 0.8, 5))
+    # a run near the duration cap, on a 1 Hz clock
+    @example(run_=(4_611_686.0, 3, 2, 1e6, 1e4, 3.0, 4_611_686, 0.0, 1.0, 7))
+    def test_matches_composed_oracle(self, tmp_path, run_):
+        duration, pairs, darks, jitter, dead_ns, window_ns, periods, delay, eff, seed = run_
+        pair_rate, dark_rate = pairs / duration, darks / duration
+        clock = min(periods / duration, 1e15)
+        out = tmp_path / "bits.txt"
+        assert run("generate", "--duration", repr(duration), "--pair-rate", repr(pair_rate),
+                   "--dark-rate", repr(dark_rate), "--jitter", repr(jitter),
+                   "--dead-time", repr(dead_ns), "--window", repr(window_ns),
+                   "--clock", repr(clock), "--delay", repr(delay),
+                   "--efficiency", repr(eff), "--seed", str(seed),
+                   "--monitor-threshold", str(10**9), "--out", str(out)) == EXIT_OK
+        clicks = click_distribution(output_distribution(InterferometerConfig(delay_fs=delay)),
+                                    DetectorBank(efficiency=eff, dark_rate_hz=dark_rate))
+        want_bits, want_log, want_counts = reference_generate(
+            pair_rate, duration, seed, list(clicks), list(clicks.values()), jitter,
+            dark_rate, round(dead_ns * 1000), round(window_ns * 1000), round(10**15 / clock),
+        )
+        assert out.read_bytes() == want_bits
+        assert (tmp_path / "bits.txt.errors.csv").read_bytes() == want_log
+        metadata = RunManifest.load(str(out) + ".manifest.json").metadata
+        assert {key: metadata[key] for key in want_counts} == want_counts
+
+
 class TestDurationPastInt64Headroom:
     # 1e7 s is 1e19 ps, past the INT64_MAX // 2 ps (about 4.6e6 s) cap
     @pytest.mark.parametrize("argv", [
@@ -299,17 +366,22 @@ class TestRunTooLargeForMemory:
 
 
 class TestUnusableTiming:
-    # non-finite timing values, a jitter past its one-second cap, a
-    # parameter no manifest can record, and a negative alarm threshold
+    # non-finite timing values, windows that round to 0 ps, a jitter past
+    # its one-second cap, a parameter no manifest can record, and a
+    # negative alarm threshold
     @pytest.mark.parametrize("argv", [
         ["generate", "--duration", "1", "--dead-time", "inf"],
         ["generate", "--duration", "1", "--window", "inf"],
+        ["generate", "--duration", "1", "--window", "1e-300"],
+        ["generate", "--duration", "1", "--window", "0.0004"],
         ["generate", "--duration", "1", "--jitter", "1e30"],
         ["generate", "--duration", "1", "--jitter", "inf"],
         ["generate", "--duration", "1", "--coherence-time", "inf"],
         ["generate", "--duration", "1", "--monitor-threshold", "-1"],
         ["scan-delay", "--from", "-600", "--to", "600", "--steps", "3",
          "--pairs-per-point", "1e3", "--window", "inf"],
+        ["scan-delay", "--from", "-600", "--to", "600", "--steps", "3",
+         "--pairs-per-point", "1e3", "--window", "0.0005"],
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, argv):
         out = tmp_path / "o.txt"

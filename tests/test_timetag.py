@@ -113,6 +113,13 @@ class TestConfigs:
         assert TimingConfig(coincidence_window_ns=3.0).window_ps == 3000
         assert TimingConfig(dead_time_ns=50.0).dead_time_ps == 50_000
 
+    def test_window_rounding_to_zero_ps_rejected(self):
+        # the window is used in whole ps; 0.5 ps rounds to 0 as well
+        for window_ns in (0.0004, 0.0005, 1e-300):
+            with pytest.raises(ValueError, match="coincidence_window_ns"):
+                TimingConfig(coincidence_window_ns=window_ns)
+        assert TimingConfig(coincidence_window_ns=0.001).window_ps == 1
+
 
 class TestSimulate:
     def test_silent_source_produces_nothing(self):
