@@ -21,13 +21,17 @@ from enum import IntEnum
 
 import numpy as np
 
-from .statskit import EmptyStream
+from .statskit import as_bit_array
 from .timetag import CoincidenceStream, PairLabel, UnsortedInput
 
 FS_PER_SECOND = 10**15
 
 _INT64_MAX = np.iinfo(np.int64).max
 _MAX_PERIOD_FS = _INT64_MAX // 1000  # 9.22 s: 1000 * (t mod P) still fits int64
+
+
+class EmptyStream(ValueError):
+    pass
 
 
 class CrossArmLabelPresent(ValueError):
@@ -89,13 +93,8 @@ class BitRecordStream:
 class BitStream:
     """A one-dimensional uint8 array of 0/1 bits."""
 
-    def __init__(self, bits):
-        arr = np.asarray(bits, dtype=np.uint8)
-        if arr.ndim != 1:
-            raise ValueError("bits must be one-dimensional")
-        if len(arr) and arr.max() > 1:
-            raise ValueError("bits must be 0 or 1")
-        self.bits = arr
+    def __init__(self, bits: np.ndarray):
+        self.bits = as_bit_array(bits)
 
     def __len__(self) -> int:
         return len(self.bits)

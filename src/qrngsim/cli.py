@@ -124,6 +124,8 @@ def cmd_scan_delay(args, manifest: RunManifest):
         raise UsageError("scan-delay: --steps must be at least 2")
     if args.pairs_per_point <= 0 or args.point_duration <= 0:
         raise UsageError("scan-delay: pair budget and point duration must be positive")
+    if not math.isfinite(args.delay_to - args.delay_from):
+        raise UsageError("scan-delay: the span from --from to --to overflows")
     if args.fit and (args.steps < 3 or args.delay_from == args.delay_to):
         raise UsageError("scan-delay: the dip fit needs three or more distinct delays "
                          "(or --no-fit)")

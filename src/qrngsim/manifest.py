@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 
 from . import __version__
@@ -35,13 +35,15 @@ def utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunManifest:
+    """The saved schema: the fields, in the saved key order."""
+
+    tool_version: str = __version__
     command: str
+    seed: int
     argv: list
     parameters: dict
-    seed: int
-    tool_version: str = __version__
     started_utc: str = ""
     finished_utc: str = ""
     outputs: list = field(default_factory=list)
@@ -59,17 +61,7 @@ class RunManifest:
         self.outputs.append({"name": name, "sha256": sha256_file(path)})
 
     def as_dict(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "command": self.command,
-            "seed": self.seed,
-            "argv": self.argv,
-            "parameters": self.parameters,
-            "started_utc": self.started_utc,
-            "finished_utc": self.finished_utc,
-            "outputs": self.outputs,
-            "metadata": self.metadata,
-        }
+        return asdict(self)
 
     def save(self, path) -> None:
         """Write strict JSON; ValueError, before the file is opened, for a
@@ -93,14 +85,4 @@ class RunManifest:
             )
         if not (isinstance(raw["argv"], list) and all(isinstance(a, str) for a in raw["argv"])):
             raise ValueError(f"{path}: manifest argv must be a list of strings")
-        return cls(
-            command=raw["command"],
-            argv=raw["argv"],
-            parameters=raw["parameters"],
-            seed=raw["seed"],
-            tool_version=raw["tool_version"],
-            started_utc=raw.get("started_utc", ""),
-            finished_utc=raw.get("finished_utc", ""),
-            outputs=raw.get("outputs", []),
-            metadata=raw.get("metadata", {}),
-        )
+        return cls(**{f.name: raw[f.name] for f in fields(cls) if f.name in raw})

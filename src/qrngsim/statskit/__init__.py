@@ -2,10 +2,6 @@
 
 from .special import DomainError, erfc, igamc, normal_cdf
 from .sp800_22 import (
-    EmptyStream,
-    InvalidBlockLength,
-    InvalidPatternLength,
-    SequenceTooShort,
     SuiteConfig,
     SuiteReport,
     TestReport,
@@ -24,10 +20,6 @@ from .sp800_22 import (
 
 __all__ = [
     "DomainError",
-    "EmptyStream",
-    "InvalidBlockLength",
-    "InvalidPatternLength",
-    "SequenceTooShort",
     "SuiteConfig",
     "SuiteReport",
     "TestReport",

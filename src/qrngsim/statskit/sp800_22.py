@@ -9,35 +9,21 @@ document says they do (approximate entropy, serial) and nowhere else.
 
 A report carries ``applicable=False`` instead of a fake P-value whenever
 a test's length preconditions fail, so "not testable" never masquerades
-as "tested and failed".
+as "tested and failed".  A sequence too short to compute a test at all
+gets a blank report (no P-values, statistic 0) from the test itself; a
+parameter no test can use raises ValueError.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .special import erfc, igamc, normal_cdf
-
-
-class EmptyStream(ValueError):
-    pass
-
-
-class InvalidBlockLength(ValueError):
-    pass
-
-
-class SequenceTooShort(ValueError):
-    pass
-
-
-class InvalidPatternLength(ValueError):
-    pass
 
 
 def as_bit_array(bits: np.ndarray) -> np.ndarray:
@@ -91,12 +77,16 @@ class SuiteReport:
     sequence_id: str
     n_bits: int
     alpha: float
-    tests: list = field(default_factory=list)
-    overall_pass: bool = True
+    tests: list
 
     @property
     def n_applicable(self) -> int:
         return sum(t.applicable for t in self.tests)
+
+    @property
+    def overall_pass(self) -> bool:
+        """All applicable tests passed, and at least one applied."""
+        return self.n_applicable > 0 and all(t.passed for t in self.tests if t.applicable)
 
     def as_dict(self) -> dict:
         return {
@@ -123,12 +113,17 @@ def _report(name, p_values, statistic, alpha, applicable=True) -> TestReport:
     )
 
 
+def _too_short(name) -> TestReport:
+    """The blank report of a test the sequence is too short to compute."""
+    return TestReport(name, (), 0.0, passed=False, applicable=False)
+
+
 def frequency_test(bits, alpha: float = 0.01) -> TestReport:
     """Monobit balance: P = erfc(|S| / sqrt(2 n)) with S = sum(2 b - 1)."""
     b = as_bit_array(bits)
     n = len(b)
     if n == 0:
-        raise EmptyStream("frequency test needs at least one bit")
+        return _too_short("frequency")
     s = 2 * int(b.sum()) - n
     p = erfc(abs(s) / math.sqrt(2.0 * n))
     return _report("frequency", (p,), abs(s) / math.sqrt(n), alpha, applicable=n >= 100)
@@ -139,10 +134,10 @@ def block_frequency_test(bits, m: int = 128, alpha: float = 0.01) -> TestReport:
     b = as_bit_array(bits)
     n = len(b)
     if m < 1:
-        raise InvalidBlockLength(f"block length must be >= 1, got {m}")
+        raise ValueError(f"block length must be >= 1, got {m}")
     n_blocks = n // m
     if n_blocks < 1:
-        raise InvalidBlockLength(f"sequence of {n} bits has no complete {m}-bit block")
+        return _too_short("block_frequency")
     pi = b[: n_blocks * m].reshape(n_blocks, m).mean(axis=1)
     chi2 = 4.0 * m * float(((pi - 0.5) ** 2).sum())
     p = igamc(n_blocks / 2.0, chi2 / 2.0)
@@ -161,7 +156,7 @@ def runs_test(bits, alpha: float = 0.01) -> TestReport:
     b = as_bit_array(bits)
     n = len(b)
     if n == 0:
-        raise EmptyStream("runs test needs at least one bit")
+        return _too_short("runs")
     pi = int(b.sum()) / n
     if pi in (0.0, 1.0) or abs(pi - 0.5) >= 2.0 / math.sqrt(n):
         return TestReport("runs", (), pi, passed=False, applicable=False)
@@ -201,7 +196,7 @@ def longest_run_test(bits, alpha: float = 0.01) -> TestReport:
     b = as_bit_array(bits)
     n = len(b)
     if n < 128:
-        raise SequenceTooShort(f"longest-run test needs >= 128 bits, got {n}")
+        return _too_short("longest_run")
     for min_n, m, edges, pis in _LONGEST_RUN_TABLE:
         if n >= min_n:
             break
@@ -241,16 +236,30 @@ def cusum_test(bits, mode: str = "forward", alpha: float = 0.01) -> TestReport:
     """Maximum excursion of the +/-1 random walk (forward or reversed)."""
     b = as_bit_array(bits)
     n = len(b)
-    if n == 0:
-        raise EmptyStream("cumulative sums test needs at least one bit")
     if mode not in ("forward", "backward"):
         raise ValueError(f"mode must be 'forward' or 'backward', got {mode!r}")
+    if n == 0:
+        return _too_short(f"cumulative_sums_{mode}")
     x = 2 * b.astype(np.int64) - 1
     if mode == "backward":
         x = x[::-1]
     z = int(np.abs(np.cumsum(x)).max())
     p = _cusum_p_value(z, n)
     return _report(f"cumulative_sums_{mode}", (p,), float(z), alpha, applicable=n >= 100)
+
+
+def _cusum_both(bits, alpha: float) -> TestReport:
+    """Both scan directions in one report: p_values (forward, backward),
+    statistic the forward excursion."""
+    fwd = cusum_test(bits, "forward", alpha)
+    bwd = cusum_test(bits, "backward", alpha)
+    return TestReport(
+        test_name="cumulative_sums",
+        p_values=fwd.p_values + bwd.p_values,
+        statistic=fwd.statistic,
+        passed=fwd.passed and bwd.passed,
+        applicable=fwd.applicable and bwd.applicable,
+    )
 
 
 def _overlapping_pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
@@ -268,9 +277,9 @@ def approx_entropy_test(bits, m: int = 2, alpha: float = 0.01) -> TestReport:
     b = as_bit_array(bits)
     n = len(b)
     if m < 1:
-        raise InvalidPatternLength(f"pattern length must be >= 1, got {m}")
+        raise ValueError(f"pattern length must be >= 1, got {m}")
     if n == 0:
-        raise EmptyStream("approximate entropy test needs at least one bit")
+        return _too_short("approximate_entropy")
 
     def phi(mm: int) -> float:
         counts = _overlapping_pattern_counts(b, mm)
@@ -296,12 +305,12 @@ def serial_test(bits, m: Optional[int] = None, alpha: float = 0.01) -> TestRepor
     """Overlapping m-bit pattern uniformity (psi-square differences)."""
     b = as_bit_array(bits)
     n = len(b)
-    if n == 0:
-        raise EmptyStream("serial test needs at least one bit")
     if m is None:
         m = default_serial_m(n)
     if m < 2:
-        raise InvalidPatternLength(f"serial test needs pattern length >= 2, got {m}")
+        raise ValueError(f"serial test needs pattern length >= 2, got {m}")
+    if n == 0:
+        return _too_short("serial")
 
     # The windows wrap, so the (m-1)-bit windows are exactly the m-bit
     # windows' prefixes: summing adjacent pattern counts shortens them by
@@ -328,7 +337,7 @@ def spectral_test(bits, alpha: float = 0.01) -> TestReport:
     b = as_bit_array(bits)
     n = len(b)
     if n < 2:
-        raise SequenceTooShort(f"spectral test needs >= 2 bits, got {n}")
+        return _too_short("spectral")
     x = 2.0 * b.astype(np.float64) - 1.0
     magnitudes = np.abs(np.fft.rfft(x))[: n // 2]
     threshold = math.sqrt(n * math.log(1.0 / 0.05))
@@ -339,59 +348,27 @@ def spectral_test(bits, alpha: float = 0.01) -> TestReport:
     return _report("spectral", (p,), d, alpha, applicable=n >= 1000)
 
 
-_PRECONDITION_ERRORS = (
-    EmptyStream,
-    InvalidBlockLength,
-    SequenceTooShort,
-    InvalidPatternLength,
-)
-
-
 def run_suite(bits, config: Optional[SuiteConfig] = None, sequence_id: str = "") -> SuiteReport:
     """Run the battery in canonical order and aggregate the verdict.
 
     The cumulative-sums report folds both scan directions into one entry
-    (p_values = (forward, backward), statistic = forward excursion).
-    Tests whose length preconditions cannot even be evaluated appear as
-    non-applicable reports with no P-values.  ``overall_pass`` is the
-    conjunction over applicable tests only, and false when no test
-    applies (``n_applicable`` is 0, as below 100 bits).
+    (p_values = (forward, backward), statistic = forward excursion).  A
+    test the sequence is too short for reports itself not applicable,
+    with no P-values.  ``overall_pass`` is the conjunction over applicable
+    tests only, and false when no test applies (``n_applicable`` is 0, as
+    below 100 bits).
     """
     if config is None:
         config = SuiteConfig()
     b = as_bit_array(bits)
     alpha = config.alpha
-
-    def cusum_both(bb, a):
-        fwd = cusum_test(bb, "forward", a)
-        bwd = cusum_test(bb, "backward", a)
-        return TestReport(
-            test_name="cumulative_sums",
-            p_values=fwd.p_values + bwd.p_values,
-            statistic=fwd.statistic,
-            passed=fwd.passed and bwd.passed,
-            applicable=fwd.applicable and bwd.applicable,
-        )
-
-    battery = (
-        ("frequency", lambda bb, a: frequency_test(bb, a)),
-        ("block_frequency", lambda bb, a: block_frequency_test(bb, config.block_frequency_m, a)),
-        ("runs", lambda bb, a: runs_test(bb, a)),
-        ("longest_run", lambda bb, a: longest_run_test(bb, a)),
-        ("cumulative_sums", cusum_both),
-        ("approximate_entropy", lambda bb, a: approx_entropy_test(bb, config.approx_entropy_m, a)),
-        ("serial", lambda bb, a: serial_test(bb, config.serial_m, a)),
-        ("spectral", lambda bb, a: spectral_test(bb, a)),
-    )
-
-    report = SuiteReport(sequence_id=sequence_id, n_bits=len(b), alpha=alpha)
-    for name, runner in battery:
-        try:
-            result = runner(b, alpha)
-        except _PRECONDITION_ERRORS:
-            result = TestReport(name, (), 0.0, passed=False, applicable=False)
-        report.tests.append(result)
-    report.overall_pass = report.n_applicable > 0 and all(
-        t.passed for t in report.tests if t.applicable
-    )
-    return report
+    return SuiteReport(sequence_id=sequence_id, n_bits=len(b), alpha=alpha, tests=[
+        frequency_test(b, alpha),
+        block_frequency_test(b, config.block_frequency_m, alpha),
+        runs_test(b, alpha),
+        longest_run_test(b, alpha),
+        _cusum_both(b, alpha),
+        approx_entropy_test(b, config.approx_entropy_m, alpha),
+        serial_test(b, config.serial_m, alpha),
+        spectral_test(b, alpha),
+    ])

@@ -74,20 +74,11 @@ CROSS_ARM_LABELS = frozenset(
     (PairLabel.D1D3, PairLabel.D1D4, PairLabel.D2D3, PairLabel.D2D4)
 )
 
-# detector index pair (low, high) -> label
-_LABEL_OF_PAIR = {
-    (0, 1): PairLabel.D1D2,
-    (2, 3): PairLabel.D3D4,
-    (0, 2): PairLabel.D1D3,
-    (0, 3): PairLabel.D1D4,
-    (1, 2): PairLabel.D2D3,
-    (1, 3): PairLabel.D2D4,
-}
-
-# flat lookup table indexed by lo * 4 + hi (same-detector slots unused)
+# flat lookup table indexed by lo * 4 + hi, read from each label's name
+# (same-detector slots unused)
 _LABEL_TABLE = np.full(16, -1, dtype=np.int8)
-for (_lo, _hi), _lab in _LABEL_OF_PAIR.items():
-    _LABEL_TABLE[_lo * 4 + _hi] = int(_lab)
+for _lab in PairLabel:
+    _LABEL_TABLE[Detector[_lab.name[:2]] * 4 + Detector[_lab.name[2:]]] = _lab
 
 
 def duration_ps(duration_s: float) -> int:
@@ -131,12 +122,13 @@ class TimingConfig:
                 f"jitter_sigma_ps must lie in 0 to {MAX_JITTER_SIGMA_PS:.0e}, "
                 f"got {self.jitter_sigma_ps}"
             )
-        if not (self.dead_time_ns >= 0.0) or not math.isfinite(self.dead_time_ns):
-            raise ValueError(f"dead_time_ns must be finite and >= 0, got {self.dead_time_ns}")
-        # the window is used in whole ps, so one that rounds to 0 ps pairs nothing
-        if not (math.isfinite(self.coincidence_window_ns) and self.window_ps >= 1):
+        # both are used in whole ps, so each must stay finite once in ps
+        if not (self.dead_time_ns >= 0.0) or not math.isfinite(self.dead_time_ns * 1000.0):
+            raise ValueError(f"dead_time_ns must be >= 0 and finite in ps, got {self.dead_time_ns}")
+        # a window that rounds to 0 ps pairs nothing
+        if not (math.isfinite(self.coincidence_window_ns * 1000.0) and self.window_ps >= 1):
             raise ValueError(
-                f"coincidence_window_ns must be finite and round to at least 1 ps, "
+                f"coincidence_window_ns must be finite in ps and round to at least 1 ps, "
                 f"got {self.coincidence_window_ns}"
             )
 

@@ -382,6 +382,15 @@ class TestUnusableTiming:
          "--pairs-per-point", "1e3", "--window", "inf"],
         ["scan-delay", "--from", "-600", "--to", "600", "--steps", "3",
          "--pairs-per-point", "1e3", "--window", "0.0005"],
+        # finite in ns, infinite in ps
+        ["generate", "--duration", "0.01", "--window", "1e306"],
+        ["generate", "--duration", "0.01", "--dead-time", "1e306"],
+        ["scan-delay", "--from", "-600", "--to", "600", "--steps", "3",
+         "--pairs-per-point", "1e3", "--window", "1e306"],
+        ["scan-delay", "--from", "-600", "--to", "600", "--steps", "3",
+         "--pairs-per-point", "1e3", "--dead-time", "1e306"],
+        # a delay span past the float range
+        ["scan-delay", "--from=1e308", "--to=-1e308", "--steps", "3"],
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, argv):
         out = tmp_path / "o.txt"
@@ -636,6 +645,17 @@ class TestRerunAndManifest:
         assert sha256_file(rerun_dir / "g.txt.report.json") == report_digest
         replayed = RunManifest.load(str(rerun_dir / "g.txt.report.json.manifest.json"))
         assert [o["sha256"] for o in replayed.outputs] == [report_digest]
+
+    def test_save_keeps_the_schema_key_order(self, tmp_path):
+        manifest = RunManifest(command="ber-scan", argv=["ber-scan"], parameters={"rate": 1.0},
+                               seed=3, started_utc="a", finished_utc="b")
+        path = tmp_path / "m.json"
+        manifest.save(path)
+        assert list(json.loads(path.read_text())) == [
+            "tool_version", "command", "seed", "argv", "parameters",
+            "started_utc", "finished_utc", "outputs", "metadata",
+        ]
+        assert RunManifest.load(path) == manifest
 
     def test_save_refuses_nan_before_writing(self, tmp_path):
         manifest = RunManifest(command="scan-delay", argv=[], parameters={}, seed=0)

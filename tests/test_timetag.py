@@ -120,6 +120,13 @@ class TestConfigs:
                 TimingConfig(coincidence_window_ns=window_ns)
         assert TimingConfig(coincidence_window_ns=0.001).window_ps == 1
 
+    def test_values_past_the_float_range_in_ps_rejected(self):
+        # finite in ns, infinite once multiplied to ps
+        for field in ("coincidence_window_ns", "dead_time_ns"):
+            with pytest.raises(ValueError, match=field):
+                TimingConfig(**{field: 1e306})
+        assert TimingConfig(dead_time_ns=1e300).dead_time_ps == round(1e303)
+
 
 class TestSimulate:
     def test_silent_source_produces_nothing(self):
