@@ -22,20 +22,11 @@ from enum import IntEnum
 import numpy as np
 
 from .statskit import as_bit_array
-from .timetag import CoincidenceStream, PairLabel, UnsortedInput
+from .timetag import _INT64_MAX, CoincidenceStream, PairLabel
 
 FS_PER_SECOND = 10**15
 
-_INT64_MAX = np.iinfo(np.int64).max
 _MAX_PERIOD_FS = _INT64_MAX // 1000  # 9.22 s: 1000 * (t mod P) still fits int64
-
-
-class EmptyStream(ValueError):
-    pass
-
-
-class CrossArmLabelPresent(ValueError):
-    pass
 
 
 class ModelOutOfRange(ValueError):
@@ -138,7 +129,7 @@ def period_occupancy(coincidences: CoincidenceStream, clock: ClockConfig):
     """
     times = coincidences.times_ps
     if np.any(times[1:] < times[:-1]):
-        raise UnsortedInput("coincidences must be time-sorted")
+        raise ValueError("coincidences must be time-sorted")
     periods = _period_indices(times, clock)
     run_start = np.empty(len(periods), dtype=bool)
     run_start[:1] = True
@@ -162,7 +153,7 @@ def extract_bits(coincidences: CoincidenceStream, clock: ClockConfig) -> BitReco
         (coincidences.labels != int(PairLabel.D1D2))
         & (coincidences.labels != int(PairLabel.D3D4))
     ):
-        raise CrossArmLabelPresent(
+        raise ValueError(
             "cross-arm coincidence labels must be filtered out before bit extraction"
         )
     index, counts, first_labels = period_occupancy(coincidences, clock)
@@ -214,7 +205,7 @@ def von_neumann(stream: BitStream) -> BitStream:
 def bias_estimate(stream: BitStream):
     """(fraction of ones, its binomial standard error)."""
     if stream.n == 0:
-        raise EmptyStream("cannot estimate bias of an empty bit stream")
+        raise ValueError("cannot estimate bias of an empty bit stream")
     p = int(stream.bits.sum()) / stream.n
     return p, math.sqrt(p * (1.0 - p) / stream.n)
 

@@ -144,7 +144,7 @@ def cmd_scan_delay(args, manifest: RunManifest):
     manifest.add_output("scan_csv", args.out)
 
     if args.fit:
-        cross = counts[:, sorted(CROSS_ARM_LABELS)].sum(axis=1)
+        cross = counts[..., CROSS_ARM_LABELS].sum(axis=-1)
         fit = timetag.fit_dip_visibility(delays, cross / source.duration_s,
                                          np.sqrt(cross) / source.duration_s)
         manifest.metadata["fitted_visibility"] = fit.visibility
@@ -226,13 +226,14 @@ def run_generation(
     """
     events = timetag.simulate(source, interf, bank, timing)
     coincidences = timetag.coincidence_filter(events, timing)
-    cross_arm = timetag.purity_monitor(coincidences, threshold=monitor_threshold)
+    label_counts = timetag.label_counts(coincidences.labels)
+    cross_arm = timetag.purity_monitor(label_counts, threshold=monitor_threshold)
     if dump_events:
         timetag.write_events_csv(events, dump_events)
     counts = {
         "n_events": len(events),
         "n_coincidences": len(coincidences),
-        "label_counts": {l.name: c for l, c in coincidences.label_counts().items()},
+        "label_counts": {l.name: n for l, n in zip(PairLabel, label_counts.tolist())},
         "cross_arm_count": cross_arm,
         "multi_click_clusters": coincidences.n_multi_click_clusters,
         "unpaired_clicks": coincidences.n_unpaired,

@@ -1,6 +1,6 @@
 """Randomness validation: special functions and the SP 800-22 subset."""
 
-from .special import DomainError, erfc, igamc, normal_cdf
+from .special import erfc, igamc, normal_cdf
 from .sp800_22 import (
     SuiteConfig,
     SuiteReport,
@@ -19,7 +19,6 @@ from .sp800_22 import (
 )
 
 __all__ = [
-    "DomainError",
     "SuiteConfig",
     "SuiteReport",
     "TestReport",

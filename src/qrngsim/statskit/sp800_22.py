@@ -10,8 +10,11 @@ document says they do (approximate entropy, serial) and nowhere else.
 A report carries ``applicable=False`` instead of a fake P-value whenever
 a test's length preconditions fail, so "not testable" never masquerades
 as "tested and failed".  A sequence too short to compute a test at all
-gets a blank report (no P-values, statistic 0) from the test itself; a
-parameter no test can use raises ValueError.
+gets a blank report (no P-values, statistic 0) from the test itself, and
+so does a pattern length too long for the sequence (serial's m above
+floor(log2 n) - 2, approximate entropy's 2^(m+1) at or above n), whose
+2^m-entry table would outgrow the bits it counts; a parameter no test
+can use raises ValueError.
 """
 
 from __future__ import annotations
@@ -232,34 +235,25 @@ def _cusum_p_value(z: int, n: int) -> float:
     return min(max(total, 0.0), 1.0)
 
 
-def cusum_test(bits, mode: str = "forward", alpha: float = 0.01) -> TestReport:
-    """Maximum excursion of the +/-1 random walk (forward or reversed)."""
+def cusum_test(bits, alpha: float = 0.01) -> TestReport:
+    """Maximum excursions of the +/-1 random walk, forward and backward.
+
+    p_values are (forward, backward); the statistic is the forward
+    excursion.  One walk S_1..S_n serves both directions: the reversed
+    walk's partial sums are S_n - S_i for i = 0..n-1, with S_0 = 0.
+    """
     b = as_bit_array(bits)
     n = len(b)
-    if mode not in ("forward", "backward"):
-        raise ValueError(f"mode must be 'forward' or 'backward', got {mode!r}")
     if n == 0:
-        return _too_short(f"cumulative_sums_{mode}")
-    x = 2 * b.astype(np.int64) - 1
-    if mode == "backward":
-        x = x[::-1]
-    z = int(np.abs(np.cumsum(x)).max())
-    p = _cusum_p_value(z, n)
-    return _report(f"cumulative_sums_{mode}", (p,), float(z), alpha, applicable=n >= 100)
-
-
-def _cusum_both(bits, alpha: float) -> TestReport:
-    """Both scan directions in one report: p_values (forward, backward),
-    statistic the forward excursion."""
-    fwd = cusum_test(bits, "forward", alpha)
-    bwd = cusum_test(bits, "backward", alpha)
-    return TestReport(
-        test_name="cumulative_sums",
-        p_values=fwd.p_values + bwd.p_values,
-        statistic=fwd.statistic,
-        passed=fwd.passed and bwd.passed,
-        applicable=fwd.applicable and bwd.applicable,
-    )
+        return _too_short("cumulative_sums")
+    walk = np.cumsum(b.view(np.int8) * 2 - 1, dtype=np.int64)
+    lo = int(walk[:-1].min(initial=0))
+    hi = int(walk[:-1].max(initial=0))
+    end = int(walk[-1])
+    forward = max(hi, -lo, abs(end))
+    backward = max(end - lo, hi - end)
+    p_values = (_cusum_p_value(forward, n), _cusum_p_value(backward, n))
+    return _report("cumulative_sums", p_values, forward, alpha, applicable=n >= 100)
 
 
 def _overlapping_pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
@@ -272,26 +266,32 @@ def _overlapping_pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
     return np.bincount(codes, minlength=2**m)
 
 
+def _fold(counts: np.ndarray) -> np.ndarray:
+    """The counts of the windows one bit shorter.  The windows wrap, so a
+    window's first m - 1 bits are the shorter window at the same start:
+    summing adjacent pattern counts, in integers, replaces another pass
+    over the bits."""
+    return counts[0::2] + counts[1::2]
+
+
 def approx_entropy_test(bits, m: int = 2, alpha: float = 0.01) -> TestReport:
     """Approximate entropy of overlapping m- vs (m+1)-bit patterns."""
     b = as_bit_array(bits)
     n = len(b)
     if m < 1:
         raise ValueError(f"pattern length must be >= 1, got {m}")
-    if n == 0:
+    if n <= 2 ** (m + 1):
         return _too_short("approximate_entropy")
 
-    def phi(mm: int) -> float:
-        counts = _overlapping_pattern_counts(b, mm)
-        counts = counts[counts > 0].astype(float)
-        freq = counts / n
+    def phi(counts) -> float:
+        freq = counts[counts > 0] / n
         return float((freq * np.log(freq)).sum())
 
-    apen = phi(m) - phi(m + 1)
+    longer = _overlapping_pattern_counts(b, m + 1)
+    apen = phi(_fold(longer)) - phi(longer)
     chi2 = 2.0 * n * (math.log(2.0) - apen)
     p = igamc(2 ** (m - 1), chi2 / 2.0)
-    applicable = n >= 100 and n > 2 ** (m + 1)
-    return _report("approximate_entropy", (p,), chi2, alpha, applicable=applicable)
+    return _report("approximate_entropy", (p,), chi2, alpha, applicable=n >= 100)
 
 
 def default_serial_m(n: int) -> int:
@@ -309,18 +309,15 @@ def serial_test(bits, m: Optional[int] = None, alpha: float = 0.01) -> TestRepor
         m = default_serial_m(n)
     if m < 2:
         raise ValueError(f"serial test needs pattern length >= 2, got {m}")
-    if n == 0:
+    if m > n.bit_length() - 3:  # m > floor(log2 n) - 2, n = 0 included
         return _too_short("serial")
 
-    # The windows wrap, so the (m-1)-bit windows are exactly the m-bit
-    # windows' prefixes: summing adjacent pattern counts shortens them by
-    # one bit, in integers, without another pass over the bits.
     counts = _overlapping_pattern_counts(b, m)
     psi2 = []
     for mm in (m, m - 1, m - 2):
         c = counts.astype(float)
         psi2.append(float((c * c).sum() * (2**mm) / n - n) if mm > 0 else 0.0)
-        counts = counts[0::2] + counts[1::2]
+        counts = _fold(counts)
 
     # Both differences are >= 0 in exact arithmetic; rounding can leave
     # them a few ulps below zero, where igamc is 1 as in NIST's cephes.
@@ -328,8 +325,7 @@ def serial_test(bits, m: Optional[int] = None, alpha: float = 0.01) -> TestRepor
     d2 = max(psi2[0] - 2.0 * psi2[1] + psi2[2], 0.0)
     p1 = igamc(2 ** (m - 2), d1 / 2.0)
     p2 = igamc(2 ** (m - 3), d2 / 2.0)
-    applicable = n >= 100 and m <= int(math.floor(math.log2(n))) - 2
-    return _report("serial", (p1, p2), d1, alpha, applicable=applicable)
+    return _report("serial", (p1, p2), d1, alpha, applicable=n >= 100)
 
 
 def spectral_test(bits, alpha: float = 0.01) -> TestReport:
@@ -351,12 +347,12 @@ def spectral_test(bits, alpha: float = 0.01) -> TestReport:
 def run_suite(bits, config: Optional[SuiteConfig] = None, sequence_id: str = "") -> SuiteReport:
     """Run the battery in canonical order and aggregate the verdict.
 
-    The cumulative-sums report folds both scan directions into one entry
+    The cumulative-sums report carries both scan directions
     (p_values = (forward, backward), statistic = forward excursion).  A
-    test the sequence is too short for reports itself not applicable,
-    with no P-values.  ``overall_pass`` is the conjunction over applicable
-    tests only, and false when no test applies (``n_applicable`` is 0, as
-    below 100 bits).
+    test the sequence is too short for, or whose pattern length is too
+    long for it, reports itself not applicable, with no P-values.
+    ``overall_pass`` is the conjunction over applicable tests only, and
+    false when no test applies (``n_applicable`` is 0, as below 100 bits).
     """
     if config is None:
         config = SuiteConfig()
@@ -367,7 +363,7 @@ def run_suite(bits, config: Optional[SuiteConfig] = None, sequence_id: str = "")
         block_frequency_test(b, config.block_frequency_m, alpha),
         runs_test(b, alpha),
         longest_run_test(b, alpha),
-        _cusum_both(b, alpha),
+        cusum_test(b, alpha),
         approx_entropy_test(b, config.approx_entropy_m, alpha),
         serial_test(b, config.serial_m, alpha),
         spectral_test(b, alpha),

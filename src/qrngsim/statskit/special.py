@@ -17,10 +17,6 @@ _TINY = 1e-300
 _MAX_ITER = 10_000
 
 
-class DomainError(ValueError):
-    pass
-
-
 def _erf_series(x: float) -> float:
     # erf(x) = 2/sqrt(pi) * sum_n (-1)^n x^(2n+1) / (n! (2n+1))
     term = x
@@ -123,9 +119,9 @@ def _gamma_q_cf(a: float, x: float) -> float:
 def igamc(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x)."""
     if not (a > 0.0) or not math.isfinite(a):
-        raise DomainError(f"igamc requires a > 0, got {a}")
+        raise ValueError(f"igamc requires a > 0, got {a}")
     if not (x >= 0.0) or math.isnan(x):
-        raise DomainError(f"igamc requires x >= 0, got {x}")
+        raise ValueError(f"igamc requires x >= 0, got {x}")
     if x == 0.0:
         return 1.0
     if math.isinf(x):

@@ -43,18 +43,6 @@ MAX_DURATION_PS = _INT64_MAX // 2
 MAX_JITTER_SIGMA_PS = 1e12
 
 
-class InvalidDuration(ValueError):
-    pass
-
-
-class InvalidRate(ValueError):
-    pass
-
-
-class UnsortedInput(ValueError):
-    pass
-
-
 class MonitorAlarm(RuntimeError):
     """Cross-arm coincidences exceeded the purity monitor's threshold."""
 
@@ -70,9 +58,7 @@ class PairLabel(IntEnum):
     D2D4 = 5
 
 
-CROSS_ARM_LABELS = frozenset(
-    (PairLabel.D1D3, PairLabel.D1D4, PairLabel.D2D3, PairLabel.D2D4)
-)
+CROSS_ARM_LABELS = (PairLabel.D1D3, PairLabel.D1D4, PairLabel.D2D3, PairLabel.D2D4)
 
 # flat lookup table indexed by lo * 4 + hi, read from each label's name
 # (same-detector slots unused)
@@ -84,10 +70,10 @@ for _lab in PairLabel:
 def duration_ps(duration_s: float) -> int:
     """A run length in whole picoseconds, from 1 ps to MAX_DURATION_PS."""
     if not (duration_s > 0.0) or not math.isfinite(duration_s):
-        raise InvalidDuration(f"duration_s must be > 0, got {duration_s}")
+        raise ValueError(f"duration_s must be > 0, got {duration_s}")
     ps = round(duration_s * PS_PER_SECOND)
     if not 1 <= ps <= MAX_DURATION_PS:
-        raise InvalidDuration(
+        raise ValueError(
             f"duration_s must lie in 1e-12 to {MAX_DURATION_PS / PS_PER_SECOND:.4g} s, "
             f"got {duration_s}"
         )
@@ -104,7 +90,7 @@ class SourceConfig:
 
     def __post_init__(self) -> None:
         if not (self.pair_rate_hz >= 0.0) or not math.isfinite(self.pair_rate_hz):
-            raise InvalidRate(f"pair_rate_hz must be >= 0, got {self.pair_rate_hz}")
+            raise ValueError(f"pair_rate_hz must be >= 0, got {self.pair_rate_hz}")
         duration_ps(self.duration_s)
 
 
@@ -182,14 +168,6 @@ class CoincidenceStream:
 
     def __len__(self) -> int:
         return len(self.times_ps)
-
-    def label_counts(self) -> dict:
-        counts = np.bincount(self.labels, minlength=len(PairLabel))
-        return {label: int(counts[int(label)]) for label in PairLabel}
-
-    def cross_arm_count(self) -> int:
-        counts = self.label_counts()
-        return sum(counts[label] for label in CROSS_ARM_LABELS)
 
     def select(self, labels) -> "CoincidenceStream":
         wanted = np.isin(self.labels, [int(l) for l in labels])
@@ -374,7 +352,7 @@ def coincidence_filter(events: EventStream, timing: TimingConfig) -> Coincidence
     new_cluster = np.ones(n + 2, dtype=bool)
     gaps = np.diff(times)
     if n > 1 and gaps.min() < 0:
-        raise UnsortedInput("detection events must be time-sorted")
+        raise ValueError("detection events must be time-sorted")
     np.greater(gaps, window, out=new_cluster[1:n])
     del gaps
     # bools compare as 0 < 1: a > b is a & ~b
@@ -431,7 +409,7 @@ def synthetic_coincidences(rate_hz: float, duration_s: float, seed: int = 0) -> 
     at a prescribed coincidence rate.
     """
     if not (rate_hz >= 0.0) or not math.isfinite(rate_hz):
-        raise InvalidRate(f"rate_hz must be >= 0, got {rate_hz}")
+        raise ValueError(f"rate_hz must be >= 0, got {rate_hz}")
     run_ps = duration_ps(duration_s)
     rng = np.random.default_rng(seed)
     n = int(rng.poisson(rate_hz * duration_s))
@@ -441,9 +419,15 @@ def synthetic_coincidences(rate_hz: float, duration_s: float, seed: int = 0) -> 
     return CoincidenceStream(times, rng.integers(0, 2, size=n))
 
 
-def purity_monitor(coincidences: CoincidenceStream, threshold: int = 0) -> int:
-    """The cross-arm count; raises MonitorAlarm when it exceeds threshold."""
-    cross = coincidences.cross_arm_count()
+def label_counts(labels: np.ndarray) -> np.ndarray:
+    """The number of coincidences under each ``PairLabel``, in label order."""
+    return np.bincount(labels, minlength=len(PairLabel))
+
+
+def purity_monitor(counts: np.ndarray, threshold: int = 0) -> int:
+    """The cross-arm count of ``label_counts``' tally; raises MonitorAlarm
+    when it exceeds threshold."""
+    cross = int(counts[..., CROSS_ARM_LABELS].sum())
     if cross > threshold:
         raise MonitorAlarm(f"{cross} cross-arm coincidences exceed threshold {threshold}")
     return cross
@@ -465,8 +449,7 @@ def scan_workers(n_points: int) -> int:
 
 def _scan_point(source, interf, bank, timing) -> np.ndarray:
     """One delay point, run in a worker process: its six label counts."""
-    labels = coincidence_filter(simulate(source, interf, bank, timing), timing).labels
-    return np.bincount(labels, minlength=len(PairLabel))
+    return label_counts(coincidence_filter(simulate(source, interf, bank, timing), timing).labels)
 
 
 def scan_delay(

@@ -179,6 +179,17 @@ def reference_greedy_pairs(times, dets, window):
     return pairs
 
 
+def reference_multi_click_clusters(times, window):
+    """Clusters of three or more clicks: a click more than one window after
+    its predecessor opens a new cluster."""
+    sizes = []
+    for i, t in enumerate(times):
+        if i == 0 or t - times[i - 1] > window:
+            sizes.append(0)
+        sizes[-1] += 1
+    return sum(size >= 3 for size in sizes)
+
+
 def reference_dead_time_keep(times, dead_ps):
     """Non-paralyzable dead time by its scalar rule, in Python integers:
     the first click is kept, and a later click is kept when it comes more
@@ -353,7 +364,8 @@ def reference_generate(
 
     reference_simulate gives the clicks and reference_greedy_pairs pairs
     them; a pair is stamped with its earlier click's time and labelled by
-    its two detectors.  The D1D2 and D3D4 pairs go through clocked_records.
+    its two detectors.  The D1D2 and D3D4 pairs go through clocked_records;
+    the other four labels are the cross-arm count.
     Returns (ASCII bit-file bytes, error-log bytes, manifest counts).
     """
     times, dets = reference_simulate(
@@ -375,6 +387,8 @@ def reference_generate(
         "n_events": len(times),
         "n_coincidences": len(pairs),
         "label_counts": {name: labels.count(code) for code, name in enumerate(_LABEL_NAMES)},
+        "cross_arm_count": sum(label >= 2 for label in labels),
+        "multi_click_clusters": reference_multi_click_clusters(times, window_ps),
         "unpaired_clicks": len(times) - 2 * len(pairs),
         "bits_recorded": len(bits),
         "error_records": len(error_rows),

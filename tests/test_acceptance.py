@@ -39,8 +39,8 @@ def test_criterion_1_entangled_state_statistics():
     events = timetag.simulate(source, IDEAL, BANK, TIMING)
     n_pairs = int(np.random.default_rng(101).poisson(10.0 * 100_500.0))
     coinc = timetag.coincidence_filter(events, TIMING)
-    counts = coinc.label_counts()
-    cross = coinc.cross_arm_count()
+    counts = timetag.label_counts(coinc.labels)
+    cross = int(counts[list(timetag.CROSS_ARM_LABELS)].sum())
     n12, n34 = counts[PairLabel.D1D2], counts[PairLabel.D3D4]
     bound = 4.0 * math.sqrt(n12 + n34)
     elapsed = time.perf_counter() - start

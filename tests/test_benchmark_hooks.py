@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from qrngsim.cli import EXIT_OK, main
+from qrngsim.cli import EXIT_OK, EXIT_TEST_FAIL, main
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -36,16 +36,32 @@ def test_every_timing_target_resolves(spans):
         assert callable(getattr(owner, attr, None)), name
 
 
-def test_traced_generate_counts_clicks_and_records(spans, tmp_path):
+@pytest.fixture(scope="module")
+def traced_chain(spans, tmp_path_factory):
+    """generate -> unbias -> test under the benchmark's tracer: the tracer,
+    the generate and unbias manifests' metadata, and the test report."""
+    tmp = tmp_path_factory.mktemp("chain")
+    raw, unbiased = tmp / "g.bits", tmp / "u.bits"
     tracer = spans.Tracer("hooks")
-    out = tmp_path / "g.bits"
     # a 20 kHz clock gives about 120 periods holding two or more coincidences
     with spans.timing_installed(tracer):
         assert main(["generate", "--duration", "5", "--pair-rate", "2000",
                      "--clock", "20000", "--monitor-threshold", "500",
-                     "--out", str(out)]) == EXIT_OK
+                     "--out", str(raw)]) == EXIT_OK
+        assert main(["unbias", str(raw), "--out", str(unbiased)]) == EXIT_OK
+        assert main(["test", str(unbiased)]) in (EXIT_OK, EXIT_TEST_FAIL)
+    metadata = {
+        command: json.loads(Path(f"{path}.manifest.json").read_text())["metadata"]
+        for command, path in (("generate", raw), ("unbias", unbiased))
+    }
+    report = json.loads(Path(f"{unbiased}.report.json").read_text())
+    return tracer, metadata, report
+
+
+def test_traced_generate_counts_clicks_and_records(traced_chain):
+    tracer, metadata, _ = traced_chain
     # the benchmark's counters agree with what the run recorded
-    metadata = json.loads(Path(f"{out}.manifest.json").read_text())["metadata"]
+    metadata = metadata["generate"]
     assert metadata["error_records"] > 0
     assert tracer.counts["timetag.clicks"] == metadata["n_events"] > 0
     assert tracer.counts["bitpipe.records"] == (
@@ -58,3 +74,15 @@ def test_traced_generate_counts_clicks_and_records(spans, tmp_path):
     by_name = {s["name"]: s for s in tracer.spans}
     parent = tracer.spans[by_name["timetag.simulate"]["parent"]]
     assert parent["name"] == "cli.run_generation"
+
+
+def test_traced_unbias_and_test_counts(traced_chain):
+    tracer, metadata, report = traced_chain
+    assert tracer.counts["bitpipe.vn_in"] == metadata["unbias"]["input_bits"] > 0
+    assert tracer.counts["bitpipe.vn_out"] == metadata["unbias"]["output_bits"] > 0
+    assert tracer.counts["statskit.bits_tested"] == report["n_bits"]
+    assert report["n_bits"] == metadata["unbias"]["output_bits"]
+    # one walk serves both cumulative-sums directions
+    names = [s["name"] for s in tracer.spans]
+    assert names.count("statskit.run_suite") == 1
+    assert names.count("statskit.cumulative_sums") == 1

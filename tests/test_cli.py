@@ -557,6 +557,28 @@ class TestTestCommand:
         assert len(err) == 1 and "must be >= " in err[0]
         assert not (tmp_path / "fair.txt.report.json").exists()
 
+    # each pattern length is too long for 1,000 bits: its test reports blank
+    # before it builds a 2^m-entry table, and the rest of the battery runs
+    @pytest.mark.parametrize("flags", [
+        ("--serial-m", "40"), ("--serial-m", "20"), ("--apen-m", "40"), ("--apen-m", "9"),
+    ])
+    def test_pattern_length_too_long_reports_blank(self, tmp_path, flags):
+        bits = tmp_path / "small.txt"
+        rng = np.random.default_rng(67)
+        write_bit_file(BitStream(rng.integers(0, 2, 1000, dtype=np.uint8)), bits)
+        tracemalloc.start()
+        try:
+            assert run("test", str(bits), *flags) in (EXIT_OK, EXIT_TEST_FAIL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        tests = json.loads((tmp_path / "small.txt.report.json").read_text())["tests"]
+        name = "serial" if flags[0] == "--serial-m" else "approximate_entropy"
+        blank = [t for t in tests if t["name"] == name]
+        assert blank == [{"name": name, "p_values": [], "statistic": 0.0,
+                          "passed": False, "applicable": False}]
+
     def test_alpha_flag_moves_the_bar(self, tmp_path):
         rng = np.random.default_rng(65)
         bits = tmp_path / "fair.txt"

@@ -1,5 +1,6 @@
 """SP 800-22 battery against closed-form and brute-force oracles."""
 
+import itertools
 import json
 import math
 
@@ -22,7 +23,7 @@ from qrngsim.statskit import (
     spectral_test,
 )
 from qrngsim.statskit.special import igamc
-from qrngsim.statskit.sp800_22 import _overlapping_pattern_counts
+from qrngsim.statskit.sp800_22 import _fold, _overlapping_pattern_counts
 
 from oracles import (
     bit_array,
@@ -168,34 +169,42 @@ class TestLongestRun:
 
 class TestCusum:
     def test_alternating_is_near_one(self):
-        report = cusum_test(bit_array("10" * 5000), "forward")
+        report = cusum_test(bit_array("10" * 5000))
         assert report.statistic == 1.0
-        assert report.p_values[0] == pytest.approx(1.0, abs=1e-9)
+        assert report.p_values == pytest.approx((1.0, 1.0), abs=1e-9)
 
     def test_constant_fails_hard(self):
-        report = cusum_test(bit_array("1" * 100), "forward")
+        report = cusum_test(bit_array("1" * 100))
         want = cusum_pvalue_reference(100, 100)
-        assert report.p_values[0] == pytest.approx(want, rel=1e-8, abs=1e-30)
-        assert report.p_values[0] < 1e-20
+        assert report.p_values == pytest.approx((want, want), rel=1e-8, abs=1e-30)
+        assert max(report.p_values) < 1e-20
 
     def test_palindrome_modes_agree(self):
         text = "0110011001100110"[::-1] + "0110011001100110"  # its own reversal
         assert text == text[::-1]
-        fwd = cusum_test(bit_array(text), "forward").p_values[0]
-        bwd = cusum_test(bit_array(text), "backward").p_values[0]
+        fwd, bwd = cusum_test(bit_array(text)).p_values
         assert fwd == pytest.approx(bwd, rel=1e-14)
 
     def test_formula_against_quadrature_phi(self):
         bits = fair_bits(2000, seed=3)
-        report = cusum_test(bits, "forward")
+        report = cusum_test(bits)
         z = int(report.statistic)
         assert report.p_values[0] == pytest.approx(
             cusum_pvalue_reference(z, 2000), rel=1e-9
         )
 
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            cusum_test(bit_array("0101"), "sideways")
+    # the backward scan of b is the forward scan of b reversed
+    @pytest.mark.parametrize("n, bias", [(1, 0.5), (2, 0.0), (37, 1.0), (999, 0.5), (4096, 0.7)])
+    def test_reversal_swaps_directions(self, n, bias):
+        bits = (np.random.default_rng(n).random(n) < bias).astype(np.uint8)
+        report = cusum_test(bits)
+        assert cusum_test(bits[::-1].copy()).p_values == report.p_values[::-1]
+        # each direction's excursion, walked in Python integers
+        excursions = [max(abs(s) for s in itertools.accumulate(2 * bit - 1 for bit in walk))
+                      for walk in (bits.tolist(), bits[::-1].tolist())]
+        assert report.statistic == excursions[0]
+        for got, z in zip(report.p_values, excursions):
+            assert got == pytest.approx(cusum_pvalue_reference(z, n), rel=1e-9, abs=1e-30)
 
 
 class TestApproxEntropy:
@@ -213,6 +222,16 @@ class TestApproxEntropy:
                 assert len(counts) == 2**m
                 got = {int(c): int(counts[c]) for c in np.flatnonzero(counts)}
                 assert got == wrapped_pattern_counts(bits.tolist(), m), (n, m)
+
+    # approximate entropy counts the (m+1)-bit windows and folds them to m
+    @pytest.mark.parametrize("n, m", [(9, 2), (40, 1), (40, 4), (1001, 7)])
+    def test_folded_counts_match_wrapped_window_oracle(self, n, m):
+        bits = fair_bits(n, seed=n + m)
+        longer = _overlapping_pattern_counts(bits, m + 1)
+        for counts, mm in ((longer, m + 1), (_fold(longer), m)):
+            assert len(counts) == 2**mm
+            got = {int(c): int(counts[c]) for c in np.flatnonzero(counts)}
+            assert got == wrapped_pattern_counts(bits.tolist(), mm), (n, mm)
 
     def test_constant_sequence_fails(self):
         n = 200
@@ -256,12 +275,21 @@ class TestSerial:
             igamc_quadrature(1.0, 200.0), rel=1e-6, abs=1e-95
         )
 
-    # n below m wraps the windows more than once
+    # n below m wraps the windows more than once; (5, 7) and (70000, 16)
+    # have m above floor(log2 n) - 2, so serial_test reports them blank
     @pytest.mark.parametrize("n, m", [(4000, 2), (4000, 3), (999, 5), (70_000, 16), (5, 7)])
     def test_matches_separately_counted_patterns(self, n, m):
         # the m-bit counts, shortened by summing neighbours, against the m-1
         # and m-2 bit counts built from the bits
         bits = fair_bits(n, seed=n + m)
+        counts = _overlapping_pattern_counts(bits, m)
+        for mm in (m - 1, m - 2):
+            counts = _fold(counts)
+            assert np.array_equal(counts, _overlapping_pattern_counts(bits, mm))
+        report = serial_test(bits, m=m)
+        if m > math.floor(math.log2(n)) - 2:
+            assert_too_short(report, "serial")
+            return
 
         def psi2(mm):
             if mm == 0:
@@ -271,13 +299,13 @@ class TestSerial:
 
         d1 = psi2(m) - psi2(m - 1)
         d2 = psi2(m) - 2.0 * psi2(m - 1) + psi2(m - 2)
-        report = serial_test(bits, m=m)
         assert report.statistic == d1
         assert report.p_values == (igamc(2 ** (m - 2), d1 / 2.0), igamc(2 ** (m - 3), d2 / 2.0))
 
-    # psi-square differences that are 0 in exact arithmetic but come out
-    # -8.9e-16 and -1.8e-15 in floating point
-    @pytest.mark.parametrize("bits", ["010011101000", "1101000110111001100101110011"])
+    # second psi-square differences that are 0 in exact arithmetic but come
+    # out -3.6e-15 in floating point
+    @pytest.mark.parametrize("bits", ["101010000011010110000011",
+                                      "1101000110111001100101110011"])
     def test_rounding_negative_difference_gives_p_one(self, bits):
         report = serial_test(bit_array(bits))
         assert report.p_values[1] == 1.0
@@ -293,6 +321,20 @@ class TestSerial:
     def test_invalid_pattern_length(self):
         with pytest.raises(ValueError):
             serial_test(bit_array("0101"), m=1)
+
+    # a pattern length past floor(log2 n) - 2 (serial) or with 2^(m+1) at or
+    # above n (approximate entropy) gives the blank report before any
+    # 2^m-entry table is built, so m = 40 costs no memory
+    @pytest.mark.parametrize("n, serial_m, apen_m", [
+        (1000, 8, 9), (1000, 20, 20), (1000, 40, 40), (16, 3, 3), (10**5, 40, 40),
+    ])
+    def test_pattern_length_too_long_is_blank(self, n, serial_m, apen_m):
+        bits = fair_bits(n, seed=n)
+        assert_too_short(serial_test(bits, m=serial_m), "serial")
+        assert_too_short(approx_entropy_test(bits, m=apen_m), "approximate_entropy")
+        # one bit shorter fits
+        assert serial_test(bits, m=n.bit_length() - 3).p_values
+        assert approx_entropy_test(bits, m=(n - 1).bit_length() - 2).p_values
 
 
 class TestSpectral:
@@ -402,7 +444,7 @@ class TestSuiteRunner:
     @pytest.mark.parametrize("n, names", [
         (0, ["frequency", "block_frequency", "runs", "longest_run", "cumulative_sums",
              "approximate_entropy", "serial", "spectral"]),
-        (1, ["block_frequency", "longest_run", "spectral"]),
+        (1, ["block_frequency", "longest_run", "approximate_entropy", "serial", "spectral"]),
         (99, ["block_frequency", "longest_run"]),
         (127, ["block_frequency", "longest_run"]),
     ])
