@@ -162,6 +162,14 @@ def cmd_scan_delay(args, manifest: RunManifest):
 # ----------------------------------------------------------------- ber-scan
 
 
+def _ber_point(rate_hz, duration_s, seed, clock):
+    """One frequency, run in a worker process: its symbol count and error
+    fraction."""
+    records = bitpipe.extract_bits(timetag.synthetic_coincidences(rate_hz, duration_s, seed),
+                                   clock)
+    return len(records), bitpipe.empirical_ber(records)
+
+
 def cmd_ber_scan(args, manifest: RunManifest):
     try:
         freqs = [float(f) for f in args.freqs.split(",") if f.strip()]
@@ -179,14 +187,13 @@ def cmd_ber_scan(args, manifest: RunManifest):
         except bitpipe.ModelOutOfRange as exc:
             raise UsageError(f"ber-scan: frequency {f} Hz: {exc}") from None
 
+    n_freqs = len(freqs)
+    seeds = [timetag.point_seed(args.seed, i) for i in range(n_freqs)]
+    points = timetag.fan_out(_ber_point, [args.rate] * n_freqs,
+                             [args.duration] * n_freqs, seeds, clocks)
+    manifest.metadata["scan_workers"] = timetag.scan_workers(n_freqs)
     rows = []
-    for i, (f, clock, model) in enumerate(zip(freqs, clocks, models)):
-        stream = timetag.synthetic_coincidences(
-            args.rate, args.duration, seed=timetag.point_seed(args.seed, i)
-        )
-        records = bitpipe.extract_bits(stream, clock)
-        empirical = bitpipe.empirical_ber(records)
-        n = len(records)
+    for f, model, (n, empirical) in zip(freqs, models, points):
         sigma = math.sqrt(empirical * (1.0 - empirical) / n) if n else 0.0
         rows.append((f, model, empirical, sigma))
 

@@ -439,12 +439,46 @@ def point_seed(seed: int, index: int) -> int:
 
 
 def scan_workers(n_points: int) -> int:
-    """Worker processes for a scan: one per usable CPU, at most one per point."""
+    """Worker processes for a scan or any ``fan_out``: one per usable CPU, at
+    most one per point."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         cpus = os.cpu_count() or 1
     return min(cpus, n_points)
+
+
+def fan_out(fn, *arg_lists) -> list:
+    """``[fn(*args) for args in zip(*arg_lists)]``, each call run in a
+    worker process.
+
+    ``arg_lists`` holds one equal-length list per argument of ``fn``.  The
+    n calls run in a pool of ``scan_workers(n)`` processes, and the pool's
+    ordered map returns their results in call order.  ``fn`` must be a
+    module-level function, and its arguments and results picklable; an
+    exception raised in a worker is raised again here.
+
+    On Linux, while the caller runs a single Python thread, the workers
+    are forked from it: they start without a new interpreter and without
+    importing anything again.  The only other threads numpy leaves in the
+    process are OpenBLAS's, and OpenBLAS joins them in a
+    ``pthread_atfork`` handler before each fork (2 threads before
+    ``os.fork()``, 1 in parent and child after it, with numpy 2.4.6 and
+    OpenBLAS 0.3.31), and the pool forks all its workers before it starts
+    a thread of its own.  Elsewhere, or while other Python threads run,
+    the workers are spawned: they import the caller's main module, so a
+    script that reaches this pool (``scan-delay`` or ``ber-scan`` through
+    ``cli.main`` included) must then guard its entry point with
+    ``if __name__ == "__main__":``.
+    """
+    # imported here so that commands without a pool do not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    single_threaded_linux = sys.platform == "linux" and threading.active_count() == 1
+    context = multiprocessing.get_context("fork" if single_threaded_linux else "spawn")
+    with ProcessPoolExecutor(scan_workers(len(arg_lists[0])), mp_context=context) as pool:
+        return list(pool.map(fn, *arg_lists))
 
 
 def _scan_point(source, interf, bank, timing) -> np.ndarray:
@@ -466,36 +500,16 @@ def scan_delay(
 
     Points draw from independent child seeds keyed by (seed, index), so a
     scan is reproducible point by point regardless of which process runs
-    which point.  They run in a pool of ``scan_workers(len(delays_fs))``
-    processes, and the pool's ordered map returns them in delay order.
-    On Linux, while the caller runs a single Python thread, the workers
-    are forked from it: they start without a new interpreter and without
-    importing anything again.  The only other threads numpy leaves in
-    the process are OpenBLAS's, and OpenBLAS joins them in a
-    ``pthread_atfork`` handler before each fork (2 threads before
-    ``os.fork()``, 1 in parent and child after it, with numpy 2.4.6 and
-    OpenBLAS 0.3.31), and the pool forks all its workers before it
-    starts a thread of its own.  Elsewhere, or while other Python threads
-    run, the workers are spawned: they import the caller's main module,
-    so a script that scans must then guard its entry point with
-    ``if __name__ == "__main__":``.
+    which point.  They run on ``fan_out``'s pool of
+    ``scan_workers(len(delays_fs))`` processes, in delay order.
     """
-    # imported here so that commands without a scan do not pay for them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     delays = [float(d) for d in delays_fs]
     if len(delays) < 2:
         raise ValueError("a delay scan needs at least two points")
-    sources = [dataclasses.replace(source, seed=point_seed(source.seed, i))
-               for i in range(len(delays))]
+    n = len(delays)
+    sources = [dataclasses.replace(source, seed=point_seed(source.seed, i)) for i in range(n)]
     interfs = [dataclasses.replace(interf, delay_fs=delay) for delay in delays]
-    single_threaded_linux = sys.platform == "linux" and threading.active_count() == 1
-    context = multiprocessing.get_context("fork" if single_threaded_linux else "spawn")
-    with ProcessPoolExecutor(scan_workers(len(delays)), mp_context=context) as pool:
-        counts = list(pool.map(_scan_point, sources, interfs,
-                               [bank] * len(delays), [timing] * len(delays)))
-    return np.stack(counts)
+    return np.stack(fan_out(_scan_point, sources, interfs, [bank] * n, [timing] * n))
 
 
 def write_scan_csv(delays_fs, counts: np.ndarray, duration_s: float, path) -> None:

@@ -358,14 +358,16 @@ _LABEL_NAMES = ["D1D2", "D3D4", "D1D3", "D1D4", "D2D3", "D2D4"]
 
 def reference_generate(
     pair_rate_hz, duration_s, seed, patterns, weights, jitter_sigma_ps,
-    dark_rate_hz, dead_ps, window_ps, period_fs,
+    dark_rate_hz, dead_ps, window_ps, clock_hz,
 ):
     """``generate``'s outputs, composed from the per-stage oracles.
 
     reference_simulate gives the clicks and reference_greedy_pairs pairs
     them; a pair is stamped with its earlier click's time and labelled by
-    its two detectors.  The D1D2 and D3D4 pairs go through clocked_records;
-    the other four labels are the cross-arm count.
+    its two detectors.  The D1D2 and D3D4 pairs go through clocked_records
+    on the clock's period in whole fs; the other four labels are the
+    cross-arm count.  The measured rate counts the D1D2 and D3D4 pairs
+    over the run, and the model R / (2 f) is None past 1.
     Returns (ASCII bit-file bytes, error-log bytes, manifest counts).
     """
     times, dets = reference_simulate(
@@ -377,9 +379,11 @@ def reference_generate(
     labels = [_PAIR_LABELS[tuple(sorted((dets[i], dets[j])))] for i, j in pairs]
     kept = [(times[i], label) for (i, _), label in zip(pairs, labels) if label < 2]
     symbols, error_rows = clocked_records(
-        [t for t, _ in kept], [label for _, label in kept], period_fs
+        [t for t, _ in kept], [label for _, label in kept], round(10**15 / clock_hz)
     )
     bits = [s for s in symbols if s != 2]
+    measured_rate = len(kept) / duration_s
+    model_ber = measured_rate / (2.0 * clock_hz)
     error_log = "clock_index,n_events_in_period\n" + "".join(
         f"{k},{n}\n" for k, n in error_rows
     )
@@ -392,6 +396,9 @@ def reference_generate(
         "unpaired_clicks": len(times) - 2 * len(pairs),
         "bits_recorded": len(bits),
         "error_records": len(error_rows),
+        "empirical_ber": len(error_rows) / len(symbols) if symbols else 0.0,
+        "measured_coincidence_rate_hz": measured_rate,
+        "model_ber": model_ber if model_ber <= 1.0 else None,
     }
     return reference_ascii_bits(bits), error_log.encode("ascii"), counts
 

@@ -1,9 +1,11 @@
 """Command-line integration: exit codes, file outputs, reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,14 @@ from hypothesis import strategies as st
 
 import qrngsim
 from qrngsim import timetag
-from qrngsim.bitpipe import BitStream, read_bit_file, write_bit_file
+from qrngsim.bitpipe import (
+    BitStream,
+    ClockConfig,
+    ber_model,
+    extract_bits,
+    read_bit_file,
+    write_bit_file,
+)
 from qrngsim.cli import (
     EXIT_ALARM,
     EXIT_IO,
@@ -160,6 +169,70 @@ class TestBerScan:
         for row in out.read_text().splitlines()[1:]:
             _, model, empirical, sigma = (float(x) for x in row.split(","))
             assert abs(empirical - model) < 3.0 * sigma
+
+    @staticmethod
+    def assert_matches_serial_frequency_loop(out, n_freqs) -> bytes:
+        """Run ber-scan over n_freqs clocks into out and check its CSV, row
+        for row, against the frequencies run one after another in this
+        process."""
+        rate, duration, seed = 668.0, 2.0, 23
+        freqs = [2000.0 + 1000.0 * i for i in range(n_freqs)]
+        assert run("ber-scan", "--rate", repr(rate), "--freqs", ",".join(map(repr, freqs)),
+                   "--duration", repr(duration), "--seed", str(seed),
+                   "--out", str(out)) == EXIT_OK
+        rows = ["frequency_hz,model_ber,empirical_ber,sigma"]
+        for i, f in enumerate(freqs):
+            clock = ClockConfig(f)
+            records = extract_bits(
+                timetag.synthetic_coincidences(rate, duration, timetag.point_seed(seed, i)), clock)
+            n, errors = len(records), len(records.error_periods)
+            empirical = errors / n
+            sigma = math.sqrt(empirical * (1.0 - empirical) / n)
+            rows.append(f"{f!r},{ber_model(rate, clock)!r},{empirical!r},{sigma!r}")
+        assert out.read_text().splitlines() == rows
+        meta = RunManifest.load(str(out) + ".manifest.json").metadata
+        assert meta == {"scan_workers": scan_workers(n_freqs)}
+        return out.read_bytes()
+
+    def test_matches_serial_frequency_loop(self, tmp_path):
+        # more frequencies than workers, so workers take several each
+        self.assert_matches_serial_frequency_loop(tmp_path / "b.csv",
+                                                  max(5, scan_workers(10**6) + 1))
+
+    def test_one_pool_of_at_most_one_worker_per_cpu_and_frequency(self, tmp_path, process_pools):
+        assert threading.active_count() == 1
+        for freqs in ("5000,8000", "1000,2000,3000,4000,5000"):
+            assert run("ber-scan", "--rate", "100", "--freqs", freqs, "--duration", "2",
+                       "--out", str(tmp_path / "b.csv")) == EXIT_OK
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        # forked from a single-threaded caller on Linux, spawned elsewhere
+        method = "fork" if sys.platform == "linux" else "spawn"
+        assert process_pools == [(min(cpus, 2), method), (min(cpus, 5), method)]
+
+    def test_spawns_while_another_python_thread_runs(self, tmp_path, process_pools):
+        forked = self.assert_matches_serial_frequency_loop(tmp_path / "a.csv", 3)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            spawned = self.assert_matches_serial_frequency_loop(tmp_path / "b.csv", 3)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        first = "fork" if sys.platform == "linux" else "spawn"
+        assert [method for _, method in process_pools] == [first, "spawn"]
+        assert spawned == forked
+
+    def test_one_failing_frequency_fails_the_scan(self, tmp_path, capsys):
+        # a 1 fs period puts 9,300 s past int64 at the second frequency only
+        code = run("ber-scan", "--rate", "1", "--freqs", "1000,1e15",
+                   "--duration", "9300", "--out", str(tmp_path / "b.csv"))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGenerate:
@@ -317,7 +390,7 @@ class TestGenerateOracle:
                                     DetectorBank(efficiency=eff, dark_rate_hz=dark_rate))
         want_bits, want_log, want_counts = reference_generate(
             pair_rate, duration, seed, list(clicks), list(clicks.values()), jitter,
-            dark_rate, round(dead_ns * 1000), round(window_ns * 1000), round(10**15 / clock),
+            dark_rate, round(dead_ns * 1000), round(window_ns * 1000), clock,
         )
         assert out.read_bytes() == want_bits
         assert (tmp_path / "bits.txt.errors.csv").read_bytes() == want_log

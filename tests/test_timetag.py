@@ -723,26 +723,10 @@ class TestScanDelay:
             )
             assert point == label_counts(coinc.labels).tolist()
 
-    @staticmethod
-    def record_pools(monkeypatch) -> list:
-        """Each scan pool's (max_workers, start method), as it is made."""
-        import concurrent.futures
-
-        pools = []
-
-        class Recording(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, mp_context):
-                pools.append((max_workers, mp_context.get_start_method()))
-                super().__init__(max_workers, mp_context=mp_context)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-        return pools
-
     def test_matches_serial_point_loop(self):
         self.assert_matches_serial_point_loop()
 
-    def test_one_pool_of_at_most_one_worker_per_cpu_and_point(self, monkeypatch):
-        pools = self.record_pools(monkeypatch)
+    def test_one_pool_of_at_most_one_worker_per_cpu_and_point(self, process_pools):
         assert threading.active_count() == 1
         src = SourceConfig(pair_rate_hz=1000.0, duration_s=0.1, seed=3)
         for n_points in (2, 5):
@@ -750,10 +734,9 @@ class TestScanDelay:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         # forked from a single-threaded caller on Linux, spawned elsewhere
         method = "fork" if sys.platform == "linux" else "spawn"
-        assert pools == [(min(cpus, 2), method), (min(cpus, 5), method)]
+        assert process_pools == [(min(cpus, 2), method), (min(cpus, 5), method)]
 
-    def test_spawns_while_another_python_thread_runs(self, monkeypatch):
-        pools = self.record_pools(monkeypatch)
+    def test_spawns_while_another_python_thread_runs(self, process_pools):
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
@@ -763,7 +746,7 @@ class TestScanDelay:
             release.set()
             other.join(timeout=10)
         assert not other.is_alive()
-        assert [method for _, method in pools] == ["spawn"]
+        assert [method for _, method in process_pools] == ["spawn"]
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_blas_threads_are_joined_across_fork(self):
