@@ -62,6 +62,7 @@ class ClockConfig:
         return round(FS_PER_SECOND / self.frequency_hz)
 
 
+@dataclass(eq=False)
 class BitRecordStream:
     """One int8 symbol per occupied clock period, in period order, with the
     period index and coincidence count of each ERROR symbol's period.
@@ -71,11 +72,9 @@ class BitRecordStream:
     ``.symbols``.
     """
 
-    def __init__(self, symbols: np.ndarray, error_periods: np.ndarray,
-                 error_counts: np.ndarray):
-        self.symbols = symbols
-        self.error_periods = error_periods
-        self.error_counts = error_counts
+    symbols: np.ndarray
+    error_periods: np.ndarray
+    error_counts: np.ndarray
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -86,9 +85,6 @@ class BitStream:
 
     def __init__(self, bits: np.ndarray):
         self.bits = as_bit_array(bits)
-
-    def __len__(self) -> int:
-        return len(self.bits)
 
     @property
     def n(self) -> int:

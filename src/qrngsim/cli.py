@@ -4,17 +4,20 @@ and randomness testing.
 Exit codes are a stable contract: 0 success / suite pass, 1 randomness
 test failure, 2 usage error, 3 purity-monitor alarm, 4 I/O failure.
 Usage errors print one line on stderr.  A run too large for memory is a
-usage error too, a command line that cannot run as given: it exits 2 with
-one line.  So is ``test`` on a file under 100 bits, where no test of the
-battery applies: it exits 2 with one line and writes no report, so a file
-that nothing examined never reads as a pass.  Every command honors
---seed and writes a manifest next to its outputs holding the command line
-(``argv``) and the parameters it parsed to.  ``rerun`` replays that argv
-through this module's parser, so reruns get the same defaults and
-validation as direct runs, and reproduces every output file byte for
-byte.  A manifest without ``argv`` (written before 0.2.0), whose
-parameters disagree with its argv, or whose argv asks for help or the
-version is refused with exit 2.
+usage error too, a command line that cannot run as given: it exits 2
+with one line.  So is ``test`` on a file under 100 bits, where no test
+of the battery applies: it exits 2 with one line and writes no report,
+so a file that nothing examined never reads as a pass.  The same holds
+for a ``--serial-m`` or ``--apen-m`` too long for the file, which would
+drop its test from the verdict, and for a non-zero ``--delay`` on
+``scan-delay``, whose points take their delays from ``--from`` and
+``--to``.  Every command honors --seed and writes a manifest next to its
+outputs holding the command line (``argv``) and the parameters it parsed
+to.  ``rerun`` replays that argv through this module's parser, so reruns
+get the same defaults and validation as direct runs, and reproduces
+every output file byte for byte.  A manifest without ``argv`` (written
+before 0.2.0), whose parameters disagree with its argv, or whose argv
+asks for help or the version is refused with exit 2.
 """
 
 from __future__ import annotations
@@ -78,9 +81,9 @@ def _physics_flags(parser: argparse.ArgumentParser) -> None:
                        help="coincidence window in ns (default 3)")
 
 
-def _configs_from_args(args, delay_fs: float):
+def _configs_from_args(args):
     interf = InterferometerConfig(
-        delay_fs=delay_fs,
+        delay_fs=args.delay,
         coherence_time_fs=args.coherence_time,
         visibility_ceiling=args.visibility_ceiling,
     )
@@ -120,6 +123,9 @@ def _run(args, argv) -> int:
 
 
 def cmd_scan_delay(args, manifest: RunManifest):
+    if args.delay != 0.0:
+        raise UsageError("scan-delay: --from and --to set each point's delay; "
+                         "--delay must be 0")
     if args.steps < 2:
         raise UsageError("scan-delay: --steps must be at least 2")
     if args.pairs_per_point <= 0 or args.point_duration <= 0:
@@ -136,7 +142,7 @@ def cmd_scan_delay(args, manifest: RunManifest):
         duration_s=args.point_duration,
         seed=args.seed,
     )
-    interf, bank, timing = _configs_from_args(args, 0.0)
+    interf, bank, timing = _configs_from_args(args)
     counts = timetag.scan_delay(delays, source, interf, bank, timing)
     manifest.metadata["scan_workers"] = timetag.scan_workers(len(delays))
 
@@ -175,10 +181,12 @@ def cmd_ber_scan(args, manifest: RunManifest):
         freqs = [float(f) for f in args.freqs.split(",") if f.strip()]
     except ValueError:
         raise UsageError(f"ber-scan: cannot parse --freqs {args.freqs!r}") from None
-    if not freqs or args.rate < 0 or args.duration <= 0:
-        raise UsageError("ber-scan: need a frequency list, rate >= 0 and duration > 0")
+    if not freqs:
+        raise UsageError("ber-scan: need a frequency list")
 
-    # every clock and model is checked before any frequency is simulated
+    # the duration, every clock and every model are checked before any
+    # frequency is simulated
+    timetag.duration_ps(args.duration)
     clocks = [ClockConfig(frequency_hz=f) for f in freqs]
     models = []
     for f, clock in zip(freqs, clocks):
@@ -252,7 +260,7 @@ def run_generation(
     measured_rate = len(qualifying) / source.duration_s
     del qualifying
     bits = bitpipe.records_to_stream(records)
-    counts["bits_recorded"] = len(bits)
+    counts["bits_recorded"] = bits.n
     counts["error_records"] = len(records.error_periods)
     counts["empirical_ber"] = bitpipe.empirical_ber(records)
     try:
@@ -269,7 +277,7 @@ def cmd_generate(args, manifest: RunManifest):
         raise UsageError("generate: --monitor-threshold must be >= 0")
     source = SourceConfig(pair_rate_hz=args.pair_rate, duration_s=args.duration,
                           seed=args.seed)
-    interf, bank, timing = _configs_from_args(args, args.delay)
+    interf, bank, timing = _configs_from_args(args)
     clock = ClockConfig(frequency_hz=args.clock)
 
     bits, records, counts = run_generation(
@@ -340,6 +348,13 @@ def cmd_test(args, manifest: RunManifest):
     if not report.n_applicable:
         raise UsageError(f"test: {args.infile} is too short to test "
                          f"(bits: {stream.n}; no test applies below 100)")
+    # from 100 bits on only a length asked for can blank these two tests
+    blank = {t.name for t in report.tests if not t.p_values}
+    for name, option, m in (("approximate_entropy", "--apen-m", args.apen_m),
+                            ("serial", "--serial-m", args.serial_m)):
+        if name in blank:
+            raise UsageError(f"test: {option} {m} is too long for {args.infile} "
+                             f"(bits: {stream.n}); the {name} test would not run")
 
     out = _report_path(args)
     with open(out, "w", encoding="ascii", newline="\n") as fh:
@@ -357,7 +372,7 @@ def cmd_test(args, manifest: RunManifest):
         else:
             verdict = "pass" if t.passed else "FAIL"
             pvals = " ".join(f"{p:.5f}" for p in t.p_values)
-        print(f"{t.test_name:<22}{pvals:<24}{verdict}")
+        print(f"{t.name:<22}{pvals:<24}{verdict}")
     print(f"overall: {'PASS' if report.overall_pass else 'FAIL'}")
     return (EXIT_OK if report.overall_pass else EXIT_TEST_FAIL), out + ".manifest.json"
 

@@ -60,13 +60,10 @@ class RunManifest:
     def add_output(self, name: str, path) -> None:
         self.outputs.append({"name": name, "sha256": sha256_file(path)})
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
     def save(self, path) -> None:
         """Write strict JSON; ValueError, before the file is opened, for a
         NaN or infinity, which JSON cannot hold."""
-        text = json.dumps(self.as_dict(), indent=2, allow_nan=False)
+        text = json.dumps(asdict(self), indent=2, allow_nan=False)
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text + "\n")
 

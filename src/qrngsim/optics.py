@@ -87,13 +87,6 @@ class OutputDistribution:
     p02: float
     p11: float
 
-    def __post_init__(self) -> None:
-        for name, p in (("p20", self.p20), ("p02", self.p02), ("p11", self.p11)):
-            if not (p >= -_PROB_TOL):
-                raise ValueError(f"{name} must be non-negative")
-        if abs(self.p20 + self.p02 + self.p11 - 1.0) > _PROB_TOL:
-            raise ValueError("outcome probabilities must sum to 1")
-
 
 def visibility(config: InterferometerConfig) -> float:
     """Interference visibility V(tau) = V0 * exp(-(tau/tau_c)^2)."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,20 +40,11 @@ def as_bit_array(bits: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TestReport:
-    test_name: str
+    name: str
     p_values: tuple
     statistic: float
     passed: bool
     applicable: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.test_name,
-            "p_values": list(self.p_values),
-            "statistic": self.statistic,
-            "passed": self.passed,
-            "applicable": self.applicable,
-        }
 
 
 @dataclass(frozen=True)
@@ -91,24 +82,15 @@ class SuiteReport:
         """All applicable tests passed, and at least one applied."""
         return self.n_applicable > 0 and all(t.passed for t in self.tests if t.applicable)
 
-    def as_dict(self) -> dict:
-        return {
-            "sequence_id": self.sequence_id,
-            "n_bits": self.n_bits,
-            "alpha": self.alpha,
-            "tests": [t.as_dict() for t in self.tests],
-            "overall_pass": self.overall_pass,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
+        return json.dumps({**asdict(self), "overall_pass": self.overall_pass}, indent=2)
 
 
 def _report(name, p_values, statistic, alpha, applicable=True) -> TestReport:
     p_values = tuple(float(p) for p in p_values)
     passed = bool(p_values) and min(p_values) >= alpha
     return TestReport(
-        test_name=name,
+        name=name,
         p_values=p_values,
         statistic=float(statistic),
         passed=passed,

@@ -127,21 +127,21 @@ class TimingConfig:
         return round(self.dead_time_ns * 1000.0)
 
 
+@dataclass(eq=False)
 class EventStream:
-    """Time-sorted detector clicks, stored as parallel numpy arrays."""
+    """Time-sorted detector clicks: int64 times and int8 detectors."""
 
-    def __init__(self, times_ps: np.ndarray, detectors: np.ndarray):
-        if len(times_ps) != len(detectors):
-            raise ValueError("times and detectors must have equal length")
-        self.times_ps = np.asarray(times_ps, dtype=np.int64)
-        self.detectors = np.asarray(detectors, dtype=np.int8)
+    times_ps: np.ndarray
+    detectors: np.ndarray
 
     def __len__(self) -> int:
         return len(self.times_ps)
 
 
+@dataclass(eq=False)
 class CoincidenceStream:
-    """Time-sorted coincidences plus bookkeeping from the pairing pass.
+    """Time-sorted coincidences (int64 times, int8 labels) plus bookkeeping
+    from the pairing pass.
 
     ``n_multi_click_clusters`` counts windows holding three or more clicks
     (the simulation analog of four-fold pile-up); such clusters are paired
@@ -150,27 +150,17 @@ class CoincidenceStream:
     select and synthetic_coincidences leave them 0.
     """
 
-    def __init__(
-        self,
-        times_ps: np.ndarray,
-        labels: np.ndarray,
-        n_events_in: int = 0,
-        n_unpaired: int = 0,
-        n_multi_click_clusters: int = 0,
-    ):
-        if len(times_ps) != len(labels):
-            raise ValueError("times and labels must have equal length")
-        self.times_ps = np.asarray(times_ps, dtype=np.int64)
-        self.labels = np.asarray(labels, dtype=np.int8)
-        self.n_events_in = int(n_events_in)
-        self.n_unpaired = int(n_unpaired)
-        self.n_multi_click_clusters = int(n_multi_click_clusters)
+    times_ps: np.ndarray
+    labels: np.ndarray
+    n_events_in: int = 0
+    n_unpaired: int = 0
+    n_multi_click_clusters: int = 0
 
     def __len__(self) -> int:
         return len(self.times_ps)
 
     def select(self, labels) -> "CoincidenceStream":
-        wanted = np.isin(self.labels, [int(l) for l in labels])
+        wanted = np.isin(self.labels, labels)
         return CoincidenceStream(self.times_ps[wanted], self.labels[wanted])
 
 
@@ -408,15 +398,13 @@ def synthetic_coincidences(rate_hz: float, duration_s: float, seed: int = 0) -> 
     Bypasses the optical chain; used to exercise the clocked bit recorder
     at a prescribed coincidence rate.
     """
-    if not (rate_hz >= 0.0) or not math.isfinite(rate_hz):
-        raise ValueError(f"rate_hz must be >= 0, got {rate_hz}")
-    run_ps = duration_ps(duration_s)
+    SourceConfig(rate_hz, duration_s, seed)  # a pair source's rate and duration rules
     rng = np.random.default_rng(seed)
     n = int(rng.poisson(rate_hz * duration_s))
-    times = rng.integers(0, run_ps, size=n, dtype=np.int64)
+    times = rng.integers(0, duration_ps(duration_s), size=n, dtype=np.int64)
     times.sort()
     # D1D2 is 0 and D3D4 is 1
-    return CoincidenceStream(times, rng.integers(0, 2, size=n))
+    return CoincidenceStream(times, rng.integers(0, 2, size=n).astype(np.int8))
 
 
 def label_counts(labels: np.ndarray) -> np.ndarray:

@@ -190,7 +190,7 @@ def test_criterion_5b_p_value_uniformity():
             if not t.applicable:
                 continue
             for j, p in enumerate(t.p_values):
-                streams.setdefault(f"{t.test_name}[{j}]", []).append(p)
+                streams.setdefault(f"{t.name}[{j}]", []).append(p)
     results = {
         name: stats.kstest(ps, "uniform").pvalue for name, ps in streams.items()
     }

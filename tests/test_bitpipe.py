@@ -47,7 +47,8 @@ INT64_MAX = np.iinfo(np.int64).max
 
 
 def coincidences(*events):
-    return CoincidenceStream([t for _, t in events], [label for label, _ in events])
+    return CoincidenceStream(np.array([t for _, t in events], dtype=np.int64),
+                             np.array([label for label, _ in events], dtype=np.int8))
 
 
 def symbols_at(records):
@@ -202,7 +203,7 @@ class TestClockedExtractionOracle:
             st.sampled_from([PairLabel.D1D2, PairLabel.D3D4]),
             min_size=len(times), max_size=len(times),
         ))
-        stream = CoincidenceStream(times, labels)
+        stream = CoincidenceStream(times, np.array(labels, dtype=np.int8))
         given_times, given_labels = stream.times_ps.copy(), stream.labels.copy()
         want_symbols, want_rows = clocked_records(times.tolist(), labels, clock.period_fs)
 

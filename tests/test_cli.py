@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qrngsim
-from qrngsim import timetag
+from qrngsim import statskit, timetag
 from qrngsim.bitpipe import (
     BitStream,
     ClockConfig,
@@ -110,6 +110,24 @@ class TestScanDelay:
         assert not out.exists()
         assert run("scan-delay", *span, "--pairs-per-point", "1e3", "--no-fit",
                    "--out", str(out)) == EXIT_OK
+
+    def test_nonzero_delay_is_refused(self, tmp_path, capsys):
+        # --from and --to set each point's delay; a --delay would be ignored
+        out = tmp_path / "s.csv"
+        argv = ["scan-delay", "--from", "-600", "--to", "600", "--steps", "3",
+                "--pairs-per-point", "1e3", "--out", str(out)]
+        assert run(*argv, "--delay", "5000") == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--from and --to set each point's delay" in err[0]
+        assert list(tmp_path.iterdir()) == []
+        # a zero delay, as every recorded scan manifest holds, still runs
+        # and replays
+        assert run(*argv, "--delay", "0") == EXIT_OK
+        manifest_path = str(out) + ".manifest.json"
+        assert RunManifest.load(manifest_path).parameters["delay"] == 0.0
+        assert run("rerun", "--manifest", manifest_path,
+                   "--outdir", str(tmp_path / "rr")) == EXIT_OK
+        assert (tmp_path / "rr" / "s.csv").read_bytes() == out.read_bytes()
 
     def test_undefined_fit_error_is_null(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(timetag, "fit_dip_visibility",
@@ -223,6 +241,22 @@ class TestBerScan:
         first = "fork" if sys.platform == "linux" else "spawn"
         assert [method for _, method in process_pools] == [first, "spawn"]
         assert spawned == forked
+
+    # a NaN or infinity is refused earlier, as a parameter no manifest can
+    # record
+    @pytest.mark.parametrize("rate, duration, message", [
+        ("100", "1e7", "duration_s must"), ("100", "0", "duration_s must"),
+        ("100", "-1", "duration_s must"), ("-1", "2", "rate_hz must be >= 0"),
+    ])
+    def test_unusable_rate_or_duration_is_refused_before_the_pool(
+        self, tmp_path, capsys, process_pools, rate, duration, message
+    ):
+        assert run("ber-scan", "--rate", rate, "--freqs", "1000,2000", "--duration", duration,
+                   "--out", str(tmp_path / "b.csv")) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
+        assert process_pools == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_one_failing_frequency_fails_the_scan(self, tmp_path, capsys):
         # a 1 fs period puts 9,300 s past int64 at the second frequency only
@@ -631,26 +665,48 @@ class TestTestCommand:
         assert not (tmp_path / "fair.txt.report.json").exists()
 
     # each pattern length is too long for 1,000 bits: its test reports blank
-    # before it builds a 2^m-entry table, and the rest of the battery runs
+    # before it builds a 2^m-entry table, and the command refuses the length
+    # rather than let the rest of the battery pass without it
     @pytest.mark.parametrize("flags", [
-        ("--serial-m", "40"), ("--serial-m", "20"), ("--apen-m", "40"), ("--apen-m", "9"),
+        ("--serial-m", "40"), ("--serial-m", "20"), ("--serial-m", "8"),
+        ("--apen-m", "40"), ("--apen-m", "9"),
     ])
-    def test_pattern_length_too_long_reports_blank(self, tmp_path, flags):
+    def test_pattern_length_too_long_reports_blank(self, tmp_path, capsys, flags):
         bits = tmp_path / "small.txt"
         rng = np.random.default_rng(67)
         write_bit_file(BitStream(rng.integers(0, 2, 1000, dtype=np.uint8)), bits)
         tracemalloc.start()
         try:
-            assert run("test", str(bits), *flags) in (EXIT_OK, EXIT_TEST_FAIL)
+            assert run("test", str(bits), *flags) == EXIT_USAGE
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-        tests = json.loads((tmp_path / "small.txt.report.json").read_text())["tests"]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{flags[0]} {flags[1]} is too long" in err[0]
+        assert list(tmp_path.iterdir()) == [bits]
+        # library callers still get the blank entry from run_suite
+        option = {"--serial-m": "serial_m", "--apen-m": "approx_entropy_m"}[flags[0]]
+        config = statskit.SuiteConfig(**{option: int(flags[1])})
         name = "serial" if flags[0] == "--serial-m" else "approximate_entropy"
+        tests = json.loads(statskit.run_suite(read_bit_file(bits).bits, config).to_json())["tests"]
         blank = [t for t in tests if t["name"] == name]
         assert blank == [{"name": name, "p_values": [], "statistic": 0.0,
                           "passed": False, "applicable": False}]
+
+    # the longest lengths that fit 1,000 bits: m <= floor(log2 n) - 2 for
+    # serial, 2^(m+1) < n for approximate entropy
+    @pytest.mark.parametrize("flags", [("--serial-m", "7"), ("--apen-m", "8")])
+    def test_longest_pattern_length_that_fits_is_tested(self, tmp_path, flags):
+        bits = tmp_path / "small.txt"
+        rng = np.random.default_rng(67)
+        write_bit_file(BitStream(rng.integers(0, 2, 1000, dtype=np.uint8)), bits)
+        assert run("test", str(bits), *flags) in (EXIT_OK, EXIT_TEST_FAIL)
+        tests = json.loads((tmp_path / "small.txt.report.json").read_text())["tests"]
+        name = "serial" if flags[0] == "--serial-m" else "approximate_entropy"
+        assert [len(t["p_values"]) for t in tests if t["name"] == name] == [
+            2 if name == "serial" else 1
+        ]
 
     def test_alpha_flag_moves_the_bar(self, tmp_path):
         rng = np.random.default_rng(65)

@@ -42,7 +42,7 @@ def fair_bits(n, seed):
 
 def assert_too_short(report, name):
     """The blank report of a test the sequence is too short to compute."""
-    assert report.test_name == name
+    assert report.name == name
     assert report.p_values == ()
     assert report.statistic == 0.0
     assert not report.passed
@@ -405,7 +405,7 @@ class TestSensitivity:
 class TestSuiteRunner:
     def test_canonical_order_and_overall_pass(self):
         report = run_suite(fair_bits(20000, seed=2), SuiteConfig())
-        names = [t.test_name for t in report.tests]
+        names = [t.name for t in report.tests]
         assert names == [
             "frequency",
             "block_frequency",
@@ -423,19 +423,19 @@ class TestSuiteRunner:
         rng = np.random.default_rng(8)
         bits = (rng.random(100_000) < 0.6).astype(np.uint8)
         report = run_suite(bits)
-        by_name = {t.test_name: t for t in report.tests}
+        by_name = {t.name: t for t in report.tests}
         assert not by_name["frequency"].passed
         assert not report.overall_pass
 
     def test_cumulative_sums_carries_both_directions(self):
         report = run_suite(fair_bits(5000, seed=13))
-        by_name = {t.test_name: t for t in report.tests}
+        by_name = {t.name: t for t in report.tests}
         assert len(by_name["cumulative_sums"].p_values) == 2
         assert len(by_name["serial"].p_values) == 2
 
     def test_short_input_marks_tests_not_applicable_without_crashing(self):
         report = run_suite(bit_array("1010011"), SuiteConfig())
-        by_name = {t.test_name: t for t in report.tests}
+        by_name = {t.name: t for t in report.tests}
         assert not by_name["longest_run"].applicable
         assert by_name["longest_run"].p_values == ()
         assert not by_name["block_frequency"].applicable
@@ -449,7 +449,7 @@ class TestSuiteRunner:
         (127, ["block_frequency", "longest_run"]),
     ])
     def test_too_short_reports_are_blank(self, n, names):
-        by_name = {t.test_name: t for t in run_suite(fair_bits(n, seed=n)).tests}
+        by_name = {t.name: t for t in run_suite(fair_bits(n, seed=n)).tests}
         for name in names:
             assert_too_short(by_name[name], name)
 
@@ -465,7 +465,7 @@ class TestSuiteRunner:
         report = run_suite(fair_bits(100, seed=100))
         applicable = [t for t in report.tests if t.applicable]
         assert report.n_applicable == len(applicable) > 0
-        assert applicable[0].test_name == "frequency"
+        assert applicable[0].name == "frequency"
         assert report.overall_pass == all(t.passed for t in applicable)
 
     def test_fuzz_corpus_p_values_stay_in_range(self):

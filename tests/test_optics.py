@@ -47,7 +47,7 @@ class TestConfigValidation:
 
     def test_output_distribution_must_normalize(self):
         with pytest.raises(ValueError):
-            OutputDistribution(p20=0.5, p02=0.5, p11=0.5)
+            click_distribution(OutputDistribution(p20=0.5, p02=0.5, p11=0.5), DetectorBank())
 
 
 class TestVisibility:
@@ -212,15 +212,12 @@ class TestClickDistribution:
         )
         assert [tuple(sorted(int(d) for d in p)) for p in cd] == order
 
-    # OutputDistribution checks itself; bypass that to reach the checks on
-    # the click patterns: a sum past 1, and a negative pattern at sum 1
+    # the checks on the click patterns: a sum past 1, and a negative
+    # pattern at sum 1
     @pytest.mark.parametrize(
         "p20, p02, p11, message",
         [(0.5, 0.5, 0.5, "sum to"), (-0.5, 0.5, 1.0, "negative")],
     )
     def test_rejects_patterns_that_are_not_a_distribution(self, p20, p02, p11, message):
-        dist = object.__new__(OutputDistribution)
-        for name, value in (("p20", p20), ("p02", p02), ("p11", p11)):
-            object.__setattr__(dist, name, value)
         with pytest.raises(ValueError, match=message):
-            click_distribution(dist, DetectorBank())
+            click_distribution(OutputDistribution(p20, p02, p11), DetectorBank())

@@ -60,7 +60,8 @@ NO_NOISE = TimingConfig(jitter_sigma_ps=0.0, dead_time_ns=0.0)
 
 
 def events(*pairs):
-    return EventStream([t for _, t in pairs], [d for d, _ in pairs])
+    return EventStream(np.array([t for _, t in pairs], dtype=np.int64),
+                       np.array([d for d, _ in pairs], dtype=np.int8))
 
 
 def labels_at(stream):
