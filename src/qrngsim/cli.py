@@ -8,16 +8,18 @@ usage error too, a command line that cannot run as given: it exits 2
 with one line.  So is ``test`` on a file under 100 bits, where no test
 of the battery applies: it exits 2 with one line and writes no report,
 so a file that nothing examined never reads as a pass.  The same holds
-for a ``--serial-m`` or ``--apen-m`` too long for the file, which would
-drop its test from the verdict, and for a non-zero ``--delay`` on
-``scan-delay``, whose points take their delays from ``--from`` and
-``--to``.  Every command honors --seed and writes a manifest next to its
-outputs holding the command line (``argv``) and the parameters it parsed
-to.  ``rerun`` replays that argv through this module's parser, so reruns
-get the same defaults and validation as direct runs, and reproduces
-every output file byte for byte.  A manifest without ``argv`` (written
-before 0.2.0), whose parameters disagree with its argv, or whose argv
-asks for help or the version is refused with exit 2.
+for a ``--serial-m``, ``--apen-m`` or (above its default) ``--block-m``
+too long for the file, which would drop its test from the verdict, for a
+non-zero ``--delay`` on ``scan-delay``, whose points take their delays
+from ``--from`` and ``--to``, and for a ``scan-delay`` fit with no
+cross-arm count, where any dip fits.  Every command honors --seed and
+writes a manifest next to its outputs holding the command line
+(``argv``) and the parameters it parsed to.  ``rerun`` replays that argv
+through this module's parser, so reruns get the same defaults and
+validation as direct runs, and reproduces every output file byte for
+byte.  A manifest without ``argv`` (written before 0.2.0), whose
+parameters disagree with its argv, or whose argv asks for help or the
+version is refused with exit 2.
 """
 
 from __future__ import annotations
@@ -35,13 +37,7 @@ from . import __version__, bitpipe, statskit, timetag
 from .bitpipe import ClockConfig
 from .manifest import RunManifest, utc_now
 from .optics import DEFAULT_COHERENCE_TIME_FS, DetectorBank, InterferometerConfig
-from .timetag import (
-    CROSS_ARM_LABELS,
-    MonitorAlarm,
-    PairLabel,
-    SourceConfig,
-    TimingConfig,
-)
+from .timetag import MonitorAlarm, PairLabel, SourceConfig, TimingConfig
 
 EXIT_OK = 0
 EXIT_TEST_FAIL = 1
@@ -146,13 +142,11 @@ def cmd_scan_delay(args, manifest: RunManifest):
     counts = timetag.scan_delay(delays, source, interf, bank, timing)
     manifest.metadata["scan_workers"] = timetag.scan_workers(len(delays))
 
-    timetag.write_scan_csv(delays, counts, source.duration_s, args.out)
-    manifest.add_output("scan_csv", args.out)
-
     if args.fit:
-        cross = counts[..., CROSS_ARM_LABELS].sum(axis=-1)
-        fit = timetag.fit_dip_visibility(delays, cross / source.duration_s,
-                                         np.sqrt(cross) / source.duration_s)
+        try:
+            fit = timetag.fit_dip_visibility(delays, counts, source.duration_s)
+        except ValueError as exc:
+            raise UsageError(f"scan-delay: {exc} (or --no-fit)") from None
         manifest.metadata["fitted_visibility"] = fit.visibility
         manifest.metadata["fitted_visibility_err"] = fit.visibility_err
         manifest.metadata["fitted_width_fs"] = fit.width_fs
@@ -161,6 +155,9 @@ def cmd_scan_delay(args, manifest: RunManifest):
         print(f"fitted dip width: {fit.width_fs:.1f} fs, "
               f"baseline {fit.baseline_hz:.3f} Hz")
 
+    # written after the fit, so a scan with no dip to fit leaves no CSV
+    timetag.write_scan_csv(delays, counts, source.duration_s, args.out)
+    manifest.add_output("scan_csv", args.out)
     print(f"wrote {args.out} ({args.steps} delay points, 6 pair labels)")
     return EXIT_OK, args.out + ".manifest.json"
 
@@ -168,9 +165,9 @@ def cmd_scan_delay(args, manifest: RunManifest):
 # ----------------------------------------------------------------- ber-scan
 
 
-def _ber_point(rate_hz, duration_s, seed, clock):
-    """One frequency, run in a worker process: its symbol count and error
-    fraction."""
+def _ber_point(seed, rate_hz, duration_s, clock):
+    """One frequency, run in a worker process from its own seed: its symbol
+    count and error fraction."""
     records = bitpipe.extract_bits(timetag.synthetic_coincidences(rate_hz, duration_s, seed),
                                    clock)
     return len(records), bitpipe.empirical_ber(records)
@@ -196,9 +193,8 @@ def cmd_ber_scan(args, manifest: RunManifest):
             raise UsageError(f"ber-scan: frequency {f} Hz: {exc}") from None
 
     n_freqs = len(freqs)
-    seeds = [timetag.point_seed(args.seed, i) for i in range(n_freqs)]
-    points = timetag.fan_out(_ber_point, [args.rate] * n_freqs,
-                             [args.duration] * n_freqs, seeds, clocks)
+    points = timetag.fan_out(_ber_point, args.seed, [args.rate] * n_freqs,
+                             [args.duration] * n_freqs, clocks)
     manifest.metadata["scan_workers"] = timetag.scan_workers(n_freqs)
     rows = []
     for f, model, (n, empirical) in zip(freqs, models, points):
@@ -331,26 +327,27 @@ def cmd_unbias(args, manifest: RunManifest):
 # --------------------------------------------------------------------- test
 
 
+_BLOCK_M = 128  # the default block length, which blanks 100-127-bit files itself
+
+
 def _report_path(args) -> str:
     return args.report or args.infile + ".report.json"
 
 
 def cmd_test(args, manifest: RunManifest):
-    config = statskit.SuiteConfig(
-        alpha=args.alpha,
-        block_frequency_m=args.block_m,
-        approx_entropy_m=args.apen_m,
-        serial_m=args.serial_m,
-    )
     stream = bitpipe.read_bit_file(args.infile)
     sequence_id = args.sequence_id or os.path.basename(args.infile)
-    report = statskit.run_suite(stream.bits, config, sequence_id=sequence_id)
+    report = statskit.run_suite(stream.bits, alpha=args.alpha, block_m=args.block_m,
+                                apen_m=args.apen_m, serial_m=args.serial_m, sequence_id=sequence_id)
     if not report.n_applicable:
         raise UsageError(f"test: {args.infile} is too short to test "
                          f"(bits: {stream.n}; no test applies below 100)")
-    # from 100 bits on only a length asked for can blank these two tests
+    # from 100 bits on only a length asked for can blank these tests
     blank = {t.name for t in report.tests if not t.p_values}
-    for name, option, m in (("approximate_entropy", "--apen-m", args.apen_m),
+    if args.block_m <= _BLOCK_M:
+        blank.discard("block_frequency")
+    for name, option, m in (("block_frequency", "--block-m", args.block_m),
+                            ("approximate_entropy", "--apen-m", args.apen_m),
                             ("serial", "--serial-m", args.serial_m)):
         if name in blank:
             raise UsageError(f"test: {option} {m} is too long for {args.infile} "
@@ -491,8 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None,
                    help="JSON report path (default INFILE.report.json)")
     p.add_argument("--sequence-id", dest="sequence_id", default=None)
-    p.add_argument("--block-m", dest="block_m", type=int, default=128,
-                   help="block frequency block length (default 128)")
+    p.add_argument("--block-m", dest="block_m", type=int, default=_BLOCK_M,
+                   help="block frequency block length (default %(default)s)")
     p.add_argument("--apen-m", dest="apen_m", type=int, default=2,
                    help="approximate entropy pattern length (default 2)")
     p.add_argument("--serial-m", dest="serial_m", type=int, default=None,

@@ -2,7 +2,6 @@
 
 from .special import erfc, igamc, normal_cdf
 from .sp800_22 import (
-    SuiteConfig,
     SuiteReport,
     TestReport,
     approx_entropy_test,
@@ -19,7 +18,6 @@ from .sp800_22 import (
 )
 
 __all__ = [
-    "SuiteConfig",
     "SuiteReport",
     "TestReport",
     "approx_entropy_test",

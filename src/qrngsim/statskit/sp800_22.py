@@ -47,25 +47,6 @@ class TestReport:
     applicable: bool
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    """Suite significance level and per-test block parameters."""
-
-    alpha: float = 0.01
-    block_frequency_m: int = 128
-    approx_entropy_m: int = 2
-    serial_m: Optional[int] = None  # None: scale with sequence length
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
-        # a length its test cannot use would only mark that test not applicable
-        for name, least in (("block_frequency_m", 1), ("approx_entropy_m", 1), ("serial_m", 2)):
-            value = getattr(self, name)
-            if value is not None and value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
-
-
 @dataclass
 class SuiteReport:
     sequence_id: str
@@ -290,7 +271,7 @@ def serial_test(bits, m: Optional[int] = None, alpha: float = 0.01) -> TestRepor
     if m is None:
         m = default_serial_m(n)
     if m < 2:
-        raise ValueError(f"serial test needs pattern length >= 2, got {m}")
+        raise ValueError(f"serial pattern length must be >= 2, got {m}")
     if m > n.bit_length() - 3:  # m > floor(log2 n) - 2, n = 0 included
         return _too_short("serial")
 
@@ -326,27 +307,28 @@ def spectral_test(bits, alpha: float = 0.01) -> TestReport:
     return _report("spectral", (p,), d, alpha, applicable=n >= 1000)
 
 
-def run_suite(bits, config: Optional[SuiteConfig] = None, sequence_id: str = "") -> SuiteReport:
+def run_suite(bits, alpha: float = 0.01, block_m: int = 128, apen_m: int = 2,
+              serial_m: Optional[int] = None, sequence_id: str = "") -> SuiteReport:
     """Run the battery in canonical order and aggregate the verdict.
 
-    The cumulative-sums report carries both scan directions
+    ``alpha`` must lie in (0, 1), and each test refuses a length it can
+    never use.  The cumulative-sums report carries both scan directions
     (p_values = (forward, backward), statistic = forward excursion).  A
     test the sequence is too short for, or whose pattern length is too
     long for it, reports itself not applicable, with no P-values.
     ``overall_pass`` is the conjunction over applicable tests only, and
     false when no test applies (``n_applicable`` is 0, as below 100 bits).
     """
-    if config is None:
-        config = SuiteConfig()
+    if not (0.0 < alpha < 1.0):
+        raise ValueError("alpha must lie in (0, 1)")
     b = as_bit_array(bits)
-    alpha = config.alpha
     return SuiteReport(sequence_id=sequence_id, n_bits=len(b), alpha=alpha, tests=[
         frequency_test(b, alpha),
-        block_frequency_test(b, config.block_frequency_m, alpha),
+        block_frequency_test(b, block_m, alpha),
         runs_test(b, alpha),
         longest_run_test(b, alpha),
         cusum_test(b, alpha),
-        approx_entropy_test(b, config.approx_entropy_m, alpha),
-        serial_test(b, config.serial_m, alpha),
+        approx_entropy_test(b, apen_m, alpha),
+        serial_test(b, serial_m, alpha),
         spectral_test(b, alpha),
     ])

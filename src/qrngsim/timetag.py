@@ -436,15 +436,15 @@ def scan_workers(n_points: int) -> int:
     return min(cpus, n_points)
 
 
-def fan_out(fn, *arg_lists) -> list:
-    """``[fn(*args) for args in zip(*arg_lists)]``, each call run in a
-    worker process.
+def fan_out(fn, seed: int, *arg_lists) -> list:
+    """``[fn(point_seed(seed, i), *args) for i, args in
+    enumerate(zip(*arg_lists))]``, each call run in a worker process.
 
-    ``arg_lists`` holds one equal-length list per argument of ``fn``.  The
-    n calls run in a pool of ``scan_workers(n)`` processes, and the pool's
-    ordered map returns their results in call order.  ``fn`` must be a
-    module-level function, and its arguments and results picklable; an
-    exception raised in a worker is raised again here.
+    ``arg_lists`` holds one equal-length list per argument of ``fn`` after
+    its seed.  The n calls run in a pool of ``scan_workers(n)`` processes,
+    and the pool's ordered map returns their results in call order.  ``fn``
+    must be a module-level function, and its arguments and results
+    picklable; an exception raised in a worker is raised again here.
 
     On Linux, while the caller runs a single Python thread, the workers
     are forked from it: they start without a new interpreter and without
@@ -465,12 +465,14 @@ def fan_out(fn, *arg_lists) -> list:
 
     single_threaded_linux = sys.platform == "linux" and threading.active_count() == 1
     context = multiprocessing.get_context("fork" if single_threaded_linux else "spawn")
-    with ProcessPoolExecutor(scan_workers(len(arg_lists[0])), mp_context=context) as pool:
-        return list(pool.map(fn, *arg_lists))
+    n = len(arg_lists[0])
+    with ProcessPoolExecutor(scan_workers(n), mp_context=context) as pool:
+        return list(pool.map(fn, [point_seed(seed, i) for i in range(n)], *arg_lists))
 
 
-def _scan_point(source, interf, bank, timing) -> np.ndarray:
+def _scan_point(seed, source, interf, bank, timing) -> np.ndarray:
     """One delay point, run in a worker process: its six label counts."""
+    source = dataclasses.replace(source, seed=seed)
     return label_counts(coincidence_filter(simulate(source, interf, bank, timing), timing).labels)
 
 
@@ -495,9 +497,9 @@ def scan_delay(
     if len(delays) < 2:
         raise ValueError("a delay scan needs at least two points")
     n = len(delays)
-    sources = [dataclasses.replace(source, seed=point_seed(source.seed, i)) for i in range(n)]
     interfs = [dataclasses.replace(interf, delay_fs=delay) for delay in delays]
-    return np.stack(fan_out(_scan_point, sources, interfs, [bank] * n, [timing] * n))
+    return np.stack(fan_out(_scan_point, source.seed, [source] * n, interfs,
+                            [bank] * n, [timing] * n))
 
 
 def write_scan_csv(delays_fs, counts: np.ndarray, duration_s: float, path) -> None:
@@ -555,7 +557,7 @@ def _levenberg_marquardt(residuals, p0):
     problem as a least-squares system in J itself, not its normal
     equations, so the zero-count points' large weights do not square
     J's condition number.  Stops when no damping lowers the sum, or
-    after 500 trial steps.
+    after 500 trial steps, and returns the parameters and J there.
     """
     params = np.asarray(p0, dtype=float)
     r, jac = residuals(params)
@@ -579,24 +581,23 @@ def _levenberg_marquardt(residuals, p0):
             damping *= 10.0
             if damping > 1e16:
                 break
-    return params, r, jac
+    return params, jac
 
 
-def fit_dip_visibility(delays_fs, rates_hz, sigmas_hz=None) -> DipFit:
-    """Least-squares Gaussian fit of a coincidence dip.
-
-    Counting errors may be supplied to weight the fit; zero-count points
-    get a floor of one part in 1e6 of the highest rate so the weights stay
-    finite.  The covariance is absolute when errors are given and is
-    scaled by chi^2 / (n - 3) when they are not.
-    """
+def fit_dip_visibility(delays_fs, counts, duration_s: float) -> DipFit:
+    """Least-squares Gaussian fit of the cross-arm rates n / duration_s in
+    ``scan_delay``'s label counts, weighted by their Poisson sigmas
+    sqrt(n) / duration_s, floored at 1e-6 of the highest rate to stay
+    finite.  A zero baseline fits any dip, so a table with no cross-arm
+    count raises ValueError."""
     delays = np.asarray(delays_fs, dtype=float)
-    rates = np.asarray(rates_hz, dtype=float)
     if len(delays) < 3:
         raise ValueError("a dip fit needs at least three points")
-    sigma = np.ones_like(rates)
-    if sigmas_hz is not None:
-        sigma = np.maximum(np.asarray(sigmas_hz, dtype=float), np.max(rates) * 1e-6 + 1e-12)
+    cross = counts[..., CROSS_ARM_LABELS].sum(axis=-1)
+    if not cross.any():
+        raise ValueError("a dip fit needs at least one cross-arm coincidence")
+    rates = cross / duration_s
+    sigma = np.maximum(np.sqrt(cross) / duration_s, np.max(rates) * 1e-6 + 1e-12)
 
     def residuals(params):
         """Weighted residuals and their Jacobian in (base, vis, width)."""
@@ -610,16 +611,14 @@ def fit_dip_visibility(delays_fs, rates_hz, sigmas_hz=None) -> DipFit:
     base0 = max(rates.max(), 1e-12)
     vis0 = 1.0 - rates.min() / base0
     width0 = max((delays.max() - delays.min()) / 4.0, 1.0)
-    params, r, jac = _levenberg_marquardt(residuals, (base0, min(max(vis0, 0.1), 1.0), width0))
+    params, jac = _levenberg_marquardt(residuals, (base0, min(max(vis0, 0.1), 1.0), width0))
 
     vis_err = None
     _, sv, vt = np.linalg.svd(jac, full_matrices=False)
     if sv[-1] > np.finfo(float).eps * len(delays) * sv[0]:
-        cov = (vt.T / sv**2) @ vt
-        if sigmas_hz is None:
-            cov *= (r @ r) / (len(delays) - 3) if len(delays) > 3 else math.inf
-        if math.isfinite(cov[1, 1]):
-            vis_err = math.sqrt(cov[1, 1])
+        var = ((vt.T / sv**2) @ vt)[1, 1]
+        if math.isfinite(var):
+            vis_err = math.sqrt(var)
     return DipFit(
         visibility=float(params[1]),
         visibility_err=vis_err,

@@ -246,11 +246,12 @@ def reference_simulate(
     return times[order], dets[order]
 
 
-def curve_fit_dip(delays_fs, rates_hz, sigmas_hz=None):
-    """The Gaussian dip fitted by scipy's MINPACK Levenberg-Marquardt, from
-    the package's start values and sigma floor, run to the limit of its
-    tolerances.  Returns (base, vis, |width|) and the visibility error,
-    None where curve_fit cannot estimate the covariance."""
+def curve_fit_dip(delays_fs, rates_hz, sigmas_hz):
+    """The Gaussian dip fitted by scipy's MINPACK Levenberg-Marquardt with
+    absolute sigmas, from the package's start values and sigma floor, run
+    to the limit of its tolerances.  Returns (base, vis, |width|) and the
+    visibility error, None where curve_fit cannot estimate the
+    covariance."""
     import warnings
 
     from scipy.optimize import OptimizeWarning, curve_fit
@@ -264,14 +265,12 @@ def curve_fit_dip(delays_fs, rates_hz, sigmas_hz=None):
     base0 = max(rates.max(), 1e-12)
     vis0 = 1.0 - rates.min() / base0
     width0 = max((delays.max() - delays.min()) / 4.0, 1.0)
-    sigma = None
-    if sigmas_hz is not None:
-        sigma = np.maximum(np.asarray(sigmas_hz, dtype=float), np.max(rates) * 1e-6 + 1e-12)
+    sigma = np.maximum(np.asarray(sigmas_hz, dtype=float), np.max(rates) * 1e-6 + 1e-12)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OptimizeWarning)
         popt, pcov = curve_fit(
             model, delays, rates, p0=(base0, min(max(vis0, 0.1), 1.0), width0),
-            sigma=sigma, absolute_sigma=sigma is not None, maxfev=20000,
+            sigma=sigma, absolute_sigma=True, maxfev=20000,
             ftol=1e-15, xtol=1e-15, gtol=0.0,
         )
     var = pcov[1][1]
@@ -305,6 +304,19 @@ def reference_ascii_bits(bits) -> bytes:
     text = bit_text(bits)
     lines = [text[i : i + 64] + "\n" for i in range(0, len(text), 64)]
     return "".join(lines).encode("ascii")
+
+
+def reference_von_neumann(bits) -> list:
+    """Von Neumann's rule one pair at a time: pairs from even offsets,
+    01 -> 0, 10 -> 1, 00 and 11 dropped, as is a trailing odd bit."""
+    out = []
+    for i in range(0, len(bits) - 1, 2):
+        pair = (bits[i], bits[i + 1])
+        if pair == (0, 1):
+            out.append(0)
+        elif pair == (1, 0):
+            out.append(1)
+    return out
 
 
 def expected_yield(p_one: float) -> float:

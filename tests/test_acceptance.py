@@ -17,7 +17,7 @@ from qrngsim.bitpipe import BitStream, ClockConfig
 from qrngsim.cli import EXIT_ALARM, EXIT_OK, main, run_generation
 from qrngsim.manifest import RunManifest, sha256_file
 from qrngsim.optics import DetectorBank, InterferometerConfig
-from qrngsim.statskit import SuiteConfig, run_suite
+from qrngsim.statskit import run_suite
 from qrngsim.timetag import PairLabel, SourceConfig, TimingConfig
 
 from oracles import bit_array, poisson_error_fraction
@@ -185,7 +185,7 @@ def test_criterion_5b_p_value_uniformity():
     streams: dict = {}
     for seq_seed in np.random.SeedSequence(1).spawn(500):
         bits = np.random.default_rng(seq_seed).integers(0, 2, 100_000, dtype=np.uint8)
-        report = run_suite(bits, SuiteConfig())
+        report = run_suite(bits)
         for t in report.tests:
             if not t.applicable:
                 continue
@@ -222,7 +222,7 @@ def test_criterion_5c_full_pipeline_megabit_sequences():
         unbiased = bitpipe.von_neumann(bits)
         assert unbiased.n >= 1_090_000
         trimmed = unbiased.bits[:1_090_000]
-        report = run_suite(trimmed, SuiteConfig(), sequence_id=f"seed-{seed}")
+        report = run_suite(trimmed, sequence_id=f"seed-{seed}")
         worst = min(p for t in report.tests if t.applicable for p in t.p_values)
         summaries.append(f"[seed {seed}: n={len(trimmed)} worst_p={worst:.4f} "
                          f"pass={report.overall_pass}]")

@@ -40,7 +40,12 @@ from qrngsim.optics import (
 )
 from qrngsim.timetag import scan_workers
 
-from oracles import bit_array, reference_generate
+from oracles import (
+    bit_array,
+    reference_ascii_bits,
+    reference_generate,
+    reference_von_neumann,
+)
 
 
 def run(*argv):
@@ -110,6 +115,19 @@ class TestScanDelay:
         assert not out.exists()
         assert run("scan-delay", *span, "--pairs-per-point", "1e3", "--no-fit",
                    "--out", str(out)) == EXIT_OK
+
+    def test_scan_with_no_cross_arm_count_has_no_dip_to_fit(self, tmp_path, capsys):
+        # with every rate at 0, a zero baseline fits any visibility and width
+        out = tmp_path / "s.csv"
+        argv = ["scan-delay", "--from", "-600", "--to", "600", "--steps", "3",
+                "--pairs-per-point", "1e3", "--efficiency", "0", "--out", str(out)]
+        assert run(*argv) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "cross-arm" in err[0] and "--no-fit" in err[0]
+        assert list(tmp_path.iterdir()) == []
+        assert run(*argv, "--no-fit") == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.csv.manifest.json"]
+        assert {row.split(",")[2] for row in out.read_text().splitlines()[1:]} == {"0"}
 
     def test_nonzero_delay_is_refused(self, tmp_path, capsys):
         # --from and --to set each point's delay; a --delay would be ignored
@@ -396,9 +414,11 @@ def tiny_generate_runs(draw):
 
 class TestGenerateOracle:
     """``generate``'s bit file, error log and manifest counts against
-    ``reference_generate``, the per-stage scalar oracles composed: a stage
-    handing the next one the wrong stream, or a count taken before a
-    filter, fails here even where each stage passes its own oracle."""
+    ``reference_generate``, the per-stage scalar oracles composed, and
+    ``unbias``'s output and counts on that file against
+    ``reference_von_neumann``: a stage handing the next one the wrong
+    stream, or a count taken before a filter, fails here even where each
+    stage passes its own oracle."""
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -430,6 +450,14 @@ class TestGenerateOracle:
         assert (tmp_path / "bits.txt.errors.csv").read_bytes() == want_log
         metadata = RunManifest.load(str(out) + ".manifest.json").metadata
         assert {key: metadata[key] for key in want_counts} == want_counts
+        # then unbias the bit file
+        vn = reference_von_neumann([int(c) for c in want_bits.decode("ascii") if c != "\n"])
+        unbiased = tmp_path / "unbiased.txt"
+        assert run("unbias", str(out), "--out", str(unbiased)) == EXIT_OK
+        assert unbiased.read_bytes() == reference_ascii_bits(vn)
+        metadata = RunManifest.load(str(unbiased) + ".manifest.json").metadata
+        assert metadata["output_bits"] == len(vn)
+        assert metadata.get("output_ones_fraction") == (sum(vn) / len(vn) if vn else None)
 
 
 class TestDurationPastInt64Headroom:
@@ -649,6 +677,9 @@ class TestTestCommand:
 
     def test_missing_input_is_io_error(self, tmp_path):
         assert run("test", str(tmp_path / "nope.txt")) == EXIT_IO
+        # the file is read before the battery checks its lengths and alpha
+        for flags in (("--block-m", "0"), ("--serial-m", "1"), ("--alpha", "0")):
+            assert run("test", str(tmp_path / "nope.txt"), *flags) == EXIT_IO
 
     @pytest.mark.parametrize("flags", [
         ("--block-m", "0"), ("--block-m", "-5"), ("--apen-m", "0"),
@@ -664,12 +695,13 @@ class TestTestCommand:
         assert len(err) == 1 and "must be >= " in err[0]
         assert not (tmp_path / "fair.txt.report.json").exists()
 
-    # each pattern length is too long for 1,000 bits: its test reports blank
-    # before it builds a 2^m-entry table, and the command refuses the length
-    # rather than let the rest of the battery pass without it
+    # each length is too long for 1,000 bits: its test reports blank (a
+    # pattern test before it builds a 2^m-entry table), and the command
+    # refuses the length rather than let the rest of the battery pass
+    # without it
     @pytest.mark.parametrize("flags", [
         ("--serial-m", "40"), ("--serial-m", "20"), ("--serial-m", "8"),
-        ("--apen-m", "40"), ("--apen-m", "9"),
+        ("--apen-m", "40"), ("--apen-m", "9"), ("--block-m", "5000"), ("--block-m", "1001"),
     ])
     def test_pattern_length_too_long_reports_blank(self, tmp_path, capsys, flags):
         bits = tmp_path / "small.txt"
@@ -686,27 +718,40 @@ class TestTestCommand:
         assert len(err) == 1 and f"{flags[0]} {flags[1]} is too long" in err[0]
         assert list(tmp_path.iterdir()) == [bits]
         # library callers still get the blank entry from run_suite
-        option = {"--serial-m": "serial_m", "--apen-m": "approx_entropy_m"}[flags[0]]
-        config = statskit.SuiteConfig(**{option: int(flags[1])})
-        name = "serial" if flags[0] == "--serial-m" else "approximate_entropy"
-        tests = json.loads(statskit.run_suite(read_bit_file(bits).bits, config).to_json())["tests"]
+        keyword, name = {"--serial-m": ("serial_m", "serial"),
+                         "--apen-m": ("apen_m", "approximate_entropy"),
+                         "--block-m": ("block_m", "block_frequency")}[flags[0]]
+        report = statskit.run_suite(read_bit_file(bits).bits, **{keyword: int(flags[1])})
+        tests = json.loads(report.to_json())["tests"]
         blank = [t for t in tests if t["name"] == name]
         assert blank == [{"name": name, "p_values": [], "statistic": 0.0,
                           "passed": False, "applicable": False}]
 
     # the longest lengths that fit 1,000 bits: m <= floor(log2 n) - 2 for
-    # serial, 2^(m+1) < n for approximate entropy
-    @pytest.mark.parametrize("flags", [("--serial-m", "7"), ("--apen-m", "8")])
+    # serial, 2^(m+1) < n for approximate entropy, m <= n for one block
+    @pytest.mark.parametrize("flags", [("--serial-m", "7"), ("--apen-m", "8"),
+                                       ("--block-m", "1000")])
     def test_longest_pattern_length_that_fits_is_tested(self, tmp_path, flags):
         bits = tmp_path / "small.txt"
         rng = np.random.default_rng(67)
         write_bit_file(BitStream(rng.integers(0, 2, 1000, dtype=np.uint8)), bits)
         assert run("test", str(bits), *flags) in (EXIT_OK, EXIT_TEST_FAIL)
         tests = json.loads((tmp_path / "small.txt.report.json").read_text())["tests"]
-        name = "serial" if flags[0] == "--serial-m" else "approximate_entropy"
-        assert [len(t["p_values"]) for t in tests if t["name"] == name] == [
-            2 if name == "serial" else 1
-        ]
+        name, n_p_values = {"--serial-m": ("serial", 2), "--apen-m": ("approximate_entropy", 1),
+                            "--block-m": ("block_frequency", 1)}[flags[0]]
+        assert [len(t["p_values"]) for t in tests if t["name"] == name] == [n_p_values]
+
+    def test_default_block_length_may_blank_a_short_file(self, tmp_path):
+        # 128 bits is the default block, longer than these 120: the test is
+        # blank, but no --block-m was asked for, so the rest of the battery
+        # stands
+        bits = tmp_path / "short.txt"
+        rng = np.random.default_rng(68)
+        write_bit_file(BitStream(rng.integers(0, 2, 120, dtype=np.uint8)), bits)
+        for flags in ((), ("--block-m", "128")):
+            assert run("test", str(bits), *flags) in (EXIT_OK, EXIT_TEST_FAIL)
+            tests = json.loads((tmp_path / "short.txt.report.json").read_text())["tests"]
+            assert [t["applicable"] for t in tests if t["name"] == "block_frequency"] == [False]
 
     def test_alpha_flag_moves_the_bar(self, tmp_path):
         rng = np.random.default_rng(65)

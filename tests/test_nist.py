@@ -9,7 +9,6 @@ import pytest
 
 from qrngsim.bitpipe import BitStream
 from qrngsim.statskit import (
-    SuiteConfig,
     approx_entropy_test,
     as_bit_array,
     block_frequency_test,
@@ -404,7 +403,7 @@ class TestSensitivity:
 
 class TestSuiteRunner:
     def test_canonical_order_and_overall_pass(self):
-        report = run_suite(fair_bits(20000, seed=2), SuiteConfig())
+        report = run_suite(fair_bits(20000, seed=2))
         names = [t.name for t in report.tests]
         assert names == [
             "frequency",
@@ -434,7 +433,7 @@ class TestSuiteRunner:
         assert len(by_name["serial"].p_values) == 2
 
     def test_short_input_marks_tests_not_applicable_without_crashing(self):
-        report = run_suite(bit_array("1010011"), SuiteConfig())
+        report = run_suite(bit_array("1010011"))
         by_name = {t.name: t for t in report.tests}
         assert not by_name["longest_run"].applicable
         assert by_name["longest_run"].p_values == ()
@@ -501,24 +500,29 @@ class TestSuiteRunner:
         assert report.to_json() == again.to_json()
 
     def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            SuiteConfig(alpha=0.0)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            run_suite(fair_bits(100, seed=1), alpha=0.0)
 
+    # each length goes to its own test, which refuses it; the ids name the
+    # lengths in full
     @pytest.mark.parametrize("field, value", [
         ("block_frequency_m", 0), ("block_frequency_m", -5), ("approx_entropy_m", 0),
         ("serial_m", 1), ("serial_m", 0),
     ])
     def test_lengths_no_test_can_use_are_refused(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be >= "):
-            SuiteConfig(**{field: value})
-        SuiteConfig(block_frequency_m=1, approx_entropy_m=1, serial_m=2)
+        keyword = {"block_frequency_m": "block_m", "approx_entropy_m": "apen_m",
+                   "serial_m": "serial_m"}[field]
+        bits = fair_bits(1000, seed=5)
+        with pytest.raises(ValueError, match="length must be >= "):
+            run_suite(bits, **{keyword: value})
+        run_suite(bits, block_m=1, apen_m=1, serial_m=2)
 
     def test_alpha_plumbing_at_half(self):
         # at alpha = 0.5 on fair input, about half of all P-values sit
         # below the bar, so pass flags must track the configured level
         p_values = []
         for seed in range(40):
-            report = run_suite(fair_bits(20_000, seed=1000 + seed), SuiteConfig(alpha=0.5))
+            report = run_suite(fair_bits(20_000, seed=1000 + seed), alpha=0.5)
             for t in report.tests:
                 if t.applicable:
                     p_values.extend(t.p_values)

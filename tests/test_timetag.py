@@ -694,10 +694,8 @@ class TestScanDelay:
         delays = np.linspace(-650.0, 650.0, 11)
         src = SourceConfig(pair_rate_hz=100_000.0, duration_s=1.0, seed=31)
         interf = InterferometerConfig(visibility_ceiling=ceiling)
-        cross = scan_delay(delays, src, interf, BANK, TimingConfig())[
-            :, CROSS_ARM_LABELS
-        ].sum(axis=1)
-        fit = fit_dip_visibility(delays, cross / src.duration_s, np.sqrt(cross) / src.duration_s)
+        counts = scan_delay(delays, src, interf, BANK, TimingConfig())
+        fit = fit_dip_visibility(delays, counts, src.duration_s)
         assert abs(fit.visibility - ceiling) < 4.0 * max(fit.visibility_err, 1e-4)
         assert abs(fit.width_fs - 222.0) < 0.05 * 222.0
 
@@ -818,11 +816,24 @@ class TestScanDelay:
         )
 
 
+def dip_table(cross):
+    """``scan_delay``'s label-count table for these per-delay cross-arm
+    counts, split between D1D3 and D2D4, with no D1D2 or D3D4 counts."""
+    cross = np.asarray(cross)
+    table = np.zeros((len(cross), len(PairLabel)), dtype=cross.dtype)
+    table[:, PairLabel.D1D3] = cross // 2
+    table[:, PairLabel.D2D4] = cross - cross // 2
+    return table
+
+
 class TestFitDipVisibility:
+    # each id keeps the "-True" that marked the Poisson-weighted cases, so
+    # every case keeps its name
     @pytest.mark.parametrize("ceiling", [0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
-    @pytest.mark.parametrize("weighted", [False, True])
-    @pytest.mark.parametrize("n_points,duration_s", [(9, 0.01), (11, 1.0)])
-    def test_matches_curve_fit(self, ceiling, weighted, n_points, duration_s):
+    @pytest.mark.parametrize("n_points,duration_s", [
+        pytest.param(9, 0.01, id="9-0.01-True"), pytest.param(11, 1.0, id="11-1.0-True"),
+    ])
+    def test_matches_curve_fit(self, ceiling, n_points, duration_s):
         # Poisson counts around a 222 fs dip; every case holds a zero-count
         # point, which the sigma floor weights a million times the peak
         rng = np.random.default_rng(round(100 * ceiling) + n_points)
@@ -830,10 +841,9 @@ class TestFitDipVisibility:
         mean = 1e4 * duration_s * (1.0 - ceiling * np.exp(-((delays / 222.0) ** 2)))
         counts = rng.poisson(mean)
         counts[n_points // 2] = 0
-        rates = counts / duration_s
-        sigmas = np.sqrt(counts) / duration_s if weighted else None
-        fit = fit_dip_visibility(delays, rates, sigmas)
-        (base, vis, width), err = curve_fit_dip(delays, rates, sigmas)
+        fit = fit_dip_visibility(delays, dip_table(counts), duration_s)
+        (base, vis, width), err = curve_fit_dip(delays, counts / duration_s,
+                                                np.sqrt(counts) / duration_s)
         assert fit.baseline_hz == pytest.approx(base, rel=1e-6)
         assert fit.visibility == pytest.approx(vis, rel=1e-6)
         assert fit.width_fs == pytest.approx(width, rel=1e-6)
@@ -841,23 +851,32 @@ class TestFitDipVisibility:
 
     def test_noiseless_dip_is_recovered(self):
         delays = np.linspace(-600.0, 600.0, 7)
-        rates = 50.0 * (1.0 - 0.8 * np.exp(-((delays / 222.0) ** 2)))
-        fit = fit_dip_visibility(delays, rates)
+        counts = 50.0 * (1.0 - 0.8 * np.exp(-((delays / 222.0) ** 2)))
+        fit = fit_dip_visibility(delays, dip_table(counts), 1.0)
         assert fit.visibility == pytest.approx(0.8, rel=1e-9)
         assert fit.width_fs == pytest.approx(222.0, rel=1e-9)
         assert fit.baseline_hz == pytest.approx(50.0, rel=1e-9)
-        assert fit.visibility_err < 1e-9
+
+    def test_only_cross_arm_counts_are_fitted(self):
+        delays = np.linspace(-650.0, 650.0, 9)
+        counts = dip_table(np.round(1e3 * (1.0 - 0.9 * np.exp(-((delays / 222.0) ** 2)))))
+        fit = fit_dip_visibility(delays, counts, 2.0)
+        counts[:, PairLabel.D1D2] += 5000
+        counts[:, PairLabel.D3D4] += np.arange(9)
+        assert fit_dip_visibility(delays, counts, 2.0) == fit
+
+    def test_no_cross_arm_count_is_refused(self):
+        # with every rate at 0, a zero baseline fits any visibility and width
+        counts = dip_table(np.zeros(3, dtype=np.int64))
+        counts[:, PairLabel.D1D2] = 100
+        with pytest.raises(ValueError, match="at least one cross-arm coincidence"):
+            fit_dip_visibility([-600.0, 0.0, 600.0], counts, 1.0)
 
     def test_equal_delays_leave_no_error(self):
-        fit = fit_dip_visibility([100.0] * 4, [3.0, 4.0, 5.0, 4.0], [1.0] * 4)
+        fit = fit_dip_visibility([100.0] * 4, dip_table([3, 4, 5, 4]), 1.0)
         assert fit.visibility_err is None
         assert math.isfinite(fit.visibility)
 
-    def test_three_unweighted_points_leave_no_error(self):
-        # chi^2 / (n - 3) has no degrees of freedom to scale by
-        fit = fit_dip_visibility([-300.0, 0.0, 300.0], [10.0, 1.0, 10.0])
-        assert fit.visibility_err is None
-
     def test_needs_three_points(self):
         with pytest.raises(ValueError, match="three"):
-            fit_dip_visibility([0.0, 400.0], [1.0, 10.0])
+            fit_dip_visibility([0.0, 400.0], dip_table([1, 10]), 1.0)
