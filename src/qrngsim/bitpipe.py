@@ -100,15 +100,19 @@ def records_to_stream(records: BitRecordStream) -> BitStream:
 def _period_indices(times_ps: np.ndarray, clock: ClockConfig) -> np.ndarray:
     """Exact period index floor(1000 t / P) of sorted timestamps t >= 0 (ps).
 
-    Works in femtoseconds so common clocks (500 kHz, 3 ns windows) divide
-    exactly; t = q P + r keeps every product in int64 at any duration.
-    Raises ValueError if the error log's index k + 1 of the last period
-    would pass int64.
+    Works in femtoseconds so that periods off the picosecond grid (3 MHz,
+    7 kHz) still index exactly; t = q P + r keeps every product in int64 at
+    any duration.  A period of whole picoseconds p, as 500 kHz, 12.5 kHz
+    and 1.25 kHz clocks have, needs one division: floor(1000 t / 1000 p)
+    = floor(t / p).  Raises ValueError if the error log's index k + 1 of
+    the last period would pass int64.
     """
     period_fs = clock.period_fs
     last = int(times_ps[-1]) * 1000 // period_fs if len(times_ps) else 0
     if last + 1 > _INT64_MAX:
         raise ValueError(f"clock indices pass int64 at {int(times_ps[-1])} ps")
+    if period_fs % 1000 == 0:
+        return times_ps // (period_fs // 1000)
     q, r = np.divmod(times_ps, period_fs)
     # in place, so the peak holds two arrays of the input's size, not five
     q *= 1000

@@ -8,18 +8,20 @@ usage error too, a command line that cannot run as given: it exits 2
 with one line.  So is ``test`` on a file under 100 bits, where no test
 of the battery applies: it exits 2 with one line and writes no report,
 so a file that nothing examined never reads as a pass.  The same holds
-for a ``--serial-m``, ``--apen-m`` or (above its default) ``--block-m``
-too long for the file, which would drop its test from the verdict, for a
-non-zero ``--delay`` on ``scan-delay``, whose points take their delays
-from ``--from`` and ``--to``, and for a ``scan-delay`` fit with no
-cross-arm count, where any dip fits.  Every command honors --seed and
-writes a manifest next to its outputs holding the command line
-(``argv``) and the parameters it parsed to.  ``rerun`` replays that argv
-through this module's parser, so reruns get the same defaults and
-validation as direct runs, and reproduces every output file byte for
-byte.  A manifest without ``argv`` (written before 0.2.0), whose
-parameters disagree with its argv, or whose argv asks for help or the
-version is refused with exit 2.
+for a ``--serial-m``, ``--apen-m`` or (other than its default of 128)
+``--block-m`` too long for the file, which would drop its test from the
+verdict, for a non-zero ``--delay`` on ``scan-delay``, whose points take
+their delays from ``--from`` and ``--to``, and for a ``scan-delay`` fit
+with no cross-arm count, where any dip fits.  A ``scan-delay`` or
+``ber-scan`` worker process that ends without a result, killed or exited,
+is an I/O failure: it exits 4 with one line, after every worker has been
+reaped.  Every command honors --seed and writes a manifest next to its
+outputs holding the command line (``argv``) and the parameters it parsed
+to.  ``rerun`` replays that argv through this module's parser, so reruns
+get the same defaults and validation as direct runs, and reproduces every
+output file byte for byte.  A manifest without ``argv`` (written before
+0.2.0), whose parameters disagree with its argv, or whose argv asks for
+help or the version is refused with exit 2.
 """
 
 from __future__ import annotations
@@ -342,9 +344,10 @@ def cmd_test(args, manifest: RunManifest):
     if not report.n_applicable:
         raise UsageError(f"test: {args.infile} is too short to test "
                          f"(bits: {stream.n}; no test applies below 100)")
-    # from 100 bits on only a length asked for can blank these tests
+    # from 100 bits on only a length asked for can blank these tests, and
+    # the default block of 128, given or left to default, counts as not asked for
     blank = {t.name for t in report.tests if not t.p_values}
-    if args.block_m <= _BLOCK_M:
+    if args.block_m == _BLOCK_M:
         blank.discard("block_frequency")
     for name, option, m in (("block_frequency", "--block-m", args.block_m),
                             ("approximate_entropy", "--apen-m", args.apen_m),

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import pickle
 import sys
 import threading
 from dataclasses import dataclass
@@ -441,33 +442,101 @@ def fan_out(fn, seed: int, *arg_lists) -> list:
     enumerate(zip(*arg_lists))]``, each call run in a worker process.
 
     ``arg_lists`` holds one equal-length list per argument of ``fn`` after
-    its seed.  The n calls run in a pool of ``scan_workers(n)`` processes,
-    and the pool's ordered map returns their results in call order.  ``fn``
-    must be a module-level function, and its arguments and results
-    picklable; an exception raised in a worker is raised again here.
+    its seed.  The n calls run in ``scan_workers(n)`` processes, and their
+    results come back in call order.  ``fn`` must be a module-level
+    function, and its arguments and results picklable.  If calls raise,
+    the exception of the earliest failing call is raised again here; a
+    worker that ends without a result, killed or exited, raises
+    ``ChildProcessError``.
 
     On Linux, while the caller runs a single Python thread, the workers
-    are forked from it: they start without a new interpreter and without
-    importing anything again.  The only other threads numpy leaves in the
-    process are OpenBLAS's, and OpenBLAS joins them in a
-    ``pthread_atfork`` handler before each fork (2 threads before
-    ``os.fork()``, 1 in parent and child after it, with numpy 2.4.6 and
-    OpenBLAS 0.3.31), and the pool forks all its workers before it starts
-    a thread of its own.  Elsewhere, or while other Python threads run,
-    the workers are spawned: they import the caller's main module, so a
+    are forked from it with ``os.fork``: they start without a new
+    interpreter and without importing anything again, worker w runs calls
+    w, w + workers, ... and each sends its results back through its own
+    pipe.  The only other threads numpy leaves in the process are
+    OpenBLAS's, and OpenBLAS joins them in a ``pthread_atfork`` handler
+    before each fork (2 threads before ``os.fork()``, 1 in parent and
+    child after it, with numpy 2.4.6 and OpenBLAS 0.3.31).  Elsewhere, or
+    while other Python threads run, the workers are spawned by a
+    ``ProcessPoolExecutor``: they import the caller's main module, so a
     script that reaches this pool (``scan-delay`` or ``ber-scan`` through
     ``cli.main`` included) must then guard its entry point with
     ``if __name__ == "__main__":``.
     """
-    # imported here so that commands without a pool do not pay for them
+    n = len(arg_lists[0])
+    seeds = [point_seed(seed, i) for i in range(n)]
+    if sys.platform == "linux" and threading.active_count() == 1:
+        return _fork_map(fn, list(zip(seeds, *arg_lists)), scan_workers(n))
+    # imported here so that commands that fork, or run no pool, do not pay for them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    single_threaded_linux = sys.platform == "linux" and threading.active_count() == 1
-    context = multiprocessing.get_context("fork" if single_threaded_linux else "spawn")
-    n = len(arg_lists[0])
+    context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(scan_workers(n), mp_context=context) as pool:
-        return list(pool.map(fn, [point_seed(seed, i) for i in range(n)], *arg_lists))
+        return list(pool.map(fn, seeds, *arg_lists))
+
+
+def _fork_map(fn, calls: list, workers: int) -> list:
+    """``[fn(*call) for call in calls]`` in ``workers`` forked children.
+
+    Each pipe is read to its end before any child is waited for, so a
+    result larger than the pipe buffer cannot deadlock, and every child is
+    reaped before anything is raised.
+    """
+    pids, pipes = [], []
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _fork_worker(fn, calls[w::workers], pipes, write_fd)
+            finally:
+                os.close(write_fd)  # only the parent gets here
+            pids.append(pid)
+        payloads = [pipe.read() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+
+    results = [None] * len(calls)
+    failures = []
+    for w, (pid, status, payload) in enumerate(zip(pids, statuses, payloads)):
+        if status != 0:  # 0 only for a child that wrote its result and exited 0
+            raise ChildProcessError(f"fan_out worker {w} (pid {pid}) ended without a result "
+                                    f"(wait status {status})")
+        done, exc = pickle.loads(payload)
+        if exc is None:
+            results[w::workers] = done
+        else:
+            failures.append((w + len(done) * workers, exc))
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
+
+
+def _fork_worker(fn, calls: list, pipes: list, write_fd: int) -> None:
+    """The body of a forked child: run ``calls`` in order, stopping at the
+    first that raises, pickle (results so far, exception or None) into
+    ``write_fd`` and end the process, never returning into the caller."""
+    status = 1
+    try:
+        for pipe in pipes:  # the read ends, the parent's alone
+            pipe.close()
+        done = []
+        try:
+            for call in calls:
+                done.append(fn(*call))
+            outcome = (done, None)
+        except Exception as exc:  # raised again in the parent
+            outcome = (done, exc)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _scan_point(seed, source, interf, bank, timing) -> np.ndarray:

@@ -4,10 +4,14 @@ import concurrent.futures
 
 import pytest
 
+from qrngsim import timetag
+
 
 @pytest.fixture
 def process_pools(monkeypatch) -> list:
-    """Each process pool's (max_workers, start method), as it is made."""
+    """Each fan-out's (worker count, start method), as it starts: "fork" for
+    the workers ``fan_out`` forks itself, the pool's start method
+    otherwise."""
     pools = []
 
     class Recording(concurrent.futures.ProcessPoolExecutor):
@@ -15,5 +19,12 @@ def process_pools(monkeypatch) -> list:
             pools.append((max_workers, mp_context.get_start_method()))
             super().__init__(max_workers, mp_context=mp_context)
 
+    fork_map = timetag._fork_map
+
+    def recording_fork_map(fn, calls, workers):
+        pools.append((workers, "fork"))
+        return fork_map(fn, calls, workers)
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(timetag, "_fork_map", recording_fork_map)
     return pools

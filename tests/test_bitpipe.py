@@ -186,8 +186,11 @@ class TestClockedExtractionOracle:
     @given(data=st.data())
     def test_matches_scalar_oracle(self, tmp_path, data):
         # 3 MHz and 7 kHz periods (333,333,333 and 142,857,142,857 fs) do
-        # not divide a picosecond grid evenly
-        clock = ClockConfig(data.draw(st.sampled_from([3e6, 7e3, SLOWEST_CLOCK_HZ])))
+        # not divide a picosecond grid evenly; 500 kHz, 12.5 kHz and 1 THz
+        # periods (2 us, 80 us and 1 ps) are whole picoseconds, which take
+        # the one-division path
+        clock = ClockConfig(data.draw(st.sampled_from(
+            [3e6, 7e3, SLOWEST_CLOCK_HZ, 5e5, 1.25e4, 1e12])))
         period_ps = clock.period_fs // 1000
         gaps = data.draw(st.lists(
             st.one_of(st.just(0), st.integers(0, period_ps // 4),

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -175,6 +176,26 @@ class TestScanDelay:
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "scan.csv").exists()
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="forks only on Linux")
+    def test_forked_scans_never_import_a_process_pool(self, tmp_path):
+        script = (
+            "import sys\n"
+            "import qrngsim.cli\n"
+            "for argv in (['scan-delay', '--from', '-600', '--to', '600', '--steps', '3',\n"
+            "              '--pairs-per-point', '1e3', '--out', 'scan.csv'],\n"
+            "             ['ber-scan', '--rate', '100', '--freqs', '5000,8000',\n"
+            "              '--duration', '2', '--out', 'b.csv']):\n"
+            "    assert qrngsim.cli.main(argv) == 0, argv\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.split('.')[0] in ('multiprocessing', 'concurrent'))\n"
+            "assert not loaded, loaded\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qrngsim.__file__)))
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "scan.csv").exists() and (tmp_path / "b.csv").exists()
+
 
 class TestBerScan:
     def test_model_out_of_range_is_rejected(self, tmp_path):
@@ -285,6 +306,53 @@ class TestBerScan:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+
+def _exit_without_result(seed, *args):
+    os._exit(7)
+
+
+def _killed_without_result(seed, *args):
+    os.kill(os.getpid(), signal.SIGKILL)  # as the out-of-memory killer would
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="forks only on Linux")
+class TestDeadWorker:
+    """A scan worker that ends without a result is an I/O failure."""
+
+    @pytest.mark.parametrize("death", [_exit_without_result, _killed_without_result])
+    @pytest.mark.parametrize("command", ["scan-delay", "ber-scan"])
+    def test_exits_4_with_one_line_and_reaps_every_worker(
+        self, tmp_path, capsys, monkeypatch, command, death
+    ):
+        if command == "scan-delay":
+            monkeypatch.setattr(timetag, "_scan_point", death)
+            argv = ["scan-delay", "--from", "-600", "--to", "600", "--steps", "3",
+                    "--pairs-per-point", "1e3"]
+        else:
+            monkeypatch.setattr(qrngsim.cli, "_ber_point", death)
+            argv = ["ber-scan", "--rate", "100", "--freqs", "5000,8000", "--duration", "2"]
+        # a spawn pool run earlier in this process leaves its resource
+        # tracker behind as a child, so each worker is looked for by pid
+        workers, fork = [], os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                workers.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        assert run(*argv, "--out", str(tmp_path / "out.csv")) == EXIT_IO
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert f"worker 0 (pid {workers[0]})" in err and "wait status" in err
+        assert list(tmp_path.iterdir()) == []
+        assert len(workers) == scan_workers(2 if command == "ber-scan" else 3)
+        for pid in workers:
+            with pytest.raises(ChildProcessError):  # reaped, none left behind
+                os.waitpid(pid, os.WNOHANG)
 
 
 class TestGenerate:
@@ -753,6 +821,17 @@ class TestTestCommand:
             tests = json.loads((tmp_path / "short.txt.report.json").read_text())["tests"]
             assert [t["applicable"] for t in tests if t["name"] == "block_frequency"] == [False]
 
+    @pytest.mark.parametrize("block_m", ["101", "110", "127"])
+    def test_asked_for_block_length_too_long_exits_2(self, tmp_path, capsys, block_m):
+        # shorter than the default block, but still longer than the file
+        bits = tmp_path / "short.txt"
+        rng = np.random.default_rng(69)
+        write_bit_file(BitStream(rng.integers(0, 2, 100, dtype=np.uint8)), bits)
+        assert run("test", str(bits), "--block-m", block_m) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"--block-m {block_m} is too long" in err[0]
+        assert list(tmp_path.iterdir()) == [bits]
+
     def test_alpha_flag_moves_the_bar(self, tmp_path):
         rng = np.random.default_rng(65)
         bits = tmp_path / "fair.txt"
@@ -841,6 +920,28 @@ class TestRerunAndManifest:
         assert sha256_file(rerun_dir / "g.txt.report.json") == report_digest
         replayed = RunManifest.load(str(rerun_dir / "g.txt.report.json.manifest.json"))
         assert [o["sha256"] for o in replayed.outputs] == [report_digest]
+
+    def test_recorded_test_manifest_with_default_block_replays(self, tmp_path):
+        # a test manifest as 0.2.0 records it: block_m 128 among the
+        # parameters, no --block-m in the argv
+        bits = tmp_path / "short.txt"
+        rng = np.random.default_rng(68)
+        write_bit_file(BitStream(rng.integers(0, 2, 120, dtype=np.uint8)), bits)
+        manifest = tmp_path / "recorded.json"
+        manifest.write_text(json.dumps({
+            "tool_version": "0.2.0", "command": "test", "seed": 0, "argv": ["test", str(bits)],
+            "parameters": {"command": "test", "infile": str(bits), "alpha": 0.01,
+                           "report": None, "sequence_id": None, "block_m": 128,
+                           "apen_m": 2, "serial_m": None, "seed": 0},
+            "started_utc": "a", "finished_utc": "b", "outputs": [], "metadata": {},
+        }))
+        rerun_dir = tmp_path / "rr"
+        assert run("rerun", "--manifest", str(manifest),
+                   "--outdir", str(rerun_dir)) in (EXIT_OK, EXIT_TEST_FAIL)
+        replayed = RunManifest.load(str(rerun_dir / "short.txt.report.json.manifest.json"))
+        assert replayed.parameters["block_m"] == 128
+        tests = json.loads((rerun_dir / "short.txt.report.json").read_text())["tests"]
+        assert [t["applicable"] for t in tests if t["name"] == "block_frequency"] == [False]
 
     def test_save_keeps_the_schema_key_order(self, tmp_path):
         manifest = RunManifest(command="ber-scan", argv=["ber-scan"], parameters={"rate": 1.0},

@@ -32,6 +32,7 @@ from qrngsim.timetag import (
     _dead_time_filter,
     coincidence_filter,
     draw_patterns,
+    fan_out,
     fit_dip_visibility,
     label_counts,
     point_seed,
@@ -824,6 +825,33 @@ def dip_table(cross):
     table[:, PairLabel.D1D3] = cross // 2
     table[:, PairLabel.D2D4] = cross - cross // 2
     return table
+
+
+def _filled(seed, index, size):
+    return np.full(size, index)
+
+
+def _failing_from(seed, index, first_failing):
+    if index >= first_failing:
+        raise ValueError(f"call {index}")
+    return index
+
+
+class TestFanOut:
+    def test_results_larger_than_a_pipe_come_back_in_call_order(self):
+        # more calls than workers, each result 2 MB, far past a pipe's buffer
+        n = max(5, scan_workers(10**6) + 1)
+        results = fan_out(_filled, 0, list(range(n)), [2**18] * n)
+        assert [(int(r[0]), int(r[-1]), len(r)) for r in results] == [
+            (i, i, 2**18) for i in range(n)
+        ]
+
+    @pytest.mark.parametrize("first_failing", [1, 2, 4])
+    def test_earliest_failing_call_is_raised(self, first_failing):
+        # every call from first_failing on raises, in whichever worker it runs
+        n = max(5, scan_workers(10**6) + 1)
+        with pytest.raises(ValueError, match=f"^call {first_failing}$"):
+            fan_out(_failing_from, 0, list(range(n)), [first_failing] * n)
 
 
 class TestFitDipVisibility:
