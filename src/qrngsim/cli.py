@@ -12,10 +12,19 @@ for a ``--serial-m``, ``--apen-m`` or (other than its default of 128)
 ``--block-m`` too long for the file, which would drop its test from the
 verdict, for a non-zero ``--delay`` on ``scan-delay``, whose points take
 their delays from ``--from`` and ``--to``, and for a ``scan-delay`` fit
-with no cross-arm count, where any dip fits.  A ``scan-delay`` or
-``ber-scan`` worker process that ends without a result, killed or exited,
-is an I/O failure: it exits 4 with one line, after every worker has been
-reaped.  Every command honors --seed and writes a manifest next to its
+with no cross-arm count, where any dip fits.  So is a command line that
+names one file twice, compared by real path: ``generate``'s bit file,
+error log, manifest and event dump must be four files, and ``test``'s
+report and ``unbias``'s output, manifests included, must not be the
+input.  It exits 2 with one line before anything runs or is written, and
+``rerun --outdir`` is refused the same way when two outputs share a
+basename.  ``scan-delay`` and ``ber-scan`` fork their worker processes on
+Linux while the caller runs one Python thread; elsewhere, or beside
+other threads, their points run one after another in the caller, with
+the same bytes, and the manifest records ``scan_workers`` = 1.  A worker
+process that ends without a result, killed or exited, is an I/O failure:
+it exits 4 with one line, after every worker has been reaped.  Every
+command honors --seed and writes a manifest next to its
 outputs holding the command line (``argv``) and the parameters it parsed
 to.  ``rerun`` replays that argv through this module's parser, so reruns
 get the same defaults and validation as direct runs, and reproduces every
@@ -94,6 +103,21 @@ def _configs_from_args(args):
     return interf, bank, timing
 
 
+def _check_distinct(command: str, files: dict) -> None:
+    """Refuse a command line that names one file in two of its roles,
+    compared by real path: one output would overwrite the other, or the
+    input, under a manifest that records a digest of bytes no longer
+    there."""
+    seen = {}
+    for role, path in files.items():
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            raise UsageError(f"{command}: {seen[real]} and {role} name the same file {path}")
+        seen[real] = role
+
+
 def _parameters(args) -> dict:
     return {key: value for key, value in vars(args).items() if key != "func"}
 
@@ -167,9 +191,9 @@ def cmd_scan_delay(args, manifest: RunManifest):
 # ----------------------------------------------------------------- ber-scan
 
 
-def _ber_point(seed, rate_hz, duration_s, clock):
-    """One frequency, run in a worker process from its own seed: its symbol
-    count and error fraction."""
+def _ber_point(seed, clock, rate_hz, duration_s):
+    """One frequency, run by ``fan_out`` from its own seed: its symbol count
+    and error fraction."""
     records = bitpipe.extract_bits(timetag.synthetic_coincidences(rate_hz, duration_s, seed),
                                    clock)
     return len(records), bitpipe.empirical_ber(records)
@@ -194,10 +218,8 @@ def cmd_ber_scan(args, manifest: RunManifest):
         except bitpipe.ModelOutOfRange as exc:
             raise UsageError(f"ber-scan: frequency {f} Hz: {exc}") from None
 
-    n_freqs = len(freqs)
-    points = timetag.fan_out(_ber_point, args.seed, [args.rate] * n_freqs,
-                             [args.duration] * n_freqs, clocks)
-    manifest.metadata["scan_workers"] = timetag.scan_workers(n_freqs)
+    points = timetag.fan_out(_ber_point, args.seed, clocks, args.rate, args.duration)
+    manifest.metadata["scan_workers"] = timetag.scan_workers(len(freqs))
     rows = []
     for f, model, (n, empirical) in zip(freqs, models, points):
         sigma = math.sqrt(empirical * (1.0 - empirical) / n) if n else 0.0
@@ -273,6 +295,10 @@ def run_generation(
 def cmd_generate(args, manifest: RunManifest):
     if args.monitor_threshold < 0:
         raise UsageError("generate: --monitor-threshold must be >= 0")
+    error_log = args.error_log or args.out + ".errors.csv"
+    manifest_path = args.manifest or args.out + ".manifest.json"
+    _check_distinct("generate", {"--out": args.out, "--error-log": error_log,
+                                 "--manifest": manifest_path, "--dump-events": args.dump_events})
     source = SourceConfig(pair_rate_hz=args.pair_rate, duration_s=args.duration,
                           seed=args.seed)
     interf, bank, timing = _configs_from_args(args)
@@ -286,7 +312,6 @@ def cmd_generate(args, manifest: RunManifest):
     bitpipe.write_bit_file(bits, args.out, fmt=args.format)
     manifest.add_output("bits", args.out)
 
-    error_log = args.error_log or args.out + ".errors.csv"
     bitpipe.write_error_log(error_log, records)
     manifest.add_output("error_log", error_log)
 
@@ -299,13 +324,16 @@ def cmd_generate(args, manifest: RunManifest):
     print(f"bits: {counts['bits_recorded']}  errors: {counts['error_records']}"
           f"  empirical BER: {counts['empirical_ber']:.3e}")
     print(f"wrote {args.out}")
-    return EXIT_OK, args.manifest or args.out + ".manifest.json"
+    return EXIT_OK, manifest_path
 
 
 # ------------------------------------------------------------------- unbias
 
 
 def cmd_unbias(args, manifest: RunManifest):
+    manifest_path = args.out + ".manifest.json"
+    _check_distinct("unbias", {"the input": args.infile, "--out": args.out,
+                               "the manifest": manifest_path})
     stream = bitpipe.read_bit_file(args.infile, fmt=args.in_format)
     unbiased = bitpipe.von_neumann(stream)
     bitpipe.write_bit_file(unbiased, args.out, fmt=args.out_format)
@@ -323,7 +351,7 @@ def cmd_unbias(args, manifest: RunManifest):
         p_one, err = bitpipe.bias_estimate(unbiased)
         manifest.metadata["output_ones_fraction"] = p_one
         print(f"output ones fraction: {p_one:.5f} +/- {err:.5f}")
-    return EXIT_OK, args.out + ".manifest.json"
+    return EXIT_OK, manifest_path
 
 
 # --------------------------------------------------------------------- test
@@ -337,6 +365,9 @@ def _report_path(args) -> str:
 
 
 def cmd_test(args, manifest: RunManifest):
+    out = _report_path(args)
+    _check_distinct("test", {"the input": args.infile, "--report": out,
+                             "the manifest": out + ".manifest.json"})
     stream = bitpipe.read_bit_file(args.infile)
     sequence_id = args.sequence_id or os.path.basename(args.infile)
     report = statskit.run_suite(stream.bits, alpha=args.alpha, block_m=args.block_m,
@@ -356,7 +387,6 @@ def cmd_test(args, manifest: RunManifest):
             raise UsageError(f"test: {option} {m} is too long for {args.infile} "
                              f"(bits: {stream.n}); the {name} test would not run")
 
-    out = _report_path(args)
     with open(out, "w", encoding="ascii", newline="\n") as fh:
         fh.write(report.to_json())
         fh.write("\n")

@@ -72,7 +72,7 @@ def duration_ps(duration_s: float) -> int:
     """A run length in whole picoseconds, from 1 ps to MAX_DURATION_PS."""
     if not (duration_s > 0.0) or not math.isfinite(duration_s):
         raise ValueError(f"duration_s must be > 0, got {duration_s}")
-    ps = round(duration_s * PS_PER_SECOND)
+    ps = round(min(duration_s * PS_PER_SECOND, 2 * MAX_DURATION_PS))  # 1e308 s is inf ps
     if not 1 <= ps <= MAX_DURATION_PS:
         raise ValueError(
             f"duration_s must lie in 1e-12 to {MAX_DURATION_PS / PS_PER_SECOND:.4g} s, "
@@ -427,53 +427,45 @@ def point_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1, np.uint64)[0])
 
 
+def _forks() -> bool:
+    """Whether ``fan_out`` forks: on Linux while the caller runs one Python
+    thread, since a fork copies no other thread, nor the locks it holds."""
+    return sys.platform == "linux" and threading.active_count() == 1
+
+
 def scan_workers(n_points: int) -> int:
-    """Worker processes for a scan or any ``fan_out``: one per usable CPU, at
-    most one per point."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return min(cpus, n_points)
+    """The processes a scan or any ``fan_out`` of n_points calls runs on:
+    one forked worker per usable CPU and at most one per point, or the
+    caller alone where ``fan_out`` does not fork."""
+    return min(len(os.sched_getaffinity(0)) if _forks() else 1, n_points)
 
 
-def fan_out(fn, seed: int, *arg_lists) -> list:
-    """``[fn(point_seed(seed, i), *args) for i, args in
-    enumerate(zip(*arg_lists))]``, each call run in a worker process.
+def fan_out(fn, seed: int, points: Sequence, *shared) -> list:
+    """``[fn(point_seed(seed, i), point, *shared) for i, point in
+    enumerate(points)]``, the calls spread over worker processes.
 
-    ``arg_lists`` holds one equal-length list per argument of ``fn`` after
-    its seed.  The n calls run in ``scan_workers(n)`` processes, and their
-    results come back in call order.  ``fn`` must be a module-level
-    function, and its arguments and results picklable.  If calls raise,
-    the exception of the earliest failing call is raised again here; a
-    worker that ends without a result, killed or exited, raises
-    ``ChildProcessError``.
+    Each call gets its own seed and its point; the ``shared`` arguments are
+    the same for every call.  Results come back in call order, and if calls
+    raise, the exception of the earliest failing call is raised here.
 
-    On Linux, while the caller runs a single Python thread, the workers
-    are forked from it with ``os.fork``: they start without a new
-    interpreter and without importing anything again, worker w runs calls
-    w, w + workers, ... and each sends its results back through its own
-    pipe.  The only other threads numpy leaves in the process are
-    OpenBLAS's, and OpenBLAS joins them in a ``pthread_atfork`` handler
-    before each fork (2 threads before ``os.fork()``, 1 in parent and
-    child after it, with numpy 2.4.6 and OpenBLAS 0.3.31).  Elsewhere, or
-    while other Python threads run, the workers are spawned by a
-    ``ProcessPoolExecutor``: they import the caller's main module, so a
-    script that reaches this pool (``scan-delay`` or ``ber-scan`` through
-    ``cli.main`` included) must then guard its entry point with
-    ``if __name__ == "__main__":``.
+    On Linux, while the caller runs a single Python thread, the calls run
+    in ``scan_workers(n)`` workers forked from it with ``os.fork``: they
+    start without a new interpreter and without importing anything again,
+    worker w runs calls w, w + workers, ... and each sends its results back
+    through its own pipe.  ``fn``'s results and exceptions must pickle, and
+    a worker that ends without a result, killed or exited, raises
+    ``ChildProcessError``.  The only other threads numpy leaves in the
+    process are OpenBLAS's, and OpenBLAS joins them in a
+    ``pthread_atfork`` handler before each fork (2 threads before
+    ``os.fork()``, 1 in parent and child after it, with numpy 2.4.6 and
+    OpenBLAS 0.3.31).  Elsewhere, or while other Python threads run, the
+    calls run one after another in the caller; since each draws from its
+    own seed, the results are the same.
     """
-    n = len(arg_lists[0])
-    seeds = [point_seed(seed, i) for i in range(n)]
-    if sys.platform == "linux" and threading.active_count() == 1:
-        return _fork_map(fn, list(zip(seeds, *arg_lists)), scan_workers(n))
-    # imported here so that commands that fork, or run no pool, do not pay for them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(scan_workers(n), mp_context=context) as pool:
-        return list(pool.map(fn, seeds, *arg_lists))
+    calls = [(point_seed(seed, i), point, *shared) for i, point in enumerate(points)]
+    if _forks():
+        return _fork_map(fn, calls, scan_workers(len(calls)))
+    return [fn(*call) for call in calls]
 
 
 def _fork_map(fn, calls: list, workers: int) -> list:
@@ -539,8 +531,8 @@ def _fork_worker(fn, calls: list, pipes: list, write_fd: int) -> None:
         os._exit(status)
 
 
-def _scan_point(seed, source, interf, bank, timing) -> np.ndarray:
-    """One delay point, run in a worker process: its six label counts."""
+def _scan_point(seed, interf, source, bank, timing) -> np.ndarray:
+    """One delay point, run by ``fan_out``: its six label counts."""
     source = dataclasses.replace(source, seed=seed)
     return label_counts(coincidence_filter(simulate(source, interf, bank, timing), timing).labels)
 
@@ -559,16 +551,14 @@ def scan_delay(
 
     Points draw from independent child seeds keyed by (seed, index), so a
     scan is reproducible point by point regardless of which process runs
-    which point.  They run on ``fan_out``'s pool of
+    which point.  They run through ``fan_out`` on
     ``scan_workers(len(delays_fs))`` processes, in delay order.
     """
     delays = [float(d) for d in delays_fs]
     if len(delays) < 2:
         raise ValueError("a delay scan needs at least two points")
-    n = len(delays)
     interfs = [dataclasses.replace(interf, delay_fs=delay) for delay in delays]
-    return np.stack(fan_out(_scan_point, source.seed, [source] * n, interfs,
-                            [bank] * n, [timing] * n))
+    return np.stack(fan_out(_scan_point, source.seed, interfs, source, bank, timing))
 
 
 def write_scan_csv(delays_fs, counts: np.ndarray, duration_s: float, path) -> None:

@@ -1,6 +1,7 @@
 """Fixtures shared across the test modules."""
 
-import concurrent.futures
+import contextlib
+import threading
 
 import pytest
 
@@ -8,23 +9,34 @@ from qrngsim import timetag
 
 
 @pytest.fixture
-def process_pools(monkeypatch) -> list:
-    """Each fan-out's (worker count, start method), as it starts: "fork" for
-    the workers ``fan_out`` forks itself, the pool's start method
-    otherwise."""
-    pools = []
-
-    class Recording(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, mp_context):
-            pools.append((max_workers, mp_context.get_start_method()))
-            super().__init__(max_workers, mp_context=mp_context)
-
+def forks(monkeypatch) -> list:
+    """The worker count of each fan-out that forks, as it starts."""
+    counts = []
     fork_map = timetag._fork_map
 
     def recording_fork_map(fn, calls, workers):
-        pools.append((workers, "fork"))
+        counts.append(workers)
         return fork_map(fn, calls, workers)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     monkeypatch.setattr(timetag, "_fork_map", recording_fork_map)
-    return pools
+    return counts
+
+
+@contextlib.contextmanager
+def _second_thread():
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        yield
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+@pytest.fixture
+def another_python_thread():
+    """A context manager whose block runs while a second Python thread
+    waits on an event, so that ``fan_out`` runs its calls in the caller."""
+    return _second_thread

@@ -1,5 +1,6 @@
 """Command-line integration: exit codes, file outputs, reproducibility."""
 
+import contextlib
 import json
 import math
 import os
@@ -178,23 +179,51 @@ class TestScanDelay:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="forks only on Linux")
     def test_forked_scans_never_import_a_process_pool(self, tmp_path):
+        # forked, then run in the caller beside a waiting thread
         script = (
-            "import sys\n"
+            "import sys, threading\n"
             "import qrngsim.cli\n"
+            "release = threading.Event()\n"
+            "if sys.argv[1] == 'thread':\n"
+            "    threading.Thread(target=release.wait).start()\n"
             "for argv in (['scan-delay', '--from', '-600', '--to', '600', '--steps', '3',\n"
             "              '--pairs-per-point', '1e3', '--out', 'scan.csv'],\n"
             "             ['ber-scan', '--rate', '100', '--freqs', '5000,8000',\n"
             "              '--duration', '2', '--out', 'b.csv']):\n"
             "    assert qrngsim.cli.main(argv) == 0, argv\n"
+            "release.set()\n"
             "loaded = sorted(m for m in sys.modules\n"
             "                if m.split('.')[0] in ('multiprocessing', 'concurrent'))\n"
             "assert not loaded, loaded\n"
         )
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qrngsim.__file__)))
-        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                              capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-        assert (tmp_path / "scan.csv").exists() and (tmp_path / "b.csv").exists()
+        for mode in ("fork", "thread"):
+            run_dir = tmp_path / mode
+            run_dir.mkdir()
+            done = subprocess.run([sys.executable, "-c", script, mode], cwd=run_dir, env=env,
+                                  capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            assert (run_dir / "scan.csv").exists() and (run_dir / "b.csv").exists()
+        for name in ("scan.csv", "b.csv"):
+            assert (tmp_path / "fork" / name).read_bytes() == (
+                tmp_path / "thread" / name).read_bytes()
+
+    def test_one_failing_point_fails_the_scan(
+        self, tmp_path, capsys, monkeypatch, another_python_thread
+    ):
+        def failing_point(seed, interf, *shared):
+            raise ValueError(f"no point at {interf.delay_fs} fs")
+
+        monkeypatch.setattr(timetag, "_scan_point", failing_point)
+        # forked, then run in the caller
+        for path in (contextlib.nullcontext, another_python_thread):
+            with path():
+                assert run("scan-delay", "--from", "-600", "--to", "600", "--steps", "3",
+                           "--pairs-per-point", "1e3",
+                           "--out", str(tmp_path / "s.csv")) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err == "error: no point at -600.0 fs\n"
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestBerScan:
@@ -256,30 +285,29 @@ class TestBerScan:
         self.assert_matches_serial_frequency_loop(tmp_path / "b.csv",
                                                   max(5, scan_workers(10**6) + 1))
 
-    def test_one_pool_of_at_most_one_worker_per_cpu_and_frequency(self, tmp_path, process_pools):
+    def test_one_pool_of_at_most_one_worker_per_cpu_and_frequency(self, tmp_path, forks):
         assert threading.active_count() == 1
         for freqs in ("5000,8000", "1000,2000,3000,4000,5000"):
             assert run("ber-scan", "--rate", "100", "--freqs", freqs, "--duration", "2",
                        "--out", str(tmp_path / "b.csv")) == EXIT_OK
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        # forked from a single-threaded caller on Linux, spawned elsewhere
-        method = "fork" if sys.platform == "linux" else "spawn"
-        assert process_pools == [(min(cpus, 2), method), (min(cpus, 5), method)]
+        # forked from a single-threaded caller on Linux, run in the caller elsewhere
+        if sys.platform == "linux":
+            cpus = len(os.sched_getaffinity(0))
+            assert forks == [min(cpus, 2), min(cpus, 5)]
+        else:
+            assert forks == []
 
-    def test_spawns_while_another_python_thread_runs(self, tmp_path, process_pools):
+    def test_runs_in_the_caller_while_another_python_thread_runs(
+        self, tmp_path, forks, another_python_thread
+    ):
         forked = self.assert_matches_serial_frequency_loop(tmp_path / "a.csv", 3)
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
-            spawned = self.assert_matches_serial_frequency_loop(tmp_path / "b.csv", 3)
-        finally:
-            release.set()
-            other.join(timeout=10)
-        assert not other.is_alive()
-        first = "fork" if sys.platform == "linux" else "spawn"
-        assert [method for _, method in process_pools] == [first, "spawn"]
-        assert spawned == forked
+        forks.clear()
+        with another_python_thread():
+            in_caller = self.assert_matches_serial_frequency_loop(tmp_path / "b.csv", 3)
+        assert forks == []
+        assert in_caller == forked
+        assert RunManifest.load(str(tmp_path / "b.csv.manifest.json")).metadata == {
+            "scan_workers": 1}
 
     # a NaN or infinity is refused earlier, as a parameter no manifest can
     # record
@@ -288,24 +316,27 @@ class TestBerScan:
         ("100", "-1", "duration_s must"), ("-1", "2", "rate_hz must be >= 0"),
     ])
     def test_unusable_rate_or_duration_is_refused_before_the_pool(
-        self, tmp_path, capsys, process_pools, rate, duration, message
+        self, tmp_path, capsys, forks, rate, duration, message
     ):
         assert run("ber-scan", "--rate", rate, "--freqs", "1000,2000", "--duration", duration,
                    "--out", str(tmp_path / "b.csv")) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and message in err[0]
-        assert process_pools == []
+        assert forks == []
         assert list(tmp_path.iterdir()) == []
 
-    def test_one_failing_frequency_fails_the_scan(self, tmp_path, capsys):
-        # a 1 fs period puts 9,300 s past int64 at the second frequency only
-        code = run("ber-scan", "--rate", "1", "--freqs", "1000,1e15",
-                   "--duration", "9300", "--out", str(tmp_path / "b.csv"))
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert "Traceback" not in err
-        assert list(tmp_path.iterdir()) == []
+    def test_one_failing_frequency_fails_the_scan(self, tmp_path, capsys, another_python_thread):
+        # a 1 fs period puts 9,300 s past int64 at the second frequency
+        # only; forked, then run in the caller
+        for path in (contextlib.nullcontext, another_python_thread):
+            with path():
+                code = run("ber-scan", "--rate", "1", "--freqs", "1000,1e15",
+                           "--duration", "9300", "--out", str(tmp_path / "b.csv"))
+            assert code == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1
+            assert "Traceback" not in err
+            assert list(tmp_path.iterdir()) == []
 
 
 def _exit_without_result(seed, *args):
@@ -332,8 +363,6 @@ class TestDeadWorker:
         else:
             monkeypatch.setattr(qrngsim.cli, "_ber_point", death)
             argv = ["ber-scan", "--rate", "100", "--freqs", "5000,8000", "--duration", "2"]
-        # a spawn pool run earlier in this process leaves its resource
-        # tracker behind as a child, so each worker is looked for by pid
         workers, fork = [], os.fork
 
         def recording_fork():
@@ -875,6 +904,142 @@ class TestBitFileCommandsFuzz:
             err = capsys.readouterr().err
             assert "Traceback" not in err
             assert len(err.splitlines()) <= 1
+
+
+# each flag's small valid values; every valid pair rate times duration
+# stays at or below 1e5 pairs, so no example allocates more than a few MB
+_PHYSICS = {"--delay": ["0", "300"], "--coherence-time": ["222"],
+            "--visibility-ceiling": ["0.5", "1"], "--efficiency": ["0.5", "1"],
+            "--dark-rate": ["0", "100"], "--jitter": ["0", "300"], "--dead-time": ["0", "50"],
+            "--window": ["3"]}
+_FUZZ_FLAGS = {  # the required flags, then the optional ones
+    "generate": ({"--duration": ["0.01", "0.5", "2"], "--pair-rate": ["0.5", "10", "300"]},
+                 {"--clock": ["1000", "500000"], "--seed": ["7"], "--format": ["packed"],
+                  "--monitor-threshold": ["5"], **_PHYSICS}),
+    "scan-delay": ({"--from": ["-600"], "--to": ["600"], "--steps": ["2", "3", "8"]},
+                   {"--pairs-per-point": ["10", "1000"], "--point-duration": ["0.01", "0.5"],
+                    "--seed": ["7"], "--no-fit": [], **_PHYSICS}),
+    "ber-scan": ({"--rate": ["10", "300"], "--duration": ["0.5", "2"],
+                  "--freqs": ["1000", "5e4,1000"]},
+                 {"--seed": ["7"]}),
+}
+_EDGES = ["0", "-1", "nan", "inf", "1e308", "x", ""]
+
+
+@st.composite
+def _fuzz_argv(draw, command):
+    """A command line: the required flags and a few optional ones at valid
+    values, then up to two of them at edge literals."""
+    required, optional = _FUZZ_FLAGS[command]
+    names = list(required) + draw(st.lists(st.sampled_from(sorted(optional)), unique=True,
+                                           max_size=3))
+    values = {**required, **optional}
+    flags = {name: [draw(st.sampled_from(values[name]))] if values[name] else []
+             for name in names}
+    for name in draw(st.lists(st.sampled_from(names), unique=True, max_size=2)):
+        flags[name] = [draw(st.sampled_from(_EDGES))]
+    return [command, *(word for name, value in flags.items() for word in (name, *value))]
+
+
+# values a manifest field may be edited to, JSON's own NaN and Infinity
+# among them
+_JSON_EDGES = [0, -1, math.nan, math.inf, 1e308, "x", "", None, [], {}, *_EDGES]
+
+
+def assert_exits_cleanly(capsys, argv) -> None:
+    capsys.readouterr()
+    code = run(*argv)
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_TEST_FAIL, EXIT_USAGE, EXIT_ALARM, EXIT_IO)
+    assert "Traceback" not in err
+    if code != EXIT_OK:
+        assert len(err.splitlines()) <= 1
+
+
+class TestCommandLineFuzz:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=st.sampled_from(sorted(_FUZZ_FLAGS)).flatmap(_fuzz_argv))
+    # 1e308 s is an infinite count of picoseconds
+    @example(argv=["generate", "--duration", "1e308", "--pair-rate", "10"])
+    @example(argv=["ber-scan", "--rate", "10", "--duration", "1e308", "--freqs", "1000"])
+    def test_edge_argv_exits_cleanly(self, tmp_path, capsys, argv):
+        assert_exits_cleanly(capsys, [*argv, "--out", str(tmp_path / "out")])
+
+    @pytest.fixture(scope="class")
+    def recorded(self, tmp_path_factory) -> list:
+        """One manifest text each from small generate, scan-delay and
+        ber-scan runs."""
+        out = str(tmp_path_factory.mktemp("recorded") / "out")
+        texts = []
+        for argv in (["generate", "--duration", "1", "--pair-rate", "100"],
+                     ["scan-delay", "--from", "-600", "--to", "600", "--steps", "3",
+                      "--pairs-per-point", "100"],
+                     ["ber-scan", "--rate", "100", "--freqs", "1000,5e4", "--duration", "1"]):
+            assert run(*argv, "--out", out) == EXIT_OK
+            with open(out + ".manifest.json") as fh:
+                texts.append(fh.read())
+        return texts
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_edited_manifest_exits_cleanly(self, tmp_path, capsys, recorded, data):
+        text = data.draw(st.sampled_from(recorded))
+        manifest = json.loads(text)
+        for _ in range(data.draw(st.integers(1, 3))):
+            fields = [c for c in (manifest, manifest.get("parameters"), manifest.get("argv"))
+                      if isinstance(c, (dict, list)) and c]
+            if not fields:
+                break
+            edited = data.draw(st.sampled_from(fields))
+            key = data.draw(st.sampled_from(list(edited) if isinstance(edited, dict)
+                                            else range(len(edited))))
+            if data.draw(st.booleans()):
+                del edited[key]
+            else:
+                edited[key] = data.draw(st.sampled_from(_JSON_EDGES))
+        text = json.dumps(manifest)
+        if data.draw(st.booleans()):
+            text = text[:data.draw(st.integers(0, len(text) - 1))]
+        path = tmp_path / "edited.json"
+        path.write_text(text)
+        assert_exits_cleanly(capsys, ["rerun", "--manifest", str(path),
+                                      "--outdir", str(tmp_path / "rr")])
+
+
+_GENERATE = ["generate", "--duration", "1", "--pair-rate", "200", "--seed", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(_GENERATE + ["--out", "x.bits", "--error-log", "x.bits"], id="generate-error-log"),
+    pytest.param(_GENERATE + ["--out", "x.bits", "--manifest", "x.bits"], id="generate-manifest"),
+    pytest.param(_GENERATE + ["--out", "x.bits", "--dump-events", "sub/../x.bits"],
+                 id="generate-dump-events"),
+    pytest.param(_GENERATE + ["--out", "x.bits", "--error-log", "x.bits.manifest.json"],
+                 id="generate-default-manifest"),
+    pytest.param(_GENERATE + ["--out", "x.bits", "--error-log", "e.csv", "--manifest", "e.csv"],
+                 id="generate-error-log-manifest"),
+    pytest.param(["test", "in.bits", "--report", "./in.bits"], id="test-report"),
+    pytest.param(["test", "in.manifest.json", "--report", "in"], id="test-report-manifest"),
+    pytest.param(["unbias", "in.bits", "--out", "in.bits"], id="unbias-out"),
+    pytest.param(["rerun", "--manifest", "a/x.bits.manifest.json", "--outdir", "replay"],
+                 id="rerun-outdir"),
+])
+def test_one_file_named_twice_is_refused(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    for name in ("in.bits", "in.manifest.json"):
+        write_bit_file(BitStream(np.tile(np.array([0, 1, 1], dtype=np.uint8), 50)), name)
+    # two outputs in two directories, one basename: moved into one --outdir
+    os.mkdir("a")
+    os.mkdir("b")
+    assert run(*_GENERATE, "--out", "a/x.bits", "--error-log", "b/x.bits") == EXIT_OK
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    capsys.readouterr()
+    assert run(*argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "name the same file" in err[0]
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
 
 
 class TestRerunAndManifest:

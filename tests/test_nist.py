@@ -401,6 +401,45 @@ class TestSensitivity:
         assert not block_frequency_test(bits, m=128).passed
 
 
+# the first 100 bits of pi's binary expansion, the standard's epsilon in
+# its section 2.x.8 examples, and the 128-bit epsilon of section 2.4.8
+EPSILON_PI = ("1100100100001111110110101010001000100001011010001100001000110100"
+              "110001001100011001100010100010111000")
+EPSILON_LONGEST_RUN = ("1100110000010101011011000100110011100000000000100100110101010001"
+                       "0001001111010110100000001101011111001100111001101101100010110010")
+
+
+class TestWorkedExamples:
+    def test_epsilon_pi_is_pi(self):
+        # floor(pi * 2^98) by Machin's formula in integers, 40 guard bits
+        def arctan_inverse(x, one):
+            total, term, k, sign = 0, one // x, 1, 1
+            while term:
+                total += sign * (term // k)
+                term //= x * x
+                k, sign = k + 2, -sign
+            return total
+
+        one = 1 << (98 + 40)
+        pi = (16 * arctan_inverse(5, one) - 4 * arctan_inverse(239, one)) >> 40
+        assert f"{pi:b}" == EPSILON_PI
+
+    # SP 800-22 Rev. 1a's worked examples; spectral is left out, since its
+    # peak count on epsilon_pi (48) differs from the recalled example's (46)
+    @pytest.mark.parametrize("test, epsilon, p_values", [
+        (frequency_test, EPSILON_PI, [0.109599]),
+        (lambda bits: block_frequency_test(bits, m=10), EPSILON_PI, [0.706438]),
+        (runs_test, EPSILON_PI, [0.500798]),
+        (longest_run_test, EPSILON_LONGEST_RUN, [0.180609]),
+        (cusum_test, EPSILON_PI, [0.219194, 0.114866]),
+        (cusum_test, "1011010111", [0.411659, 0.411659]),
+        (lambda bits: approx_entropy_test(bits, m=2), EPSILON_PI, [0.235301]),
+    ], ids=["frequency", "block_frequency", "runs", "longest_run", "cusum-pi",
+            "cusum-10-bits", "approximate_entropy"])
+    def test_standard_example(self, test, epsilon, p_values):
+        assert test(bit_array(epsilon)).p_values == pytest.approx(p_values, abs=5e-7)
+
+
 class TestSuiteRunner:
     def test_canonical_order_and_overall_pass(self):
         report = run_suite(fair_bits(20000, seed=2))

@@ -701,8 +701,10 @@ class TestScanDelay:
         assert abs(fit.width_fs - 222.0) < 0.05 * 222.0
 
     @staticmethod
-    def assert_matches_serial_point_loop():
-        # more points than workers, so workers take several points each
+    def assert_matches_serial_point_loop() -> np.ndarray:
+        """Scan more points than workers, so workers take several points
+        each, check every point against the points run one after another,
+        and return the counts."""
         n_points = max(7, scan_workers(10**6) + 1)
         delays = np.linspace(-500.0, 500.0, n_points)
         src = SourceConfig(pair_rate_hz=20_000.0, duration_s=0.2, seed=17)
@@ -722,31 +724,33 @@ class TestScanDelay:
                 timing,
             )
             assert point == label_counts(coinc.labels).tolist()
+        return counts
 
     def test_matches_serial_point_loop(self):
         self.assert_matches_serial_point_loop()
 
-    def test_one_pool_of_at_most_one_worker_per_cpu_and_point(self, process_pools):
+    def test_one_pool_of_at_most_one_worker_per_cpu_and_point(self, forks):
         assert threading.active_count() == 1
         src = SourceConfig(pair_rate_hz=1000.0, duration_s=0.1, seed=3)
         for n_points in (2, 5):
             scan_delay(np.linspace(0.0, 400.0, n_points), src, IDEAL, BANK, TimingConfig())
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        # forked from a single-threaded caller on Linux, spawned elsewhere
-        method = "fork" if sys.platform == "linux" else "spawn"
-        assert process_pools == [(min(cpus, 2), method), (min(cpus, 5), method)]
+        # forked from a single-threaded caller on Linux, run in the caller elsewhere
+        if sys.platform == "linux":
+            cpus = len(os.sched_getaffinity(0))
+            assert forks == [min(cpus, 2), min(cpus, 5)]
+        else:
+            assert forks == []
 
-    def test_spawns_while_another_python_thread_runs(self, process_pools):
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
-            self.assert_matches_serial_point_loop()
-        finally:
-            release.set()
-            other.join(timeout=10)
-        assert not other.is_alive()
-        assert [method for _, method in process_pools] == ["spawn"]
+    def test_runs_in_the_caller_while_another_python_thread_runs(
+        self, forks, another_python_thread
+    ):
+        forked = self.assert_matches_serial_point_loop()
+        forks.clear()
+        with another_python_thread():
+            in_caller = self.assert_matches_serial_point_loop()
+            assert scan_workers(len(in_caller)) == 1
+        assert forks == []
+        assert np.array_equal(in_caller, forked)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_blas_threads_are_joined_across_fork(self):
@@ -764,13 +768,6 @@ class TestScanDelay:
         after = os_threads()
         os.waitpid(pid, 0)
         assert after == 1
-
-    def test_workers_without_cpu_affinity(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert [scan_workers(n) for n in (1, 2, 3, 7)] == [1, 2, 3, 3]
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert scan_workers(7) == 1
 
     def test_csv_schema(self, tmp_path):
         src = SourceConfig(pair_rate_hz=1000.0, duration_s=0.5, seed=2)
@@ -841,7 +838,7 @@ class TestFanOut:
     def test_results_larger_than_a_pipe_come_back_in_call_order(self):
         # more calls than workers, each result 2 MB, far past a pipe's buffer
         n = max(5, scan_workers(10**6) + 1)
-        results = fan_out(_filled, 0, list(range(n)), [2**18] * n)
+        results = fan_out(_filled, 0, range(n), 2**18)
         assert [(int(r[0]), int(r[-1]), len(r)) for r in results] == [
             (i, i, 2**18) for i in range(n)
         ]
@@ -851,7 +848,7 @@ class TestFanOut:
         # every call from first_failing on raises, in whichever worker it runs
         n = max(5, scan_workers(10**6) + 1)
         with pytest.raises(ValueError, match=f"^call {first_failing}$"):
-            fan_out(_failing_from, 0, list(range(n)), [first_failing] * n)
+            fan_out(_failing_from, 0, range(n), first_failing)
 
 
 class TestFitDipVisibility:
