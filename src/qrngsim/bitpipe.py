@@ -67,9 +67,9 @@ class BitRecordStream:
     """One int8 symbol per occupied clock period, in period order, with the
     period index and coincidence count of each ERROR symbol's period.
 
-    Built only by extract_bits, from one occupancy pass, so the error rows
-    always agree with the symbols.  The benchmark's record counter reads
-    ``.symbols``.
+    Built only by extract_bits, from period_occupancy's opens mask, so the
+    error rows always agree with the symbols.  The benchmark's record
+    counter reads ``.symbols``.
     """
 
     symbols: np.ndarray
@@ -121,7 +121,8 @@ def _period_indices(times_ps: np.ndarray, clock: ClockConfig) -> np.ndarray:
 
 
 def period_occupancy(coincidences: CoincidenceStream, clock: ClockConfig):
-    """(period index, event count, first label) per occupied clock period.
+    """(periods, opens): each coincidence's period index, and n + 1 bools,
+    True where coincidence i opens an occupied period, then a True sentinel.
 
     Relies on time-sorted input, which it checks: periods of sorted times
     never decrease, so each occupied period is one run of equal neighbours
@@ -131,13 +132,9 @@ def period_occupancy(coincidences: CoincidenceStream, clock: ClockConfig):
     if np.any(times[1:] < times[:-1]):
         raise ValueError("coincidences must be time-sorted")
     periods = _period_indices(times, clock)
-    run_start = np.empty(len(periods), dtype=bool)
-    run_start[:1] = True
-    np.not_equal(periods[1:], periods[:-1], out=run_start[1:])
-    first = np.flatnonzero(run_start)
-    index = periods[first]
-    del periods, run_start  # free the full-length arrays before the counts
-    return index, np.diff(first, append=len(times)), coincidences.labels[first]
+    opens = np.ones(len(periods) + 1, dtype=bool)
+    np.not_equal(periods[1:], periods[:-1], out=opens[1:-1])
+    return periods, opens
 
 
 def extract_bits(coincidences: CoincidenceStream, clock: ClockConfig) -> BitRecordStream:
@@ -146,22 +143,25 @@ def extract_bits(coincidences: CoincidenceStream, clock: ClockConfig) -> BitReco
     Cross-arm labels must have been routed to the purity monitor first;
     their presence here is an error.  Each occupied period emits one
     symbol, in period order: its data bit if it holds one coincidence, an
-    error symbol if it holds more.  The error periods' indices and counts
-    come out of the same pass, for the error log.
+    error symbol if it holds more.  Only the error periods are gathered by
+    index, from period_occupancy's opens mask.
     """
-    if len(coincidences) and np.any(
-        (coincidences.labels != int(PairLabel.D1D2))
-        & (coincidences.labels != int(PairLabel.D3D4))
+    labels = coincidences.labels
+    if len(labels) and np.any(
+        (labels != int(PairLabel.D1D2)) & (labels != int(PairLabel.D3D4))
     ):
         raise ValueError(
             "cross-arm coincidence labels must be filtered out before bit extraction"
         )
-    index, counts, first_labels = period_occupancy(coincidences, clock)
-    # period_occupancy returns fresh arrays, so the view writes nowhere shared
-    symbols = (first_labels == int(PairLabel.D3D4)).view(np.int8)  # ONE or ZERO
-    multi = np.flatnonzero(counts >= 2)
-    symbols[multi] = Symbol.ERROR
-    return BitRecordStream(symbols, index[multi], counts[multi])
+    periods, opens = period_occupancy(coincidences, clock)
+    symbols = (labels == int(PairLabel.D3D4)).view(np.int8)  # fresh: ONE or ZERO
+    # a period of two or more opens at s, where opens[s] & ~opens[s + 1], and
+    # closes at e, where ~opens[e] & opens[e + 1]; opens[0] and the sentinel
+    # are True, so the changes of opens alternate between the two
+    edges = np.flatnonzero(opens[:-1] != opens[1:])
+    opens_multi, closes_multi = edges[0::2], edges[1::2]
+    symbols[opens_multi] = Symbol.ERROR
+    return BitRecordStream(symbols[opens[:-1]], periods[opens_multi], closes_multi - opens_multi + 1)
 
 
 def ber_model(rate_hz: float, clock: ClockConfig) -> float:

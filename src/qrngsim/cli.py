@@ -18,10 +18,12 @@ error log, manifest and event dump must be four files, and ``test``'s
 report and ``unbias``'s output, manifests included, must not be the
 input.  It exits 2 with one line before anything runs or is written, and
 ``rerun --outdir`` is refused the same way when two outputs share a
-basename.  ``scan-delay`` and ``ber-scan`` fork their worker processes on
-Linux while the caller runs one Python thread; elsewhere, or beside
-other threads, their points run one after another in the caller, with
-the same bytes, and the manifest records ``scan_workers`` = 1.  A worker
+basename; a replay that is refused or fails removes the directories
+that its ``--outdir`` created.  ``scan-delay`` and ``ber-scan`` fork
+their worker processes on Linux while the caller runs one Python thread;
+elsewhere, or beside other threads, their points run one after another
+in the caller, with the same bytes, and the manifest records
+``scan_workers`` = 1.  A worker
 process that ends without a result, killed or exited, is an I/O failure:
 it exits 4 with one line, after every worker has been reaped.  Every
 command honors --seed and writes a manifest next to its
@@ -40,6 +42,7 @@ import contextlib
 import io
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -432,18 +435,27 @@ def cmd_rerun(args) -> int:
         raise UsageError(f"rerun: {args.manifest_file} records a rerun, which does not replay")
     if _parameters(replay) != recorded.parameters:
         raise UsageError(f"rerun: {args.manifest_file}: parameters do not match its argv")
-    if args.outdir:
+    if not args.outdir:
+        return _run(replay, argv)
+    if replay.command == "test":
+        # the default report path follows the input, which stays in place
+        replay.report = _report_path(replay)
+    for key in _OUTPUT_OPTIONS:
+        path = getattr(replay, key, None)
+        if path:
+            argv += ["--" + key.replace("_", "-"),
+                     os.path.join(args.outdir, os.path.basename(path))]
+    # the outermost directory of --outdir that this replay creates, if any
+    created, missing = None, os.path.abspath(args.outdir)
+    while not os.path.lexists(missing):
+        created, missing = missing, os.path.dirname(missing)
+    try:
         os.makedirs(args.outdir, exist_ok=True)
-        if replay.command == "test":
-            # the default report path follows the input, which stays in place
-            replay.report = _report_path(replay)
-        for key in _OUTPUT_OPTIONS:
-            path = getattr(replay, key, None)
-            if path:
-                argv += ["--" + key.replace("_", "-"),
-                         os.path.join(args.outdir, os.path.basename(path))]
-        replay = parser.parse_args(argv)
-    return _run(replay, argv)
+        return _run(parser.parse_args(argv), argv)
+    except BaseException:  # a refused or failed replay leaves no directory of its own
+        if created:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
 
 
 def build_parser() -> argparse.ArgumentParser:

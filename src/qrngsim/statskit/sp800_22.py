@@ -245,6 +245,14 @@ def approx_entropy_test(bits, m: int = 2, alpha: float = 0.01) -> TestReport:
         raise ValueError(f"pattern length must be >= 1, got {m}")
     if n <= 2 ** (m + 1):
         return _too_short("approximate_entropy")
+    p, chi2 = _approx_entropy(b, m)
+    return _report("approximate_entropy", (p,), chi2, alpha, applicable=n >= 100)
+
+
+def _approx_entropy(b: np.ndarray, m: int):
+    """(P-value, chi-square) of approximate entropy at pattern length m,
+    under no length rule."""
+    n = len(b)
 
     def phi(counts) -> float:
         freq = counts[counts > 0] / n
@@ -253,8 +261,7 @@ def approx_entropy_test(bits, m: int = 2, alpha: float = 0.01) -> TestReport:
     longer = _overlapping_pattern_counts(b, m + 1)
     apen = phi(_fold(longer)) - phi(longer)
     chi2 = 2.0 * n * (math.log(2.0) - apen)
-    p = igamc(2 ** (m - 1), chi2 / 2.0)
-    return _report("approximate_entropy", (p,), chi2, alpha, applicable=n >= 100)
+    return igamc(2 ** (m - 1), chi2 / 2.0), chi2
 
 
 def default_serial_m(n: int) -> int:
@@ -274,7 +281,14 @@ def serial_test(bits, m: Optional[int] = None, alpha: float = 0.01) -> TestRepor
         raise ValueError(f"serial pattern length must be >= 2, got {m}")
     if m > n.bit_length() - 3:  # m > floor(log2 n) - 2, n = 0 included
         return _too_short("serial")
+    p1, p2, d1 = _serial(b, m)
+    return _report("serial", (p1, p2), d1, alpha, applicable=n >= 100)
 
+
+def _serial(b: np.ndarray, m: int):
+    """(P-value 1, P-value 2, del psi^2) of the serial test at pattern
+    length m, under no length rule."""
+    n = len(b)
     counts = _overlapping_pattern_counts(b, m)
     psi2 = []
     for mm in (m, m - 1, m - 2):
@@ -286,9 +300,7 @@ def serial_test(bits, m: Optional[int] = None, alpha: float = 0.01) -> TestRepor
     # them a few ulps below zero, where igamc is 1 as in NIST's cephes.
     d1 = max(psi2[0] - psi2[1], 0.0)
     d2 = max(psi2[0] - 2.0 * psi2[1] + psi2[2], 0.0)
-    p1 = igamc(2 ** (m - 2), d1 / 2.0)
-    p2 = igamc(2 ** (m - 3), d2 / 2.0)
-    return _report("serial", (p1, p2), d1, alpha, applicable=n >= 100)
+    return igamc(2 ** (m - 2), d1 / 2.0), igamc(2 ** (m - 3), d2 / 2.0), d1
 
 
 def spectral_test(bits, alpha: float = 0.01) -> TestReport:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qrngsim import bitpipe
@@ -102,6 +102,24 @@ class TestExtractBits:
         assert len(stream) > 900_000
         assert peak < 5 * input_bytes
 
+    @pytest.mark.parametrize("frequency_hz", [12_500.0, 1_250.0])
+    def test_peak_memory_is_below_twice_the_input(self, frequency_hz):
+        # about 300,000 coincidences at L = R/f = 0.02 and 0.2; the input's
+        # times and labels are 9 bytes a coincidence, and only the error
+        # periods may be gathered into per-period index arrays
+        stream = synthetic_coincidences(250.0, 1200.0, seed=6)
+        clock = ClockConfig(frequency_hz)
+        input_bytes = stream.times_ps.nbytes + stream.labels.nbytes
+        extract_bits(stream, clock)  # warm: numpy's first-call setup is not the kernel's
+        tracemalloc.start()
+        try:
+            extract_bits(stream, clock)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(stream) > 290_000
+        assert peak < 2 * input_bytes
+
     def test_one_bit_per_singly_occupied_period(self, tmp_path):
         stream = coincidences(
             (PairLabel.D1D2, int(0.5 * MS)), (PairLabel.D3D4, int(1.2 * MS))
@@ -177,44 +195,68 @@ class TestExtractBits:
         assert len(records) == want_total
 
 
-class TestClockedExtractionOracle:
-    # INT64_MAX // 1000 ps (about 9,223 s): past it 1000 t no longer fits int64
-    LINE_PS = INT64_MAX // 1000
+# INT64_MAX // 1000 ps (about 9,223 s): past it 1000 t no longer fits int64
+LINE_PS = INT64_MAX // 1000
 
+
+@st.composite
+def clocked_cases(draw):
+    """(clock frequency, sorted times in ps, labels) of a qualifying stream.
+
+    3 MHz and 7 kHz periods (333,333,333 and 142,857,142,857 fs) do not
+    divide a picosecond grid evenly; 500 kHz, 12.5 kHz and 1 THz periods
+    (2 us, 80 us and 1 ps) are whole picoseconds, which take the
+    one-division path.
+    """
+    frequency_hz = draw(st.sampled_from([3e6, 7e3, SLOWEST_CLOCK_HZ, 5e5, 1.25e4, 1e12]))
+    period_ps = ClockConfig(frequency_hz).period_fs // 1000
+    gaps = draw(st.lists(
+        st.one_of(st.just(0), st.integers(0, period_ps // 4),
+                  st.integers(0, 3 * period_ps)),
+        min_size=0, max_size=60,
+    ))
+    times = np.cumsum(gaps, dtype=np.int64)
+    # start at zero, or straddle the line
+    if draw(st.booleans()):
+        last = int(times[-1]) if len(times) else 0
+        times += LINE_PS - draw(st.integers(0, last))
+    labels = draw(st.lists(
+        st.sampled_from([PairLabel.D1D2, PairLabel.D3D4]),
+        min_size=len(times), max_size=len(times),
+    ))
+    return frequency_hz, times.tolist(), labels
+
+
+D1D2, D3D4 = PairLabel.D1D2, PairLabel.D3D4
+
+
+class TestClockedExtractionOracle:
+    # a 500 kHz clock has a 2,000,000 ps period
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_matches_scalar_oracle(self, tmp_path, data):
-        # 3 MHz and 7 kHz periods (333,333,333 and 142,857,142,857 fs) do
-        # not divide a picosecond grid evenly; 500 kHz, 12.5 kHz and 1 THz
-        # periods (2 us, 80 us and 1 ps) are whole picoseconds, which take
-        # the one-division path
-        clock = ClockConfig(data.draw(st.sampled_from(
-            [3e6, 7e3, SLOWEST_CLOCK_HZ, 5e5, 1.25e4, 1e12])))
-        period_ps = clock.period_fs // 1000
-        gaps = data.draw(st.lists(
-            st.one_of(st.just(0), st.integers(0, period_ps // 4),
-                      st.integers(0, 3 * period_ps)),
-            min_size=0, max_size=60,
-        ))
-        times = np.cumsum(gaps, dtype=np.int64)
-        # start at zero, or straddle the line
-        if data.draw(st.booleans()):
-            last = int(times[-1]) if len(times) else 0
-            times += self.LINE_PS - data.draw(st.integers(0, last))
-        labels = data.draw(st.lists(
-            st.sampled_from([PairLabel.D1D2, PairLabel.D3D4]),
-            min_size=len(times), max_size=len(times),
-        ))
-        stream = CoincidenceStream(times, np.array(labels, dtype=np.int8))
+    @given(case=clocked_cases())
+    @example(case=(5e5, [0, 1_999_999, 2_000_000, 4_000_000], [D3D4, D1D2, D1D2, D3D4])
+             ).via("multi-occupied first period")
+    @example(case=(5e5, [0, 2_000_000, 3_000_000, 3_999_999], [D1D2, D3D4, D3D4, D1D2])
+             ).via("multi-occupied last period")
+    @example(case=(5e5, [0, 0, 1_999_999], [D3D4, D1D2, D3D4])
+             ).via("the whole stream in one period")
+    @example(case=(7e3, [LINE_PS + 5], [D3D4])).via("a single coincidence")
+    @example(case=(3e6, [], [])).via("an empty stream")
+    def test_matches_scalar_oracle(self, tmp_path, case):
+        frequency_hz, times, labels = case
+        clock = ClockConfig(frequency_hz)
+        stream = CoincidenceStream(np.array(times, dtype=np.int64),
+                                   np.array(labels, dtype=np.int8))
         given_times, given_labels = stream.times_ps.copy(), stream.labels.copy()
-        want_symbols, want_rows = clocked_records(times.tolist(), labels, clock.period_fs)
+        want_symbols, want_rows = clocked_records(times, labels, clock.period_fs)
 
-        index, counts, first_labels = bitpipe.period_occupancy(stream, clock)
-        table = period_table(times.tolist(), labels, clock.period_fs)
-        assert list(zip(index.tolist(), counts.tolist(), first_labels.tolist())) == [
-            (k, *table[k]) for k in sorted(table)
-        ]
+        periods, opens = bitpipe.period_occupancy(stream, clock)
+        assert len(opens) == len(times) + 1 and opens[-1]
+        occupancy = zip(periods[opens[:-1]].tolist(), np.diff(np.flatnonzero(opens)).tolist(),
+                        stream.labels[opens[:-1]].tolist())
+        table = period_table(times, labels, clock.period_fs)
+        assert list(occupancy) == [(k, *table[k]) for k in sorted(table)]
         assert extract_bits(stream, clock).symbols.tolist() == want_symbols
         assert error_rows(tmp_path, stream, clock) == want_rows
         # the in-place work never writes through to the caller's arrays

@@ -1025,6 +1025,10 @@ _GENERATE = ["generate", "--duration", "1", "--pair-rate", "200", "--seed", "3"]
     pytest.param(["unbias", "in.bits", "--out", "in.bits"], id="unbias-out"),
     pytest.param(["rerun", "--manifest", "a/x.bits.manifest.json", "--outdir", "replay"],
                  id="rerun-outdir"),
+    pytest.param(["rerun", "--manifest", "a/x.bits.manifest.json", "--outdir", "replay/in/here"],
+                 id="rerun-outdir-nested"),
+    pytest.param(["rerun", "--manifest", "a/x.bits.manifest.json", "--outdir", "b"],
+                 id="rerun-outdir-existing"),
 ])
 def test_one_file_named_twice_is_refused(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -1040,6 +1044,8 @@ def test_one_file_named_twice_is_refused(tmp_path, capsys, monkeypatch, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "name the same file" in err[0]
     assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+    # a refused replay leaves no --outdir of its own behind
+    assert not (tmp_path / "replay").exists()
 
 
 class TestRerunAndManifest:

@@ -22,7 +22,12 @@ from qrngsim.statskit import (
     spectral_test,
 )
 from qrngsim.statskit.special import igamc
-from qrngsim.statskit.sp800_22 import _fold, _overlapping_pattern_counts
+from qrngsim.statskit.sp800_22 import (
+    _approx_entropy,
+    _fold,
+    _overlapping_pattern_counts,
+    _serial,
+)
 
 from oracles import (
     bit_array,
@@ -438,6 +443,19 @@ class TestWorkedExamples:
             "cusum-10-bits", "approximate_entropy"])
     def test_standard_example(self, test, epsilon, p_values):
         assert test(bit_array(epsilon)).p_values == pytest.approx(p_values, abs=5e-7)
+
+    # two 10-bit examples sit below the tests' length rules (n <= 2^(m+1)
+    # and m > floor(log2 n) - 2), so they check the arithmetic that each
+    # test runs once its rule passes, and the rules still blank them
+    @pytest.mark.parametrize("test, statistic, epsilon, p_values", [
+        (approx_entropy_test, lambda bits, m: _approx_entropy(bits, m)[:1],
+         "0100110101", [0.261961]),
+        (serial_test, lambda bits, m: _serial(bits, m)[:2], "0011011101", [0.808792, 0.670320]),
+    ], ids=["approximate_entropy-10-bits", "serial-10-bits"])
+    def test_standard_example_below_the_length_rule(self, test, statistic, epsilon, p_values):
+        bits = bit_array(epsilon)
+        assert not test(bits, m=3).p_values
+        assert statistic(bits, 3) == pytest.approx(p_values, abs=5e-7)
 
 
 class TestSuiteRunner:
