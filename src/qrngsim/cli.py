@@ -8,7 +8,7 @@ usage error too, a command line that cannot run as given: it exits 2
 with one line.  So is ``test`` on a file under 100 bits, where no test
 of the battery applies: it exits 2 with one line and writes no report,
 so a file that nothing examined never reads as a pass.  The same holds
-for a ``--serial-m``, ``--apen-m`` or (other than its default of 128)
+for a ``--serial-m``, ``--apen-m`` or (other than its default)
 ``--block-m`` too long for the file, which would drop its test from the
 verdict, for a non-zero ``--delay`` on ``scan-delay``, whose points take
 their delays from ``--from`` and ``--to``, and for a ``scan-delay`` fit
@@ -23,16 +23,16 @@ that its ``--outdir`` created.  ``scan-delay`` and ``ber-scan`` fork
 their worker processes on Linux while the caller runs one Python thread;
 elsewhere, or beside other threads, their points run one after another
 in the caller, with the same bytes, and the manifest records
-``scan_workers`` = 1.  A worker
-process that ends without a result, killed or exited, is an I/O failure:
-it exits 4 with one line, after every worker has been reaped.  Every
-command honors --seed and writes a manifest next to its
-outputs holding the command line (``argv``) and the parameters it parsed
-to.  ``rerun`` replays that argv through this module's parser, so reruns
-get the same defaults and validation as direct runs, and reproduces every
-output file byte for byte.  A manifest without ``argv`` (written before
-0.2.0), whose parameters disagree with its argv, or whose argv asks for
-help or the version is refused with exit 2.
+``scan_workers`` = 1.  A worker process that ends without a result,
+killed or exited, is an I/O failure: it exits 4 with one line, after
+every worker has been reaped.  Every command accepts --seed, though
+``unbias`` and ``test`` draw nothing from it, and writes a manifest next
+to its outputs holding the command line (``argv``) and the parameters it
+parsed to.  ``rerun`` replays that argv through this module's parser, so
+reruns get the same defaults and validation as direct runs, and
+reproduces every output file byte for byte.  A manifest without ``argv``
+(written before 0.2.0), whose parameters disagree with its argv, or
+whose argv asks for help or the version is refused with exit 2.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import numpy as np
 from . import __version__, bitpipe, statskit, timetag
 from .bitpipe import ClockConfig
 from .manifest import RunManifest, utc_now
-from .optics import DEFAULT_COHERENCE_TIME_FS, DetectorBank, InterferometerConfig
+from .optics import DetectorBank, InterferometerConfig
 from .timetag import MonitorAlarm, PairLabel, SourceConfig, TimingConfig
 
 EXIT_OK = 0
@@ -71,39 +71,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+# each physics option's dest, the config field whose default it takes, and its help
+_PHYSICS = (
+    ("delay", InterferometerConfig, "delay_fs", "photon arrival-time offset in fs"),
+    ("coherence_time", InterferometerConfig, "coherence_time_fs",
+     "Gaussian dip 1/e half-width in fs"),
+    ("visibility_ceiling", InterferometerConfig, "visibility_ceiling",
+     "cap on interference visibility"),
+    ("efficiency", DetectorBank, "efficiency", "detector efficiency"),
+    ("dark_rate", DetectorBank, "dark_rate_hz", "dark counts per detector in Hz"),
+    ("jitter", TimingConfig, "jitter_sigma_ps", "per-click timing jitter sigma in ps"),
+    ("dead_time", TimingConfig, "dead_time_ns", "detector dead time in ns"),
+    ("window", TimingConfig, "coincidence_window_ns", "coincidence window in ns"),
+)
+
+
 def _physics_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("physics")
-    group.add_argument("--delay", type=float, default=0.0,
-                       help="photon arrival-time offset in fs (default 0)")
-    group.add_argument("--coherence-time", type=float, default=DEFAULT_COHERENCE_TIME_FS,
-                       help="Gaussian dip 1/e half-width in fs (default %(default)s)")
-    group.add_argument("--visibility-ceiling", type=float, default=1.0,
-                       help="cap on interference visibility (default 1.0)")
-    group.add_argument("--efficiency", type=float, default=1.0,
-                       help="detector efficiency (default 1.0)")
-    group.add_argument("--dark-rate", type=float, default=0.0,
-                       help="dark counts per detector in Hz (default 0)")
-    group.add_argument("--jitter", type=float, default=300.0,
-                       help="per-click timing jitter sigma in ps (default 300)")
-    group.add_argument("--dead-time", type=float, default=50.0,
-                       help="detector dead time in ns (default 50)")
-    group.add_argument("--window", type=float, default=3.0,
-                       help="coincidence window in ns (default 3)")
+    for dest, config, field, help_text in _PHYSICS:
+        group.add_argument("--" + dest.replace("_", "-"), type=float,
+                           default=getattr(config, field),
+                           help=help_text + " (default %(default)s)")
 
 
 def _configs_from_args(args):
-    interf = InterferometerConfig(
-        delay_fs=args.delay,
-        coherence_time_fs=args.coherence_time,
-        visibility_ceiling=args.visibility_ceiling,
-    )
-    bank = DetectorBank(efficiency=args.efficiency, dark_rate_hz=args.dark_rate)
-    timing = TimingConfig(
-        jitter_sigma_ps=args.jitter,
-        dead_time_ns=args.dead_time,
-        coincidence_window_ns=args.window,
-    )
-    return interf, bank, timing
+    fields = {}
+    for dest, config, field, _ in _PHYSICS:
+        fields.setdefault(config, {})[field] = getattr(args, dest)
+    return tuple(config(**kwargs) for config, kwargs in fields.items())
 
 
 def _check_distinct(command: str, files: dict) -> None:
@@ -360,9 +355,6 @@ def cmd_unbias(args, manifest: RunManifest):
 # --------------------------------------------------------------------- test
 
 
-_BLOCK_M = 128  # the default block length, which blanks 100-127-bit files itself
-
-
 def _report_path(args) -> str:
     return args.report or args.infile + ".report.json"
 
@@ -378,10 +370,10 @@ def cmd_test(args, manifest: RunManifest):
     if not report.n_applicable:
         raise UsageError(f"test: {args.infile} is too short to test "
                          f"(bits: {stream.n}; no test applies below 100)")
-    # from 100 bits on only a length asked for can blank these tests, and
-    # the default block of 128, given or left to default, counts as not asked for
+    # from 100 bits on only a length asked for can blank these tests; the default
+    # block, given or not, counts as not asked for: it blanks 100-127-bit files itself
     blank = {t.name for t in report.tests if not t.p_values}
-    if args.block_m == _BLOCK_M:
+    if args.block_m == statskit.sp800_22.BLOCK_M:
         blank.discard("block_frequency")
     for name, option, m in (("block_frequency", "--block-m", args.block_m),
                             ("approximate_entropy", "--apen-m", args.apen_m),
@@ -529,14 +521,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="run the randomness test battery")
     p.add_argument("infile", help="bit file (ascii or packed)")
-    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--alpha", type=float, default=statskit.sp800_22.ALPHA)
     p.add_argument("--report", default=None,
                    help="JSON report path (default INFILE.report.json)")
     p.add_argument("--sequence-id", dest="sequence_id", default=None)
-    p.add_argument("--block-m", dest="block_m", type=int, default=_BLOCK_M,
+    p.add_argument("--block-m", dest="block_m", type=int,
+                   default=statskit.sp800_22.BLOCK_M,
                    help="block frequency block length (default %(default)s)")
-    p.add_argument("--apen-m", dest="apen_m", type=int, default=2,
-                   help="approximate entropy pattern length (default 2)")
+    p.add_argument("--apen-m", dest="apen_m", type=int, default=statskit.sp800_22.APEN_M,
+                   help="approximate entropy pattern length (default %(default)s)")
     p.add_argument("--serial-m", dest="serial_m", type=int, default=None,
                    help="serial pattern length (default: scaled to n)")
     p.add_argument("--seed", type=int, default=0)

@@ -28,6 +28,12 @@ import numpy as np
 
 from .special import erfc, igamc, normal_cdf
 
+# the battery's defaults: significance level, block frequency's block
+# length and approximate entropy's pattern length
+ALPHA = 0.01
+BLOCK_M = 128
+APEN_M = 2
+
 
 def as_bit_array(bits: np.ndarray) -> np.ndarray:
     """Check that ``bits`` is a one-dimensional uint8 array of 0s and 1s."""
@@ -84,7 +90,7 @@ def _too_short(name) -> TestReport:
     return TestReport(name, (), 0.0, passed=False, applicable=False)
 
 
-def frequency_test(bits, alpha: float = 0.01) -> TestReport:
+def frequency_test(bits, alpha: float = ALPHA) -> TestReport:
     """Monobit balance: P = erfc(|S| / sqrt(2 n)) with S = sum(2 b - 1)."""
     b = as_bit_array(bits)
     n = len(b)
@@ -95,7 +101,7 @@ def frequency_test(bits, alpha: float = 0.01) -> TestReport:
     return _report("frequency", (p,), abs(s) / math.sqrt(n), alpha, applicable=n >= 100)
 
 
-def block_frequency_test(bits, m: int = 128, alpha: float = 0.01) -> TestReport:
+def block_frequency_test(bits, m: int = BLOCK_M, alpha: float = ALPHA) -> TestReport:
     """Per-block one-fraction chi-square; trailing partial block dropped."""
     b = as_bit_array(bits)
     n = len(b)
@@ -110,7 +116,7 @@ def block_frequency_test(bits, m: int = 128, alpha: float = 0.01) -> TestReport:
     return _report("block_frequency", (p,), chi2, alpha, applicable=n >= 100)
 
 
-def runs_test(bits, alpha: float = 0.01) -> TestReport:
+def runs_test(bits, alpha: float = ALPHA) -> TestReport:
     """Total number of runs against its expectation for the observed bias.
 
     The frequency pre-test |pi - 1/2| >= 2/sqrt(n) marks the report not
@@ -157,7 +163,7 @@ _LONGEST_RUN_TABLE = (
 )
 
 
-def longest_run_test(bits, alpha: float = 0.01) -> TestReport:
+def longest_run_test(bits, alpha: float = ALPHA) -> TestReport:
     """Longest run of ones per block, binned against reference categories."""
     b = as_bit_array(bits)
     n = len(b)
@@ -198,7 +204,7 @@ def _cusum_p_value(z: int, n: int) -> float:
     return min(max(total, 0.0), 1.0)
 
 
-def cusum_test(bits, alpha: float = 0.01) -> TestReport:
+def cusum_test(bits, alpha: float = ALPHA) -> TestReport:
     """Maximum excursions of the +/-1 random walk, forward and backward.
 
     p_values are (forward, backward); the statistic is the forward
@@ -237,7 +243,7 @@ def _fold(counts: np.ndarray) -> np.ndarray:
     return counts[0::2] + counts[1::2]
 
 
-def approx_entropy_test(bits, m: int = 2, alpha: float = 0.01) -> TestReport:
+def approx_entropy_test(bits, m: int = APEN_M, alpha: float = ALPHA) -> TestReport:
     """Approximate entropy of overlapping m- vs (m+1)-bit patterns."""
     b = as_bit_array(bits)
     n = len(b)
@@ -271,7 +277,7 @@ def default_serial_m(n: int) -> int:
     return max(2, min(16, int(math.floor(math.log2(n))) - 3))
 
 
-def serial_test(bits, m: Optional[int] = None, alpha: float = 0.01) -> TestReport:
+def serial_test(bits, m: Optional[int] = None, alpha: float = ALPHA) -> TestReport:
     """Overlapping m-bit pattern uniformity (psi-square differences)."""
     b = as_bit_array(bits)
     n = len(b)
@@ -303,7 +309,7 @@ def _serial(b: np.ndarray, m: int):
     return igamc(2 ** (m - 2), d1 / 2.0), igamc(2 ** (m - 3), d2 / 2.0), d1
 
 
-def spectral_test(bits, alpha: float = 0.01) -> TestReport:
+def spectral_test(bits, alpha: float = ALPHA) -> TestReport:
     """Discrete Fourier peak-count test against the 95 % threshold."""
     b = as_bit_array(bits)
     n = len(b)
@@ -319,7 +325,7 @@ def spectral_test(bits, alpha: float = 0.01) -> TestReport:
     return _report("spectral", (p,), d, alpha, applicable=n >= 1000)
 
 
-def run_suite(bits, alpha: float = 0.01, block_m: int = 128, apen_m: int = 2,
+def run_suite(bits, alpha: float = ALPHA, block_m: int = BLOCK_M, apen_m: int = APEN_M,
               serial_m: Optional[int] = None, sequence_id: str = "") -> SuiteReport:
     """Run the battery in canonical order and aggregate the verdict.
 

@@ -334,8 +334,6 @@ def coincidence_filter(events: EventStream, timing: TimingConfig) -> Coincidence
     times = events.times_ps
     dets = events.detectors
     n = len(times)
-    if n == 0:
-        return CoincidenceStream(np.empty(0, np.int64), np.empty(0, np.int8))
     window = timing.window_ps
     # new_cluster[i]: click i opens a cluster; two sentinel clusters follow
     # the last click, so a cluster's second and third clicks can always be

@@ -1,6 +1,7 @@
 """Command-line integration: exit codes, file outputs, reproducibility."""
 
 import contextlib
+import inspect
 import json
 import math
 import os
@@ -31,6 +32,8 @@ from qrngsim.cli import (
     EXIT_OK,
     EXIT_TEST_FAIL,
     EXIT_USAGE,
+    _configs_from_args,
+    build_parser,
     main,
 )
 from qrngsim.manifest import RunManifest, sha256_file
@@ -40,7 +43,7 @@ from qrngsim.optics import (
     click_distribution,
     output_distribution,
 )
-from qrngsim.timetag import scan_workers
+from qrngsim.timetag import TimingConfig, scan_workers
 
 from oracles import (
     bit_array,
@@ -1092,27 +1095,55 @@ class TestRerunAndManifest:
         replayed = RunManifest.load(str(rerun_dir / "g.txt.report.json.manifest.json"))
         assert [o["sha256"] for o in replayed.outputs] == [report_digest]
 
-    def test_recorded_test_manifest_with_default_block_replays(self, tmp_path):
-        # a test manifest as 0.2.0 records it: block_m 128 among the
-        # parameters, no --block-m in the argv
-        bits = tmp_path / "short.txt"
-        rng = np.random.default_rng(68)
-        write_bit_file(BitStream(rng.integers(0, 2, 120, dtype=np.uint8)), bits)
+    @pytest.mark.parametrize("name, suffix, recorded", [
+        ("short.txt", ".report.json.manifest.json", lambda f: (["test", f], {
+            "command": "test", "infile": f, "alpha": 0.01, "report": None,
+            "sequence_id": None, "block_m": 128, "apen_m": 2, "serial_m": None, "seed": 0})),
+        ("bits.txt", ".manifest.json", lambda f: (
+            ["generate", "--duration", "0.5", "--seed", "4", "--out", f], {
+                "command": "generate", "clock": 500000.0, "duration": 0.5,
+                "pair_rate": 1336.0, "seed": 4, "format": "ascii", "out": f,
+                "error_log": None, "manifest": None, "monitor_threshold": 0,
+                "dump_events": None, "delay": 0.0, "coherence_time": 222.0,
+                "visibility_ceiling": 1.0, "efficiency": 1.0, "dark_rate": 0.0,
+                "jitter": 300.0, "dead_time": 50.0, "window": 3.0})),
+        ("scan.csv", ".manifest.json", lambda f: (
+            ["scan-delay", "--from", "-400", "--to", "400", "--steps", "5",
+             "--pairs-per-point", "1e4", "--seed", "21", "--out", f], {
+                "command": "scan-delay", "delay_from": -400.0, "delay_to": 400.0,
+                "steps": 5, "pairs_per_point": 10000.0, "point_duration": 1.0,
+                "seed": 21, "out": f, "fit": True, "delay": 0.0, "coherence_time": 222.0,
+                "visibility_ceiling": 1.0, "efficiency": 1.0, "dark_rate": 0.0,
+                "jitter": 300.0, "dead_time": 50.0, "window": 3.0})),
+    ], ids=["test", "generate", "scan-delay"])
+    def test_recorded_manifest_at_defaults_replays(self, tmp_path, name, suffix, recorded):
+        # a manifest as 0.2.0 records it: every default among the
+        # parameters, none of them in the argv
+        path = str(tmp_path / name)
+        argv, parameters = recorded(path)
+        if argv[0] == "test":
+            rng = np.random.default_rng(68)
+            write_bit_file(BitStream(rng.integers(0, 2, 120, dtype=np.uint8)), path)
         manifest = tmp_path / "recorded.json"
         manifest.write_text(json.dumps({
-            "tool_version": "0.2.0", "command": "test", "seed": 0, "argv": ["test", str(bits)],
-            "parameters": {"command": "test", "infile": str(bits), "alpha": 0.01,
-                           "report": None, "sequence_id": None, "block_m": 128,
-                           "apen_m": 2, "serial_m": None, "seed": 0},
+            "tool_version": "0.2.0", "command": argv[0], "seed": parameters["seed"],
+            "argv": argv, "parameters": parameters,
             "started_utc": "a", "finished_utc": "b", "outputs": [], "metadata": {},
         }))
         rerun_dir = tmp_path / "rr"
-        assert run("rerun", "--manifest", str(manifest),
-                   "--outdir", str(rerun_dir)) in (EXIT_OK, EXIT_TEST_FAIL)
-        replayed = RunManifest.load(str(rerun_dir / "short.txt.report.json.manifest.json"))
-        assert replayed.parameters["block_m"] == 128
-        tests = json.loads((rerun_dir / "short.txt.report.json").read_text())["tests"]
-        assert [t["applicable"] for t in tests if t["name"] == "block_frequency"] == [False]
+        code = run("rerun", "--manifest", str(manifest), "--outdir", str(rerun_dir))
+        assert code in (EXIT_OK, EXIT_TEST_FAIL)
+        replayed = RunManifest.load(str(rerun_dir / (name + suffix)))
+        for key in parameters.keys() - {"out", "report"}:  # --outdir moves those
+            assert replayed.parameters[key] == parameters[key]
+        assert run(*argv) == code
+        direct = RunManifest.load(path + suffix)
+        assert [(o["name"], o["sha256"]) for o in replayed.outputs] == [
+            (o["name"], o["sha256"]) for o in direct.outputs]
+        if argv[0] == "test":
+            # the default block of 128 blanks the 120-bit file's block test
+            tests = json.loads((rerun_dir / "short.txt.report.json").read_text())["tests"]
+            assert [t["applicable"] for t in tests if t["name"] == "block_frequency"] == [False]
 
     def test_save_keeps_the_schema_key_order(self, tmp_path):
         manifest = RunManifest(command="ber-scan", argv=["ber-scan"], parameters={"rate": 1.0},
@@ -1237,3 +1268,27 @@ class TestRerunContract:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and "help or version" in captured.err
         assert not (tmp_path / "rr").exists()
+
+
+class TestDefaultsStatedOnce:
+    """The CLI's defaults are the library's, and the tool version is one."""
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--duration", "1", "--out", "g.txt"],
+        ["scan-delay", "--from", "-400", "--to", "400", "--steps", "5", "--out", "s.csv"],
+    ])
+    def test_physics_defaults_are_the_configs(self, argv):
+        args = build_parser().parse_args(argv)
+        assert _configs_from_args(args) == (InterferometerConfig(), DetectorBank(), TimingConfig())
+
+    def test_battery_defaults_are_run_suites(self):
+        args = build_parser().parse_args(["test", "bits.txt"])
+        defaults = inspect.signature(statskit.run_suite).parameters
+        assert (args.alpha, args.block_m, args.apen_m, args.serial_m) == tuple(
+            defaults[key].default for key in ("alpha", "block_m", "apen_m", "serial_m"))
+
+    def test_package_version_is_the_project_version(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+        pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+        with open(pyproject, "rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == qrngsim.__version__

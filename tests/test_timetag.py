@@ -535,11 +535,13 @@ class TestCoincidenceFilter:
 
     @settings(max_examples=300, deadline=None)
     @given(clustered_streams())
+    @example((np.empty(0, np.int64), np.empty(0, np.int8), 3000, 0))  # no clicks
     def test_matches_reference_greedy_on_clustered_streams(self, stream):
         times, dets, window_ps, n_big = stream
         timing = TimingConfig(coincidence_window_ns=window_ps / 1000.0)
         assert timing.window_ps == window_ps
         got = coincidence_filter(EventStream(times, dets), timing)
+        assert got.times_ps.dtype == np.int64 and got.labels.dtype == np.int8
         want = reference_greedy_pairs(times.tolist(), dets.tolist(), window_ps)
         assert got.times_ps.tolist() == [int(times[i]) for i, _ in want]
         assert got.labels.tolist() == [
