@@ -212,13 +212,91 @@ def draw_patterns(rng: np.random.Generator, weights, n: int) -> np.ndarray:
     would, so the indices and the generator state afterwards are the same,
     without a binary search per draw.
     """
+    idx = np.zeros(n, dtype=np.uint8)
+    _draw_patterns_into(rng, weights, np.empty(n), idx, np.empty(n, dtype=bool))
+    return idx
+
+
+def _draw_patterns_into(rng, weights, u: np.ndarray, idx: np.ndarray, scratch: np.ndarray) -> None:
+    """``draw_patterns`` into the caller's arrays, allocating none of its
+    own: the uniforms go to ``u``, each cdf comparison to ``scratch`` (bool)
+    and the indices are counted into ``idx`` (uint8 zeros)."""
     cdf = np.cumsum(weights, dtype=np.float64)
     cdf /= cdf[-1]
-    u = rng.random(n)
-    idx = np.zeros(n, dtype=np.uint8)
+    rng.random(out=u)
     for edge in cdf[:-1]:
-        idx += u >= edge
-    return idx
+        idx += np.greater_equal(u, edge, out=scratch)
+
+
+# each detector's jitter is drawn and added this many clicks at a time
+# (512 KiB of float64), so no full-length jitter array is made
+_JITTER_CHUNK = 1 << 16
+
+# true in fan_out's forked workers, where simulate draws inline
+_in_fork_worker = False
+
+
+class _Draws:
+    """Runs simulate's random draws one call at a time, in call order:
+    each on a new helper thread, so that the caller's own work runs beside
+    it, or inline.
+
+    ``start`` waits for the call before it, so no two calls share the
+    generator at once.  ``wait`` joins the running call and returns its
+    result or raises its exception in the caller.  Leaving the ``with``
+    block joins the helper whether the block returned or raised.
+    """
+
+    def __init__(self, threaded: bool):
+        self._threaded = threaded
+        self._thread = None
+        self._outcome = (None, None)  # (result, exception) of the last call
+
+    def __enter__(self) -> "_Draws":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._thread is not None:
+            self._thread.join()
+
+    def start(self, fn, *args) -> None:
+        self.wait()
+
+        def call():
+            try:
+                self._outcome = (fn(*args), None)
+            except BaseException as exc:  # raised again by wait, in the caller
+                self._outcome = (None, exc)
+
+        if self._threaded:
+            self._thread = threading.Thread(target=call, name="qrngsim-draws")
+            self._thread.start()
+        else:
+            call()
+
+    def wait(self):
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
+        (result, exc), self._outcome = self._outcome, (None, None)
+        if exc is not None:
+            raise exc
+        return result
+
+
+def _detector_draws(rng, t: np.ndarray, sigma: float, chunk: np.ndarray, mean_darks: float) -> int:
+    """One detector's draws but its dark-count times: its jitter, added to
+    its click times ``t`` in place a ``chunk`` at a time, then its number of
+    dark counts."""
+    if sigma > 0.0:
+        for lo in range(0, len(t), len(chunk)):
+            z = chunk[: len(t) - lo]
+            rng.standard_normal(out=z)
+            z *= sigma
+            np.rint(z, out=z)
+            part = t[lo : lo + len(z)]
+            np.add(part, z, out=part, dtype=np.int64, casting="unsafe")
+    return int(rng.poisson(mean_darks))
 
 
 def simulate(
@@ -235,6 +313,29 @@ def simulate(
     (``draw_patterns``; ``TestDrawPatterns`` pins it against ``choice``).
     Clicks jittered outside [0, duration) are dropped.
 
+    The draws after the pair times run on a helper thread, one step at a
+    time and in that order, while the calling thread does the work that
+    draws nothing.  The helper draws the pattern uniforms while the caller
+    sorts the pair times.  It then draws detector d's jitter and dark count
+    while the caller selects the later detectors' clicks (d = 0) or sorts,
+    clips, dead-time filters and keys detector d - 1's.  The last
+    detector's keys and the merge follow the last draw.  The caller draws
+    each detector's dark times between two helper steps and makes every
+    array the helper fills: arrays a second thread allocates stay in its
+    own malloc arena and raise the peak resident memory (dark times drawn
+    on the helper cost 6 MB more at 300 Hz darks over 1,175 s, 47 MB more
+    at 3 kHz).  In ``fan_out``'s forked workers, or with one usable CPU,
+    each step runs inline instead: there the other cores already have
+    work.
+
+    The jitter is ``rng.standard_normal(out=chunk)``, ``_JITTER_CHUNK``
+    draws at a time, scaled by sigma, rounded and added to the click times
+    with an unsafe cast to int64.  ``rng.normal(0, sigma)`` is 0 + sigma
+    times the same standard normal, so element for element this equals
+    ``np.rint(rng.normal(0.0, sigma, n)).astype(np.int64)`` without the
+    full-length float and int jitter arrays (``TestSimulateOracle``
+    compares it with an oracle that draws ``normal``).
+
     Which gather each pass uses follows from how much of its input it
     keeps (numpy 2.4, 3.5 M random int64, one core of a 2-vCPU host).  A
     detector keeps about 37.5 % of the pairs at the dip.  A boolean index
@@ -249,38 +350,58 @@ def simulate(
 
     n_pairs = int(rng.poisson(source.pair_rate_hz * source.duration_s))
     pair_times = rng.integers(0, run_ps, size=n_pairs, dtype=np.int64)
-    pair_times.sort()
 
     clicks = click_distribution(output_distribution(interf), bank)
     # bit d of pattern k's mask is set if the pattern fires detector d
     masks = np.array([sum(1 << int(det) for det in p) for p in clicks], dtype=np.uint8)
-    fired = masks[draw_patterns(rng, list(clicks.values()), n_pairs)]
+    u = np.empty(n_pairs)
+    idx = np.zeros(n_pairs, dtype=np.uint8)
+    scratch = np.empty(n_pairs, dtype=bool)
+    chunk = np.empty(_JITTER_CHUNK)
+    mean_darks = bank.dark_rate_hz * source.duration_s
+    threaded = not _in_fork_worker and _usable_cpus() > 1
 
-    # Each detector's kept clicks become keys (t << 2) | d.  Kept times lie
-    # below MAX_DURATION_PS, just under 2^62 ps, so the key needs all 64
-    # bits: uint64, since a signed key wraps from 2^61 ps on.
-    keys = []
-    sigma = timing.jitter_sigma_ps
-    for det in range(4):
-        t = np.compress(((fired >> det) & 1).view(bool), pair_times)
-        if sigma > 0.0 and len(t):
-            jitter = rng.normal(0.0, sigma, size=len(t))
-            t += np.rint(jitter, out=jitter).astype(np.int64)
-            del jitter
-        n_dark = int(rng.poisson(bank.dark_rate_hz * source.duration_s))
-        if n_dark:
-            t = np.concatenate((t, rng.integers(0, run_ps, size=n_dark, dtype=np.int64)))
-        # jitter leaves the clicks nearly in pair order, where timsort is
-        # linear; once sorted, the clicks jittered outside [0, run_ps) are
-        # the two ends, so the clip is a slice
-        t.sort(kind="stable")
-        t = t[np.searchsorted(t, 0) : np.searchsorted(t, run_ps)]
-        key = t[_dead_time_filter(t, timing.dead_time_ps)].view(np.uint64)
-        key <<= np.uint64(2)
-        key |= np.uint64(det)
-        keys.append(key)
-        del t  # free this detector's clicks before the next one's
-    del pair_times, fired
+    def detector_clicks(det):
+        return np.compress(((fired >> det) & 1).view(bool), pair_times)
+
+    def start_detector_draws(t):
+        draws.start(_detector_draws, rng, t, timing.jitter_sigma_ps, chunk, mean_darks)
+
+    with _Draws(threaded) as draws:
+        draws.start(_draw_patterns_into, rng, list(clicks.values()), u, idx, scratch)
+        pair_times.sort()
+        draws.wait()
+        del u, scratch
+        fired = masks[idx]
+        del idx
+        pending = [detector_clicks(0)]
+        start_detector_draws(pending[0])
+        pending += [detector_clicks(det) for det in (1, 2, 3)]
+        del pair_times, fired
+
+        # Each detector's kept clicks become keys (t << 2) | d.  Kept times
+        # lie below MAX_DURATION_PS, just under 2^62 ps, so the key needs all
+        # 64 bits: uint64, since a signed key wraps from 2^61 ps on.
+        keys = []
+        for det in range(4):
+            n_dark = draws.wait()  # this detector's jitter is in pending[0]
+            t = pending.pop(0)
+            darks = rng.integers(0, run_ps, size=n_dark, dtype=np.int64) if n_dark else None
+            if pending:
+                start_detector_draws(pending[0])
+            if darks is not None:
+                t = np.concatenate((t, darks))
+                del darks
+            # jitter leaves the clicks nearly in pair order, where timsort
+            # is linear; once sorted, the clicks jittered outside [0, run_ps)
+            # are the two ends, so the clip is a slice
+            t.sort(kind="stable")
+            t = t[np.searchsorted(t, 0) : np.searchsorted(t, run_ps)]
+            key = t[_dead_time_filter(t, timing.dead_time_ps)].view(np.uint64)
+            del t  # free this detector's clicks before the next one's
+            key <<= np.uint64(2)
+            key |= np.uint64(det)
+            keys.append(key)
 
     # Sorting the keys orders clicks by time, then ties by detector:
     # lexsort's order on (time, detector).  For uint64 the stable sort is
@@ -435,7 +556,14 @@ def scan_workers(n_points: int) -> int:
     """The processes a scan or any ``fan_out`` of n_points calls runs on:
     one forked worker per usable CPU and at most one per point, or the
     caller alone where ``fan_out`` does not fork."""
-    return min(len(os.sched_getaffinity(0)) if _forks() else 1, n_points)
+    return min(_usable_cpus() if _forks() else 1, n_points)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # Linux
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def fan_out(fn, seed: int, points: Sequence, *shared) -> list:
@@ -510,7 +638,11 @@ def _fork_map(fn, calls: list, workers: int) -> list:
 def _fork_worker(fn, calls: list, pipes: list, write_fd: int) -> None:
     """The body of a forked child: run ``calls`` in order, stopping at the
     first that raises, pickle (results so far, exception or None) into
-    ``write_fd`` and end the process, never returning into the caller."""
+    ``write_fd`` and end the process, never returning into the caller.
+    ``simulate`` draws inline here, since the other workers keep the
+    other cores busy."""
+    global _in_fork_worker
+    _in_fork_worker = True
     status = 1
     try:
         for pipe in pipes:  # the read ends, the parent's alone

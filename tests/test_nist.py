@@ -429,8 +429,7 @@ class TestWorkedExamples:
         pi = (16 * arctan_inverse(5, one) - 4 * arctan_inverse(239, one)) >> 40
         assert f"{pi:b}" == EPSILON_PI
 
-    # SP 800-22 Rev. 1a's worked examples; spectral is left out, since its
-    # peak count on epsilon_pi (48) differs from the recalled example's (46)
+    # SP 800-22 Rev. 1a's worked examples; spectral's are pinned below
     @pytest.mark.parametrize("test, epsilon, p_values", [
         (frequency_test, EPSILON_PI, [0.109599]),
         (lambda bits: block_frequency_test(bits, m=10), EPSILON_PI, [0.706438]),
@@ -443,6 +442,25 @@ class TestWorkedExamples:
             "cusum-10-bits", "approximate_entropy"])
     def test_standard_example(self, test, epsilon, p_values):
         assert test(bit_array(epsilon)).p_values == pytest.approx(p_values, abs=5e-7)
+
+    # The spectral examples, with the peak count N1 taken from the O(n^2)
+    # DFT below T = sqrt(ln(1/0.05) n), and P from that N1.  The standard's
+    # text gives N1 = 4 and 46, which its own T cannot reach: the five
+    # magnitudes of 1001010011 (0, 2, 4.47, 2, 4.47) all lie below T = 5.47,
+    # and for epsilon_pi N1 = 46 would need T in (16.43, 16.81], where this
+    # T is 17.31 and the older sqrt(3 n) is 17.32.
+    @pytest.mark.parametrize("epsilon, n1, p_value", [
+        ("1001010011", 5, 0.468160),
+        (EPSILON_PI, 48, 0.646355),
+    ], ids=["spectral-10-bits", "spectral-pi"])
+    def test_spectral_example(self, epsilon, n1, p_value):
+        bits = bit_array(epsilon)
+        n = len(bits)
+        magnitudes = direct_dft_magnitudes(2.0 * bits - 1.0)[: n // 2]
+        assert np.count_nonzero(magnitudes < math.sqrt(math.log(1.0 / 0.05) * n)) == n1
+        d = (n1 - 0.95 * n / 2.0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
+        assert math.erfc(abs(d) / math.sqrt(2.0)) == pytest.approx(p_value, abs=5e-7)
+        assert spectral_test(bits).p_values == pytest.approx([p_value], abs=5e-7)
 
     # two 10-bit examples sit below the tests' length rules (n <= 2^(m+1)
     # and m > floor(log2 n) - 2), so they check the arithmetic that each

@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from qrngsim import timetag
 from qrngsim.optics import (
     Detector,
     DetectorBank,
@@ -32,6 +34,7 @@ from qrngsim.timetag import (
     _dead_time_filter,
     coincidence_filter,
     draw_patterns,
+    duration_ps,
     fan_out,
     fit_dip_visibility,
     label_counts,
@@ -282,7 +285,10 @@ class TestSimulateOracle:
     @example(run=(SourceConfig(1.5e7, 1e-4, seed=3), IDEAL, DetectorBank(dark_rate_hz=4e6),
                   TimingConfig(jitter_sigma_ps=0.0, dead_time_ns=50.0)))
     def test_matches_scalar_oracle(self, run):
-        source, interf, bank, timing = run
+        self.assert_matches_oracle(*run)
+
+    @staticmethod
+    def assert_matches_oracle(source, interf, bank, timing):
         got = simulate(source, interf, bank, timing)
         clicks = click_distribution(output_distribution(interf), bank)
         times, dets = reference_simulate(
@@ -311,6 +317,162 @@ class TestSimulateOracle:
         for det in range(4):
             short = np.diff(every.times_ps[every.detectors == det]) <= 10_000_000
             assert np.count_nonzero(short[1:] & short[:-1]) > 50
+
+
+    # (chunk, run): jitter drawn 7 clicks at a time over darks, chains and
+    # a delay off the dip; a detector whose 543 clicks fill three chunks of
+    # 181 exactly; detectors with no clicks at all (efficiency 0, darks
+    # only); no jitter; and a 1e6 ps jitter one click at a time
+    CHUNKED_RUNS = [
+        (7, (SourceConfig(1.5e5, 1e-2, seed=2), InterferometerConfig(delay_fs=1e4),
+             DetectorBank(efficiency=0.8, dark_rate_hz=4e4),
+             TimingConfig(jitter_sigma_ps=300.0, dead_time_ns=1e4))),
+        (181, (SourceConfig(1.5e5, 1e-2, seed=0), IDEAL, BANK, TimingConfig())),
+        (7, (SourceConfig(1.5e5, 1e-2, seed=5), IDEAL,
+             DetectorBank(efficiency=0.0, dark_rate_hz=4e4), TimingConfig())),
+        (7, (SourceConfig(1.5e5, 1e-2, seed=6), IDEAL, BANK, TimingConfig(jitter_sigma_ps=0.0))),
+        (1, (SourceConfig(1.5e9, 1e-6, seed=1), IDEAL, BANK, TimingConfig(jitter_sigma_ps=1e6))),
+    ]
+    CHUNKED_IDS = ["seams", "whole-chunks", "no-clicks", "no-jitter", "one-click-chunks"]
+
+    @staticmethod
+    def click_counts(source, interf, bank) -> list:
+        """Each detector's clicks before darks, from simulate's own first
+        draws: the pair count, the pair times and the click patterns."""
+        rng = np.random.default_rng(source.seed)
+        n_pairs = int(rng.poisson(source.pair_rate_hz * source.duration_s))
+        rng.integers(0, duration_ps(source.duration_s), size=n_pairs, dtype=np.int64)
+        clicks = click_distribution(output_distribution(interf), bank)
+        chosen = np.bincount(draw_patterns(rng, list(clicks.values()), n_pairs),
+                             minlength=len(clicks)).tolist()
+        return [sum(n for n, pattern in zip(chosen, clicks) if det in pattern)
+                for det in Detector]
+
+    @pytest.mark.parametrize("chunk, run", CHUNKED_RUNS, ids=CHUNKED_IDS)
+    def test_matches_scalar_oracle_across_jitter_chunks(self, monkeypatch, chunk, run):
+        monkeypatch.setattr(timetag, "_JITTER_CHUNK", chunk)
+        self.assert_matches_oracle(*run)
+
+    def test_chunked_runs_reach_their_edges(self):
+        counts = {name: self.click_counts(*run[:3])
+                  for name, (_, run) in zip(self.CHUNKED_IDS, self.CHUNKED_RUNS)}
+        assert min(counts["seams"]) > 50 * 7
+        assert counts["whole-chunks"][0] == 3 * 181
+        assert counts["whole-chunks"][1:] == [546, 558, 573]
+        assert counts["no-clicks"] == [0, 0, 0, 0]
+        assert min(counts["no-jitter"]) > 7
+        assert min(counts["one-click-chunks"]) > 1
+
+
+def _threads_simulate_starts(seed, point) -> int:
+    """The threads one ``simulate`` call starts in the process that runs
+    it; shaped as a ``fan_out`` call, so that a forked worker can run it."""
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    threading.Thread.start = counting_start
+    try:
+        simulate(SourceConfig(2e4, 0.1, seed), IDEAL, BANK, TimingConfig())
+    finally:
+        threading.Thread.start = start
+    return len(started)
+
+
+def _fails(*args):
+    raise RuntimeError("failed in the caller")
+
+
+class TestSimulateThreads:
+    """``simulate``'s helper thread ends with the call, whether it returns
+    or raises, so a later ``fan_out`` still forks; an error raised on the
+    helper reaches the caller; ``fan_out``'s workers draw inline."""
+
+    @staticmethod
+    def assert_fan_out_forks(forks):
+        fan_out(_filled, 0, range(2), 1)
+        assert forks == ([scan_workers(2)] if sys.platform == "linux" else [])
+
+    def test_helper_ends_with_the_call(self, forks):
+        before = threading.active_count()
+        simulate(SourceConfig(2e4, 0.1, seed=1), IDEAL, BANK, TimingConfig())
+        assert threading.active_count() == before
+        self.assert_fan_out_forks(forks)
+
+    def test_error_on_the_helper_is_raised_in_the_caller(self, forks):
+        # a mean of 1e19 dark counts is past Generator.poisson's range, so
+        # the helper's draw for the first detector raises
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="lam value too large"):
+            simulate(SourceConfig(0.0, 1e6), IDEAL, DetectorBank(dark_rate_hz=1e13),
+                     TimingConfig())
+        assert threading.active_count() == before
+        self.assert_fan_out_forks(forks)
+
+    def test_error_in_the_caller_joins_the_helper(self, monkeypatch, forks):
+        # the caller fails on the first detector's dead time while the
+        # helper draws the second detector's jitter, 375,000 draws
+        monkeypatch.setattr(timetag, "_dead_time_filter", _fails)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="failed in the caller"):
+            simulate(SourceConfig(2e6, 0.5, seed=1), IDEAL, BANK, TimingConfig())
+        assert threading.active_count() == before
+        self.assert_fan_out_forks(forks)
+
+    def test_draws_on_a_helper_where_a_second_cpu_is_free(self):
+        # one helper per draw step: the patterns, then each detector's
+        assert _threads_simulate_starts(0, None) == (5 if timetag._usable_cpus() > 1 else 0)
+
+    def test_draw_steps_run_one_at_a_time_in_call_order(self):
+        order = []
+
+        def step(name, pause):
+            time.sleep(pause)
+            order.append(name)
+
+        with timetag._Draws(threaded=True) as draws:
+            draws.start(step, "first", 0.05)
+            draws.start(step, "second", 0.0)
+            draws.wait()
+        assert order == ["first", "second"]
+
+    def test_concurrent_calls_under_a_short_switch_interval(self, monkeypatch):
+        # six callers at once, more than the cores, each with its own
+        # helper, switching threads every 10 us: each stream must equal the
+        # one drawn inline, so the caller and its helper share no state
+        # but the generator, and never draw from it at the same time
+        runs = [(SourceConfig(2e4, 0.1, seed), IDEAL, DetectorBank(dark_rate_hz=2e3),
+                 TimingConfig()) for seed in range(6)]
+        monkeypatch.setattr(timetag, "_in_fork_worker", True)
+        inline = [simulate(*run) for run in runs]
+        monkeypatch.setattr(timetag, "_in_fork_worker", False)
+        streams = [None] * len(runs)
+
+        def call(i):
+            streams[i] = simulate(*runs[i])
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(runs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for got, want in zip(streams, inline):
+            assert got.times_ps.tobytes() == want.times_ps.tobytes()
+            assert got.detectors.tobytes() == want.detectors.tobytes()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="fan_out forks on Linux only")
+    def test_fan_out_workers_draw_inline(self, forks):
+        assert fan_out(_threads_simulate_starts, 0, range(2)) == [0, 0]
+        assert forks == [scan_workers(2)]
 
 
 @st.composite
