@@ -318,7 +318,6 @@ class TestSimulateOracle:
             short = np.diff(every.times_ps[every.detectors == det]) <= 10_000_000
             assert np.count_nonzero(short[1:] & short[:-1]) > 50
 
-
     # (chunk, run): jitter drawn 7 clicks at a time over darks, chains and
     # a delay off the dip; a detector whose 543 clicks fill three chunks of
     # 181 exactly; detectors with no clicks at all (efficiency 0, darks
