@@ -212,20 +212,29 @@ def draw_patterns(rng: np.random.Generator, weights, n: int) -> np.ndarray:
     would, so the indices and the generator state afterwards are the same,
     without a binary search per draw.
     """
-    idx = np.zeros(n, dtype=np.uint8)
-    _draw_patterns_into(rng, weights, np.empty(n), idx, np.empty(n, dtype=bool))
+    idx = np.empty(n, dtype=np.uint8)
+    _draw_patterns_into(rng, weights, np.arange(len(weights), dtype=np.uint8), idx,
+                        np.empty(n), np.empty(n, dtype=bool))
     return idx
 
 
-def _draw_patterns_into(rng, weights, u: np.ndarray, idx: np.ndarray, scratch: np.ndarray) -> None:
-    """``draw_patterns`` into the caller's arrays, allocating none of its
-    own: the uniforms go to ``u``, each cdf comparison to ``scratch`` (bool)
-    and the indices are counted into ``idx`` (uint8 zeros)."""
+def _draw_patterns_into(rng, weights, values: np.ndarray, out: np.ndarray,
+                        u: np.ndarray, scratch: np.ndarray) -> None:
+    """``values[draw_patterns(rng, weights, len(out))]`` (uint8) into
+    ``out``, allocating no array of its own: the uniforms go to ``u`` and
+    each cdf comparison to ``scratch`` (bool).  A draw that passes edge k
+    adds values[k + 1] - values[k], in uint8 arithmetic that wraps, so the
+    sum from values[0] ends at the drawn pattern's value without a
+    gather."""
     cdf = np.cumsum(weights, dtype=np.float64)
     cdf /= cdf[-1]
     rng.random(out=u)
-    for edge in cdf[:-1]:
-        idx += np.greater_equal(u, edge, out=scratch)
+    out.fill(values[0])
+    step_or_zero = scratch.view(np.uint8)
+    for edge, step in zip(cdf[:-1], np.diff(values)):
+        np.greater_equal(u, edge, out=scratch)
+        step_or_zero *= step
+        out += step_or_zero
 
 
 # each detector's jitter is drawn and added this many clicks at a time
@@ -354,8 +363,8 @@ def simulate(
     clicks = click_distribution(output_distribution(interf), bank)
     # bit d of pattern k's mask is set if the pattern fires detector d
     masks = np.array([sum(1 << int(det) for det in p) for p in clicks], dtype=np.uint8)
+    fired = np.empty(n_pairs, dtype=np.uint8)
     u = np.empty(n_pairs)
-    idx = np.zeros(n_pairs, dtype=np.uint8)
     scratch = np.empty(n_pairs, dtype=bool)
     chunk = np.empty(_JITTER_CHUNK)
     mean_darks = bank.dark_rate_hz * source.duration_s
@@ -368,12 +377,10 @@ def simulate(
         draws.start(_detector_draws, rng, t, timing.jitter_sigma_ps, chunk, mean_darks)
 
     with _Draws(threaded) as draws:
-        draws.start(_draw_patterns_into, rng, list(clicks.values()), u, idx, scratch)
+        draws.start(_draw_patterns_into, rng, list(clicks.values()), masks, fired, u, scratch)
         pair_times.sort()
         draws.wait()
         del u, scratch
-        fired = masks[idx]
-        del idx
         pending = [detector_clicks(0)]
         start_detector_draws(pending[0])
         pending += [detector_clicks(det) for det in (1, 2, 3)]
