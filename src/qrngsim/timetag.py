@@ -324,18 +324,18 @@ def simulate(
 
     The draws after the pair times run on a helper thread, one step at a
     time and in that order, while the calling thread does the work that
-    draws nothing.  The helper draws the pattern uniforms while the caller
-    sorts the pair times.  It then draws detector d's jitter and dark count
-    while the caller selects the later detectors' clicks (d = 0) or sorts,
-    clips, dead-time filters and keys detector d - 1's.  The last
-    detector's keys and the merge follow the last draw.  The caller draws
-    each detector's dark times between two helper steps and makes every
-    array the helper fills: arrays a second thread allocates stay in its
-    own malloc arena and raise the peak resident memory (dark times drawn
-    on the helper cost 6 MB more at 300 Hz darks over 1,175 s, 47 MB more
-    at 3 kHz).  In ``fan_out``'s forked workers, or with one usable CPU,
-    each step runs inline instead: there the other cores already have
-    work.
+    draws nothing.  The helper draws the click patterns, straight into each
+    pair's firing mask, while the caller sorts the pair times.  It then
+    draws detector d's jitter and dark count while the caller selects the
+    later detectors' clicks (d = 0) or sorts, clips, dead-time filters and
+    keys detector d - 1's.  The last detector's keys and the merge follow
+    the last draw.  The caller draws each detector's dark times between two
+    helper steps and makes every array the helper fills: arrays a second
+    thread allocates stay in its own malloc arena and raise the peak
+    resident memory (dark times drawn on the helper cost 6 MB more at
+    300 Hz darks over 1,175 s, 47 MB more at 3 kHz).  In ``fan_out``'s
+    forked workers, or with one usable CPU, each step runs inline instead:
+    there the other cores already have work.
 
     The jitter is ``rng.standard_normal(out=chunk)``, ``_JITTER_CHUNK``
     draws at a time, scaled by sigma, rounded and added to the click times
