@@ -444,8 +444,9 @@ class TestWorkedExamples:
         assert test(bit_array(epsilon)).p_values == pytest.approx(p_values, abs=5e-7)
 
     # The spectral examples, with the peak count N1 taken from the O(n^2)
-    # DFT below T = sqrt(ln(1/0.05) n), and P from that N1.  The standard's
-    # text gives N1 = 4 and 46, which its own T cannot reach: the five
+    # DFT below T = sqrt(ln(1/0.05) n), and P from that N1.  The counts
+    # recalled from the standard's text, N1 = 4 and 46, are out of this T's
+    # reach, so spectral_test is not bent toward them: the five
     # magnitudes of 1001010011 (0, 2, 4.47, 2, 4.47) all lie below T = 5.47,
     # and for epsilon_pi N1 = 46 would need T in (16.43, 16.81], where this
     # T is 17.31 and the older sqrt(3 n) is 17.32.
