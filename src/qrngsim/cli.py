@@ -556,7 +556,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except MemoryError as exc:  # numpy refusing an array past the address space
+    except MemoryError as exc:  # an array past the address space, or too large a Poisson mean
         print(f"error: run too large for memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

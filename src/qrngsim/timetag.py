@@ -42,6 +42,8 @@ MAX_DURATION_PS = _INT64_MAX // 2
 # the widest timing jitter, one second: its draws, 40 sigma and all, stay
 # far inside the int64 headroom the duration cap leaves
 MAX_JITTER_SIGMA_PS = 1e12
+# the largest mean Generator.poisson accepts (numpy's POISSON_LAM_MAX)
+_POISSON_MEAN_MAX = _INT64_MAX - 10 * math.sqrt(_INT64_MAX)
 
 
 class MonitorAlarm(RuntimeError):
@@ -79,6 +81,19 @@ def duration_ps(duration_s: float) -> int:
             f"got {duration_s}"
         )
     return ps
+
+
+def _poisson_mean(rate_name: str, rate_hz: float, duration_s: float) -> float:
+    """rate_hz * duration_s, the mean of a run's Poisson count.  A mean past
+    Generator.poisson's range raises MemoryError, before anything is drawn:
+    that many events would not fit in memory either."""
+    mean = rate_hz * duration_s
+    if mean > _POISSON_MEAN_MAX:
+        raise MemoryError(
+            f"{rate_name} {rate_hz:g} times duration_s {duration_s:g} is a mean count of "
+            f"{mean:.4g}, past the {_POISSON_MEAN_MAX:.5g} a Poisson draw takes"
+        )
+    return mean
 
 
 @dataclass(frozen=True)
@@ -334,8 +349,12 @@ def simulate(
     thread allocates stay in its own malloc arena and raise the peak
     resident memory (dark times drawn on the helper cost 6 MB more at
     300 Hz darks over 1,175 s, 47 MB more at 3 kHz).  In ``fan_out``'s
-    forked workers, or with one usable CPU, each step runs inline instead:
-    there the other cores already have work.
+    forked workers, or with one usable CPU, each step runs inline instead,
+    as measured rather than reasoned: the other cores already have work,
+    and with helper threads in the workers fresh-process ``scan-delay``
+    runs on the ``scan_highflux`` argv took a median 1.09 times as long
+    over 12 alternated pairs, faster in only 3 (an earlier prototype read
+    about 14 % slower; 2-vCPU host).
 
     The jitter is ``rng.standard_normal(out=chunk)``, ``_JITTER_CHUNK``
     draws at a time, scaled by sigma, rounded and added to the click times
@@ -354,10 +373,12 @@ def simulate(
     The dead-time keep mask drops about 1e-4 of the clicks, the boolean
     index's fast case: 7 ms against ``compress``'s 14 ms.
     """
+    mean_pairs = _poisson_mean("pair_rate_hz", source.pair_rate_hz, source.duration_s)
+    mean_darks = _poisson_mean("dark_rate_hz", bank.dark_rate_hz, source.duration_s)
     rng = np.random.default_rng(source.seed)
     run_ps = duration_ps(source.duration_s)
 
-    n_pairs = int(rng.poisson(source.pair_rate_hz * source.duration_s))
+    n_pairs = int(rng.poisson(mean_pairs))
     pair_times = rng.integers(0, run_ps, size=n_pairs, dtype=np.int64)
 
     clicks = click_distribution(output_distribution(interf), bank)
@@ -367,7 +388,6 @@ def simulate(
     u = np.empty(n_pairs)
     scratch = np.empty(n_pairs, dtype=bool)
     chunk = np.empty(_JITTER_CHUNK)
-    mean_darks = bank.dark_rate_hz * source.duration_s
     threaded = not _in_fork_worker and _usable_cpus() > 1
 
     def detector_clicks(det):
@@ -422,9 +442,11 @@ def simulate(
     return EventStream(key.view(np.int64), dets.view(np.int8))
 
 
-def _greedy_pair_cluster(times, dets, window_ps: int) -> list:
-    """Greedy earliest-first pairing inside one cluster of Python ints;
-    returns the (earlier, later) index of each pair."""
+def _greedy_pairs(times, dets, window_ps: int) -> list:
+    """Greedy earliest-first pairing of time-sorted clicks (Python ints);
+    returns the (earlier, later) index of each pair.  A scan stops at the
+    first click over a window on, and whole clusters lie over a window
+    apart even with others left out between, so each pairs as if alone."""
     n = len(times)
     consumed = [False] * n
     pairs = []
@@ -455,9 +477,9 @@ def coincidence_filter(events: EventStream, timing: TimingConfig) -> Coincidence
     by more than the window can never pair, so the stream splits into
     independent clusters.  Two-click clusters are labelled in numpy.  The
     clicks of the rare clusters of three or more are gathered into one
-    short array and paired by the scalar greedy rule cluster by cluster.
-    Each pair is filed under its earlier click's index, so the output is
-    time-sorted without a sort.
+    short array, and the scalar greedy rule runs once, over every click
+    the two-click pass leaves.  Each pair is filed under its earlier
+    click's index, so the output is time-sorted without a sort.
     """
     times = events.times_ps
     dets = events.detectors
@@ -487,27 +509,19 @@ def coincidence_filter(events: EventStream, timing: TimingConfig) -> Coincidence
     label_at[two[ok]] = _pair_labels(first_det[ok], second_det[ok])
     del two, first_det, second_det, ok
 
-    if len(big_starts):
-        # each big cluster ends at the next cluster start, three or more on
-        big_ends = big_starts + 3
-        open_ = np.flatnonzero(~new_cluster[big_ends])
-        while len(open_):
-            big_ends[open_] += 1
-            open_ = open_[~new_cluster[big_ends[open_]]]
-        big_sizes = big_ends - big_starts
-        # gathered slot k holds click idx[k]; cluster c starts at slot offsets[c]
-        offsets = np.cumsum(big_sizes) - big_sizes
-        idx = np.arange(big_sizes.sum()) + np.repeat(big_starts - offsets, big_sizes)
-        t_big = times[idx].tolist()
-        d_big = dets[idx].tolist()
-        first: list = []
-        second: list = []
-        for lo, hi in zip(offsets.tolist(), (offsets + big_sizes).tolist()):
-            for a, b in _greedy_pair_cluster(t_big[lo:hi], d_big[lo:hi], window):
-                first.append(lo + a)
-                second.append(lo + b)
-        first_idx = idx[first]
-        label_at[first_idx] = _pair_labels(dets[first_idx], dets[idx[second]])
+    # each big cluster ends at the next cluster start, three or more on
+    big_ends = big_starts + 3
+    open_ = np.flatnonzero(~new_cluster[big_ends])
+    while len(open_):
+        big_ends[open_] += 1
+        open_ = open_[~new_cluster[big_ends[open_]]]
+    big_sizes = big_ends - big_starts
+    # gathered slot k holds click idx[k]
+    offsets = np.cumsum(big_sizes) - big_sizes
+    idx = np.arange(big_sizes.sum()) + np.repeat(big_starts - offsets, big_sizes)
+    pairs = _greedy_pairs(times[idx].tolist(), dets[idx].tolist(), window)
+    first, second = idx[np.array(pairs, dtype=np.intp).reshape(-1, 2)].T
+    label_at[first] = _pair_labels(dets[first], dets[second])
 
     paired = np.flatnonzero(label_at >= 0)
     return CoincidenceStream(
@@ -526,8 +540,9 @@ def synthetic_coincidences(rate_hz: float, duration_s: float, seed: int = 0) -> 
     at a prescribed coincidence rate.
     """
     SourceConfig(rate_hz, duration_s, seed)  # a pair source's rate and duration rules
+    mean = _poisson_mean("rate_hz", rate_hz, duration_s)
     rng = np.random.default_rng(seed)
-    n = int(rng.poisson(rate_hz * duration_s))
+    n = int(rng.poisson(mean))
     times = rng.integers(0, duration_ps(duration_s), size=n, dtype=np.int64)
     times.sort()
     # D1D2 is 0 and D3D4 is 1

@@ -581,17 +581,22 @@ class TestDurationPastInt64Headroom:
 
 
 class TestRunTooLargeForMemory:
-    # each asks numpy for an array of about 1e15 int64 (7.11 PiB), which it
-    # refuses before touching memory: in-process, in ber-scan's synthetic
-    # stream, inside a scan worker, whose error the pool re-raises, and for
-    # dark counts, whose times simulate draws between its helper thread's
-    # jitter draws
+    # the first four ask numpy for an array of about 1e15 int64 (7.11 PiB),
+    # which it refuses before touching memory: in-process, in ber-scan's
+    # synthetic stream, inside a scan worker, whose error the pool
+    # re-raises, and for dark counts, whose times simulate draws between
+    # its helper thread's jitter draws; the last three ask for a mean count
+    # of 1e19 pairs, dark counts or coincidences, past Generator.poisson's
+    # range, which simulate and synthetic_coincidences refuse before any draw
     @pytest.mark.parametrize("argv", [
         ["generate", "--duration", "1e6", "--pair-rate", "1e9"],
         ["ber-scan", "--rate", "1e9", "--freqs", "1e12", "--duration", "1e6"],
         ["scan-delay", "--from", "-600", "--to", "600", "--steps", "3",
          "--pairs-per-point", "1e15"],
         ["generate", "--pair-rate", "0", "--duration", "1e6", "--dark-rate", "1e9"],
+        ["generate", "--pair-rate", "1e13", "--duration", "1e6"],
+        ["generate", "--pair-rate", "0", "--duration", "1e6", "--dark-rate", "1e13"],
+        ["ber-scan", "--rate", "1e13", "--freqs", "5e12", "--duration", "1e6"],
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, argv):
         out = tmp_path / "o.txt"

@@ -92,6 +92,23 @@ class TestConfigs:
             with pytest.raises(ValueError, match="duration_s must lie in"):
                 synthetic_coincidences(0.0, duration_s)
 
+    def test_mean_count_past_poissons_range_refused(self):
+        # Generator.poisson draws at the limit and refuses a mean just past
+        # it; simulate and synthetic_coincidences refuse that mean themselves
+        limit = timetag._POISSON_MEAN_MAX
+        past = float(np.nextafter(limit, np.inf))
+        rng = np.random.default_rng(0)
+        rng.poisson(limit)
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(past)
+        with pytest.raises(MemoryError, match="pair_rate_hz .* times duration_s 1 "):
+            simulate(SourceConfig(past, 1.0), IDEAL, BANK, TimingConfig())
+        with pytest.raises(MemoryError, match="dark_rate_hz .* times duration_s 1 "):
+            simulate(SourceConfig(0.0, 1.0), IDEAL, DetectorBank(dark_rate_hz=past),
+                     TimingConfig())
+        with pytest.raises(MemoryError, match="rate_hz .* times duration_s 1 "):
+            synthetic_coincidences(past, 1.0)
+
     def test_timing_validation(self):
         with pytest.raises(ValueError):
             TimingConfig(coincidence_window_ns=0.0)
@@ -401,13 +418,16 @@ class TestSimulateThreads:
         assert threading.active_count() == before
         self.assert_fan_out_forks(forks)
 
-    def test_error_on_the_helper_is_raised_in_the_caller(self, forks):
-        # a mean of 1e19 dark counts is past Generator.poisson's range, so
-        # the helper's draw for the first detector raises
+    def test_error_on_the_helper_is_raised_in_the_caller(self, monkeypatch, forks):
+        # the helper fails on the first detector's draws while the caller
+        # selects the other detectors' clicks
+        def fails(*args):
+            raise RuntimeError("failed on the helper")
+
+        monkeypatch.setattr(timetag, "_detector_draws", fails)
         before = threading.active_count()
-        with pytest.raises(ValueError, match="lam value too large"):
-            simulate(SourceConfig(0.0, 1e6), IDEAL, DetectorBank(dark_rate_hz=1e13),
-                     TimingConfig())
+        with pytest.raises(RuntimeError, match="failed on the helper"):
+            simulate(SourceConfig(2e4, 0.1, seed=1), IDEAL, BANK, TimingConfig())
         assert threading.active_count() == before
         self.assert_fan_out_forks(forks)
 
@@ -638,6 +658,22 @@ def clustered_streams(draw):
             window_ps, n_big)
 
 
+def _pile_ups(gap_ps):
+    """Two 3-click pile-ups under a 3 ns window, each leaving a click that
+    could pair with one of the other's, gap_ps from the first's last click
+    to the second's first: two clusters when the gap is longer than the
+    window, one 6-click cluster when it is the window."""
+    times = np.array([0, 1000, 2000, 2000 + gap_ps, 3000 + gap_ps, 4000 + gap_ps], np.int64)
+    return times, np.array([0, 1, 2, 0, 1, 3], np.int8), 3000, 1 if gap_ps <= 3000 else 2
+
+
+_PILE_UPS_APART = _pile_ups(3001)
+_PILE_UPS_MERGED = _pile_ups(3000)
+# a pile-up, then a two-click cluster and a singleton, one window + 1 ps apart
+_PILE_UP_THEN_PAIR_AND_SINGLETON = (np.array([0, 1000, 2000, 5001, 6001, 9002], np.int64),
+                                    np.array([0, 1, 2, 3, 0, 1], np.int8), 3000, 1)
+
+
 class TestCoincidenceFilter:
     def test_pairs_within_window(self):
         stream = coincidence_filter(
@@ -697,6 +733,9 @@ class TestCoincidenceFilter:
     @settings(max_examples=300, deadline=None)
     @given(clustered_streams())
     @example((np.empty(0, np.int64), np.empty(0, np.int8), 3000, 0))  # no clicks
+    @example(_PILE_UPS_APART)
+    @example(_PILE_UPS_MERGED)
+    @example(_PILE_UP_THEN_PAIR_AND_SINGLETON)
     def test_matches_reference_greedy_on_clustered_streams(self, stream):
         times, dets, window_ps, n_big = stream
         timing = TimingConfig(coincidence_window_ns=window_ps / 1000.0)
@@ -711,6 +750,25 @@ class TestCoincidenceFilter:
         assert got.n_unpaired == len(times) - 2 * len(want)
         assert got.n_multi_click_clusters == n_big
         assert got.n_events_in == len(times)
+
+    @settings(max_examples=300, deadline=None)
+    @given(clustered_streams(), st.integers(0, 40))
+    @example(_PILE_UPS_APART, 1)
+    def test_cut_between_clusters_joins_the_halves(self, stream, k):
+        # a cut at either end or at any gap longer than the window splits
+        # no cluster, so the halves pair as the whole stream does
+        times, dets, window_ps, _ = stream
+        timing = TimingConfig(coincidence_window_ns=window_ps / 1000.0)
+        cuts = [0, *(np.flatnonzero(np.diff(times) > window_ps) + 1).tolist(), len(times)]
+        cut = cuts[k % len(cuts)]
+        whole = coincidence_filter(EventStream(times, dets), timing)
+        halves = [coincidence_filter(EventStream(times[part], dets[part]), timing)
+                  for part in (slice(None, cut), slice(cut, None))]
+        joined = np.concatenate([half.times_ps for half in halves])
+        assert whole.times_ps.tobytes() == joined.tobytes()
+        assert whole.labels.tobytes() == np.concatenate([half.labels for half in halves]).tobytes()
+        for count in ("n_events_in", "n_unpaired", "n_multi_click_clusters"):
+            assert getattr(whole, count) == sum(getattr(half, count) for half in halves)
 
     def test_peak_memory_is_below_twice_the_input(self):
         # about 0.9 M clicks; the input's times and detectors are 9 bytes a click
