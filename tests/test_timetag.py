@@ -764,9 +764,9 @@ class TestCoincidenceFilter:
         whole = coincidence_filter(EventStream(times, dets), timing)
         halves = [coincidence_filter(EventStream(times[part], dets[part]), timing)
                   for part in (slice(None, cut), slice(cut, None))]
-        joined = np.concatenate([half.times_ps for half in halves])
-        assert whole.times_ps.tobytes() == joined.tobytes()
-        assert whole.labels.tobytes() == np.concatenate([half.labels for half in halves]).tobytes()
+        for field in ("times_ps", "labels"):
+            joined = np.concatenate([getattr(half, field) for half in halves])
+            assert getattr(whole, field).tobytes() == joined.tobytes()
         for count in ("n_events_in", "n_unpaired", "n_multi_click_clusters"):
             assert getattr(whole, count) == sum(getattr(half, count) for half in halves)
 
