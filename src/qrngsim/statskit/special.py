@@ -57,8 +57,6 @@ def erfc(x: float) -> float:
     """Complementary error function."""
     if math.isnan(x):
         return x
-    if math.isinf(x):
-        return 0.0 if x > 0 else 2.0
     if x < 0.0:
         return 2.0 - erfc(-x)
     if x < 1.5:
@@ -120,7 +118,7 @@ def igamc(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x)."""
     if not (a > 0.0) or not math.isfinite(a):
         raise ValueError(f"igamc requires a > 0, got {a}")
-    if not (x >= 0.0) or math.isnan(x):
+    if not (x >= 0.0):
         raise ValueError(f"igamc requires x >= 0, got {x}")
     if x == 0.0:
         return 1.0

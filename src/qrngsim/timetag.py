@@ -63,8 +63,8 @@ class PairLabel(IntEnum):
 
 CROSS_ARM_LABELS = (PairLabel.D1D3, PairLabel.D1D4, PairLabel.D2D3, PairLabel.D2D4)
 
-# flat lookup table indexed by lo * 4 + hi, read from each label's name
-# (same-detector slots unused)
+# flat lookup table indexed by lo * 4 + hi, read from each label's name;
+# the same-detector slots hold -1, no pair
 _LABEL_TABLE = np.full(16, -1, dtype=np.int8)
 for _lab in PairLabel:
     _LABEL_TABLE[Detector[_lab.name[:2]] * 4 + Detector[_lab.name[2:]]] = _lab
@@ -176,7 +176,7 @@ class CoincidenceStream:
         return len(self.times_ps)
 
     def select(self, labels) -> "CoincidenceStream":
-        wanted = np.isin(self.labels, labels)
+        wanted = np.isin(self.labels, labels, kind="sort")
         return CoincidenceStream(self.times_ps[wanted], self.labels[wanted])
 
 
@@ -475,11 +475,13 @@ def coincidence_filter(events: EventStream, timing: TimingConfig) -> Coincidence
     A click pairs with the earliest later click on a different detector no
     more than one window away; both clicks are consumed.  Clicks separated
     by more than the window can never pair, so the stream splits into
-    independent clusters.  Two-click clusters are labelled in numpy.  The
-    clicks of the rare clusters of three or more are gathered into one
-    short array, and the scalar greedy rule runs once, over every click
-    the two-click pass leaves.  Each pair is filed under its earlier
-    click's index, so the output is time-sorted without a sort.
+    independent clusters.  The first two clicks of every cluster of two or
+    more are labelled in numpy, through a table that gives -1 for one
+    detector twice.  The rare clusters of three or more are gathered for one
+    call of the scalar greedy rule, which agrees on that pair (click 0 pairs
+    with click 1 when their detectors differ) and labels the rest of each
+    pile-up.  Each pair is filed under its earlier click's index, so the
+    output is time-sorted without a sort.
     """
     times = events.times_ps
     dets = events.detectors
@@ -494,20 +496,14 @@ def coincidence_filter(events: EventStream, timing: TimingConfig) -> Coincidence
         raise ValueError("detection events must be time-sorted")
     np.greater(gaps, window, out=new_cluster[1:n])
     del gaps
-    # bools compare as 0 < 1: a > b is a & ~b
-    multi = np.greater(new_cluster[:n], new_cluster[1 : n + 1])  # size >= 2 starts here
-    two = np.flatnonzero(multi & new_cluster[2:])
-    big_starts = np.flatnonzero(np.greater(multi, new_cluster[2:], out=multi))
-    del multi
+    # a > b on bools is a & ~b: a cluster of two or more clicks starts here
+    starts = np.flatnonzero(new_cluster[:n] > new_cluster[1 : n + 1])
+    big_starts = starts[~new_cluster[starts + 2]]
 
     # label of the pair whose earlier click is i, or -1
     label_at = np.full(n, -1, dtype=np.int8)
-
-    first_det = dets[two]
-    second_det = dets[two + 1]
-    ok = first_det != second_det
-    label_at[two[ok]] = _pair_labels(first_det[ok], second_det[ok])
-    del two, first_det, second_det, ok
+    label_at[starts] = _pair_labels(dets[starts], dets[starts + 1])
+    del starts
 
     # each big cluster ends at the next cluster start, three or more on
     big_ends = big_starts + 3

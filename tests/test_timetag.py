@@ -31,6 +31,7 @@ from qrngsim.timetag import (
     PairLabel,
     SourceConfig,
     TimingConfig,
+    _LABEL_TABLE,
     _dead_time_filter,
     coincidence_filter,
     draw_patterns,
@@ -672,6 +673,13 @@ _PILE_UPS_MERGED = _pile_ups(3000)
 # a pile-up, then a two-click cluster and a singleton, one window + 1 ps apart
 _PILE_UP_THEN_PAIR_AND_SINGLETON = (np.array([0, 1000, 2000, 5001, 6001, 9002], np.int64),
                                     np.array([0, 1, 2, 3, 0, 1], np.int8), 3000, 1)
+# the first pair of a cluster on one detector: no pair, then in a pile-up a
+# pair of click 0 with click 2, then a pile-up that never pairs
+_PAIR_ON_ONE_DETECTOR = (np.array([0, 1000], np.int64), np.array([2, 2], np.int8), 3000, 0)
+_PILE_UP_PAIRS_FIRST_WITH_THIRD = (np.array([0, 1000, 2000], np.int64),
+                                   np.array([0, 0, 3], np.int8), 3000, 1)
+_PILE_UP_ON_ONE_DETECTOR = (np.array([0, 1000, 2000], np.int64),
+                            np.array([1, 1, 1], np.int8), 3000, 1)
 
 
 class TestCoincidenceFilter:
@@ -714,6 +722,8 @@ class TestCoincidenceFilter:
             events((Detector.D4, 10), (Detector.D1, 400)), TimingConfig()
         )
         assert [label for label, _ in labels_at(stream)] == [PairLabel.D1D4]
+        for d in Detector:
+            assert _LABEL_TABLE[4 * d + d] == -1
 
     @pytest.mark.parametrize("trial", range(25))
     def test_matches_reference_greedy_on_dense_streams(self, trial):
@@ -736,6 +746,9 @@ class TestCoincidenceFilter:
     @example(_PILE_UPS_APART)
     @example(_PILE_UPS_MERGED)
     @example(_PILE_UP_THEN_PAIR_AND_SINGLETON)
+    @example(_PAIR_ON_ONE_DETECTOR)
+    @example(_PILE_UP_PAIRS_FIRST_WITH_THIRD)
+    @example(_PILE_UP_ON_ONE_DETECTOR)
     def test_matches_reference_greedy_on_clustered_streams(self, stream):
         times, dets, window_ps, n_big = stream
         timing = TimingConfig(coincidence_window_ns=window_ps / 1000.0)
