@@ -673,8 +673,8 @@ _PILE_UPS_MERGED = _pile_ups(3000)
 # a pile-up, then a two-click cluster and a singleton, one window + 1 ps apart
 _PILE_UP_THEN_PAIR_AND_SINGLETON = (np.array([0, 1000, 2000, 5001, 6001, 9002], np.int64),
                                     np.array([0, 1, 2, 3, 0, 1], np.int8), 3000, 1)
-# the first pair of a cluster on one detector: no pair, then in a pile-up a
-# pair of click 0 with click 2, then a pile-up that never pairs
+# clusters whose first two clicks share a detector: a two-click one (no
+# pair), a pile-up whose click 0 pairs with click 2, one that never pairs
 _PAIR_ON_ONE_DETECTOR = (np.array([0, 1000], np.int64), np.array([2, 2], np.int8), 3000, 0)
 _PILE_UP_PAIRS_FIRST_WITH_THIRD = (np.array([0, 1000, 2000], np.int64),
                                    np.array([0, 0, 3], np.int8), 3000, 1)
