@@ -256,14 +256,26 @@ def _draw_patterns_into(rng, weights, values: np.ndarray, out: np.ndarray,
 # (512 KiB of float64), so no full-length jitter array is made
 _JITTER_CHUNK = 1 << 16
 
-# true in fan_out's forked workers, where simulate draws inline
+# true in fan_out's forked workers
 _in_fork_worker = False
 
 
-class _Draws:
-    """Runs simulate's random draws one call at a time, in call order:
-    each on a new helper thread, so that the caller's own work runs beside
-    it, or inline.
+def _threaded() -> bool:
+    """Whether simulate and coincidence_filter hand work to a helper
+    thread.  In ``fan_out``'s forked workers, or with one usable CPU, they
+    run inline instead, as measured rather than reasoned: the other cores
+    already have work, and with helper threads in the workers fresh-process
+    ``scan-delay`` runs on the ``scan_highflux`` argv took a median 1.09
+    times as long over 12 alternated pairs, faster in only 3 (an earlier
+    prototype read about 14 % slower; 2-vCPU host)."""
+    return not _in_fork_worker and _usable_cpus() > 1
+
+
+class _Helper:
+    """Runs simulate's random draws and the lower halves of its merge and
+    of coincidence_filter's pairing one call at a time, in call order: each
+    on a new helper thread, so that the caller's own work runs beside it,
+    or inline.
 
     ``start`` waits for the call before it, so no two calls share the
     generator at once.  ``wait`` joins the running call and returns its
@@ -276,7 +288,7 @@ class _Draws:
         self._thread = None
         self._outcome = (None, None)  # (result, exception) of the last call
 
-    def __enter__(self) -> "_Draws":
+    def __enter__(self) -> "_Helper":
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -293,7 +305,7 @@ class _Draws:
                 self._outcome = (None, exc)
 
         if self._threaded:
-            self._thread = threading.Thread(target=call, name="qrngsim-draws")
+            self._thread = threading.Thread(target=call, name="qrngsim-helper")
             self._thread.start()
         else:
             call()
@@ -343,18 +355,19 @@ def simulate(
     pair's firing mask, while the caller sorts the pair times.  It then
     draws detector d's jitter and dark count while the caller selects the
     later detectors' clicks (d = 0) or sorts, clips, dead-time filters and
-    keys detector d - 1's.  The last detector's keys and the merge follow
-    the last draw.  The caller draws each detector's dark times between two
-    helper steps and makes every array the helper fills: arrays a second
-    thread allocates stay in its own malloc arena and raise the peak
-    resident memory (dark times drawn on the helper cost 6 MB more at
-    300 Hz darks over 1,175 s, 47 MB more at 3 kHz).  In ``fan_out``'s
-    forked workers, or with one usable CPU, each step runs inline instead,
-    as measured rather than reasoned: the other cores already have work,
-    and with helper threads in the workers fresh-process ``scan-delay``
-    runs on the ``scan_highflux`` argv took a median 1.09 times as long
-    over 12 alternated pairs, faster in only 3 (an earlier prototype read
-    about 14 % slower; 2-vCPU host).
+    keys detector d - 1's.  The last detector's keys follow the last draw,
+    then the merge runs on both threads (``_merge_runs``): the caller
+    copies the four runs into one buffer, split by time, and frees them;
+    the helper then sorts the lower part while the caller sorts the upper.
+    The caller draws each detector's dark times between two helper steps
+    and makes every array the helper fills: arrays a second thread
+    allocates stay in its own malloc arena and raise the peak resident
+    memory (dark times drawn on the helper cost 6 MB more at 300 Hz darks
+    over 1,175 s, 47 MB more at 3 kHz; each thread copying its part of the
+    runs, still alive, raised ``simulate``'s own peak from 108.5 to 115 MB
+    and ``generate``'s from 109.0 to 124.7 MB, where copying in the caller
+    and freeing the runs before either sort read 108.4 MB).  Where
+    ``_threaded()`` is false, each step runs inline.
 
     The jitter is ``rng.standard_normal(out=chunk)``, ``_JITTER_CHUNK``
     draws at a time, scaled by sigma, rounded and added to the click times
@@ -388,18 +401,17 @@ def simulate(
     u = np.empty(n_pairs)
     scratch = np.empty(n_pairs, dtype=bool)
     chunk = np.empty(_JITTER_CHUNK)
-    threaded = not _in_fork_worker and _usable_cpus() > 1
 
     def detector_clicks(det):
         return np.compress(((fired >> det) & 1).view(bool), pair_times)
 
     def start_detector_draws(t):
-        draws.start(_detector_draws, rng, t, timing.jitter_sigma_ps, chunk, mean_darks)
+        helper.start(_detector_draws, rng, t, timing.jitter_sigma_ps, chunk, mean_darks)
 
-    with _Draws(threaded) as draws:
-        draws.start(_draw_patterns_into, rng, list(clicks.values()), masks, fired, u, scratch)
+    with _Helper(_threaded()) as helper:
+        helper.start(_draw_patterns_into, rng, list(clicks.values()), masks, fired, u, scratch)
         pair_times.sort()
-        draws.wait()
+        helper.wait()
         del u, scratch
         pending = [detector_clicks(0)]
         start_detector_draws(pending[0])
@@ -411,7 +423,7 @@ def simulate(
         # 64 bits: uint64, since a signed key wraps from 2^61 ps on.
         keys = []
         for det in range(4):
-            n_dark = draws.wait()  # this detector's jitter is in pending[0]
+            n_dark = helper.wait()  # this detector's jitter is in pending[0]
             t = pending.pop(0)
             darks = rng.integers(0, run_ps, size=n_dark, dtype=np.int64) if n_dark else None
             if pending:
@@ -429,17 +441,41 @@ def simulate(
             key <<= np.uint64(2)
             key |= np.uint64(det)
             keys.append(key)
+        del key  # the runs live in keys alone, so the merge can free them
+        return _merge_runs(keys, helper)
 
-    # Sorting the keys orders clicks by time, then ties by detector:
-    # lexsort's order on (time, detector).  For uint64 the stable sort is
-    # timsort, which merges the four sorted runs in linear time.
-    key = np.concatenate(keys)
-    del keys
-    key.sort(kind="stable")
-    dets = key.astype(np.uint8)
-    dets &= 3
-    key >>= np.uint64(2)
+
+def _merge_runs(runs: list, helper: _Helper) -> EventStream:
+    """The clicks of the sorted key runs ``runs`` (emptied) in time order.
+
+    Sorting the keys orders clicks by time, then ties by detector:
+    lexsort's order on (time, detector).  Each run's keys below the middle
+    key of the longest go to the lower part of one buffer, the rest to the
+    upper, so that the two parts, sorted apart, sort the whole; for uint64
+    the stable sort is timsort, which merges a part's four sorted pieces in
+    linear time.
+    """
+    longest = max(runs, key=len)
+    splitter = longest[len(longest) // 2] if len(longest) else 0
+    del longest
+    cuts = [np.searchsorted(run, splitter) for run in runs]
+    key = np.concatenate([run[:cut] for run, cut in zip(runs, cuts)]
+                         + [run[cut:] for run, cut in zip(runs, cuts)])
+    runs.clear()
+    dets = np.empty(len(key), dtype=np.uint8)
+    m = sum(cuts)
+    helper.start(_sort_and_split, key[:m], dets[:m])
+    _sort_and_split(key[m:], dets[m:])
+    helper.wait()
     return EventStream(key.view(np.int64), dets.view(np.int8))
+
+
+def _sort_and_split(key: np.ndarray, dets: np.ndarray) -> None:
+    """Sort ``key`` in place, then split each key into its detector, into
+    ``dets``, and its time, left in ``key``."""
+    key.sort(kind="stable")
+    np.bitwise_and(key, np.uint64(3), out=dets, casting="unsafe")
+    key >>= np.uint64(2)
 
 
 def _greedy_pairs(times, dets, window_ps: int) -> list:
@@ -469,6 +505,12 @@ def _pair_labels(d_first: np.ndarray, d_second: np.ndarray) -> np.ndarray:
     return _LABEL_TABLE[np.minimum(d_first, d_second) * 4 + np.maximum(d_first, d_second)]
 
 
+# clicks searched past the middle for a gap to cut the pairing at
+_CUT_LOOKAHEAD = 1024
+# gaps between neighbouring clicks are taken this many at a time (512 KiB)
+_GAP_CHUNK = 1 << 16
+
+
 def coincidence_filter(events: EventStream, timing: TimingConfig) -> CoincidenceStream:
     """Pair clicks within the coincidence window, earliest first.
 
@@ -482,20 +524,49 @@ def coincidence_filter(events: EventStream, timing: TimingConfig) -> Coincidence
     with click 1 when their detectors differ) and labels the rest of each
     pile-up.  Each pair is filed under its earlier click's index, so the
     output is time-sorted without a sort.
+
+    A cut at a gap longer than the window splits no cluster, so the two
+    halves pair as the whole stream does: their coincidences joined and
+    their counts summed give the same bytes.  Where ``_threaded()``, the
+    clicks are cut at the first such gap at or after the middle click, and
+    the helper pairs the lower half while the caller pairs the upper; with
+    no such gap within ``_CUT_LOOKAHEAD`` clicks, one call pairs them all.
     """
     times = events.times_ps
     dets = events.detectors
     n = len(times)
     window = timing.window_ps
+    mid = n // 2
+    late = np.flatnonzero(np.diff(times[mid : mid + _CUT_LOOKAHEAD + 1]) > window)
+    if not len(late) or not _threaded():
+        return _pair_clusters(times, dets, window)
+    cut = mid + int(late[0]) + 1
+    with _Helper(threaded=True) as helper:
+        helper.start(_pair_clusters, times[:cut], dets[:cut], window)
+        upper = _pair_clusters(times[cut:], dets[cut:], window)
+        lower = helper.wait()
+    return CoincidenceStream(
+        np.concatenate((lower.times_ps, upper.times_ps)),
+        np.concatenate((lower.labels, upper.labels)),
+        n, lower.n_unpaired + upper.n_unpaired,
+        lower.n_multi_click_clusters + upper.n_multi_click_clusters)
+
+
+def _pair_clusters(times: np.ndarray, dets: np.ndarray, window: int) -> CoincidenceStream:
+    """coincidence_filter's pairing of the clicks (times, dets), in one call."""
+    n = len(times)
     # new_cluster[i]: click i opens a cluster; two sentinel clusters follow
     # the last click, so a cluster's second and third clicks can always be
     # looked up
     new_cluster = np.ones(n + 2, dtype=bool)
-    gaps = np.diff(times)
-    if n > 1 and gaps.min() < 0:
-        raise ValueError("detection events must be time-sorted")
-    np.greater(gaps, window, out=new_cluster[1:n])
-    del gaps
+    gaps = np.empty(min(n, _GAP_CHUNK), dtype=np.int64)
+    for lo in range(1, n, _GAP_CHUNK):
+        hi = min(lo + _GAP_CHUNK, n)
+        gap = gaps[: hi - lo]
+        np.subtract(times[lo:hi], times[lo - 1 : hi - 1], out=gap)
+        if gap.min() < 0:
+            raise ValueError("detection events must be time-sorted")
+        np.greater(gap, window, out=new_cluster[lo:hi])
     # a > b on bools is a & ~b: a cluster of two or more clicks starts here
     starts = np.flatnonzero(new_cluster[:n] > new_cluster[1 : n + 1])
     big_starts = starts[~new_cluster[starts + 2]]
@@ -657,8 +728,8 @@ def _fork_worker(fn, calls: list, pipes: list, write_fd: int) -> None:
     """The body of a forked child: run ``calls`` in order, stopping at the
     first that raises, pickle (results so far, exception or None) into
     ``write_fd`` and end the process, never returning into the caller.
-    ``simulate`` draws inline here, since the other workers keep the
-    other cores busy."""
+    ``simulate`` and ``coincidence_filter`` run inline here, since the
+    other workers keep the other cores busy."""
     global _in_fork_worker
     _in_fork_worker = True
     status = 1
