@@ -97,32 +97,49 @@ def records_to_stream(records: BitRecordStream) -> BitStream:
     return BitStream(data.astype(np.uint8))
 
 
-def _period_indices(times_ps: np.ndarray, clock: ClockConfig) -> np.ndarray:
-    """Exact period index floor(1000 t / P) of sorted timestamps t >= 0 (ps).
+def _period_indices(times_ps: np.ndarray, clock: ClockConfig, narrow: bool = False) -> np.ndarray:
+    """Exact period index floor(1000 t / P) of timestamps t >= 0 (ps), in
+    the input's order, as int64, or with narrow as uint32 where the largest
+    index fits.
 
     Works in femtoseconds so that periods off the picosecond grid (3 MHz,
     7 kHz) still index exactly; t = q P + r keeps every product in int64 at
     any duration.  A period of whole picoseconds p, as 500 kHz, 12.5 kHz
     and 1.25 kHz clocks have, needs one division: floor(1000 t / 1000 p)
-    = floor(t / p).  Raises ValueError if the error log's index k + 1 of
-    the last period would pass int64.
+    = floor(t / p), written straight into the result's type.  Raises
+    ValueError if the error log's index k + 1 of the largest time's period
+    would pass int64.
     """
     period_fs = clock.period_fs
-    last = int(times_ps[-1]) * 1000 // period_fs if len(times_ps) else 0
+    latest = int(times_ps.max()) if len(times_ps) else 0
+    last = latest * 1000 // period_fs
     if last + 1 > _INT64_MAX:
-        raise ValueError(f"clock indices pass int64 at {int(times_ps[-1])} ps")
+        raise ValueError(f"clock indices pass int64 at {latest} ps")
+    dtype = np.uint32 if narrow and last <= np.iinfo(np.uint32).max else np.int64
     if period_fs % 1000 == 0:
-        return times_ps // (period_fs // 1000)
+        return np.floor_divide(times_ps, period_fs // 1000,
+                               out=np.empty(len(times_ps), dtype), casting="unsafe")
     q, r = np.divmod(times_ps, period_fs)
     # in place, so the peak holds two arrays of the input's size, not five
     q *= 1000
     q += np.floor_divide(np.multiply(r, 1000, out=r), period_fs, out=r)
-    return q
+    return q.astype(dtype, copy=False)
+
+
+def _opens(periods: np.ndarray) -> np.ndarray:
+    """n + 1 bools over sorted period indices: True where index i opens an
+    occupied period, then a True sentinel.  A period of two or more opens
+    at s, where opens[s] > opens[s + 1], and closes at e, where opens[e]
+    < opens[e + 1]; opens[0] and the sentinel are True, so the changes of
+    opens alternate between the two."""
+    opens = np.ones(len(periods) + 1, dtype=bool)
+    np.not_equal(periods[1:], periods[:-1], out=opens[1:-1])
+    return opens
 
 
 def period_occupancy(coincidences: CoincidenceStream, clock: ClockConfig):
-    """(periods, opens): each coincidence's period index, and n + 1 bools,
-    True where coincidence i opens an occupied period, then a True sentinel.
+    """(periods, opens): each coincidence's int64 period index, and
+    ``_opens`` of them.
 
     Relies on time-sorted input, which it checks: periods of sorted times
     never decrease, so each occupied period is one run of equal neighbours
@@ -132,9 +149,21 @@ def period_occupancy(coincidences: CoincidenceStream, clock: ClockConfig):
     if np.any(times[1:] < times[:-1]):
         raise ValueError("coincidences must be time-sorted")
     periods = _period_indices(times, clock)
-    opens = np.ones(len(periods) + 1, dtype=bool)
-    np.not_equal(periods[1:], periods[:-1], out=opens[1:-1])
-    return periods, opens
+    return periods, _opens(periods)
+
+
+def occupancy_counts(times_ps: np.ndarray, clock: ClockConfig) -> tuple[int, int]:
+    """(occupied, multi): the clock periods that times (ps, in any order)
+    occupy, and those holding two or more, the counts of extract_bits'
+    symbols and error symbols on the sorted stream, without its labels.
+
+    Sorts the period indices, uint32 where they fit, rather than the int64
+    times; the caller's times are not written.
+    """
+    periods = _period_indices(times_ps, clock, narrow=True)
+    periods.sort()
+    opens = _opens(periods)
+    return int(np.count_nonzero(opens)) - 1, int(np.count_nonzero(opens[:-1] > opens[1:]))
 
 
 def extract_bits(coincidences: CoincidenceStream, clock: ClockConfig) -> BitRecordStream:
@@ -155,9 +184,7 @@ def extract_bits(coincidences: CoincidenceStream, clock: ClockConfig) -> BitReco
         )
     periods, opens = period_occupancy(coincidences, clock)
     symbols = (labels == int(PairLabel.D3D4)).view(np.int8)  # fresh: ONE or ZERO
-    # a period of two or more opens at s, where opens[s] & ~opens[s + 1], and
-    # closes at e, where ~opens[e] & opens[e + 1]; opens[0] and the sentinel
-    # are True, so the changes of opens alternate between the two
+    # the multi-occupied periods' opens and closes, alternating (see _opens)
     edges = np.flatnonzero(opens[:-1] != opens[1:])
     opens_multi, closes_multi = edges[0::2], edges[1::2]
     symbols[opens_multi] = Symbol.ERROR

@@ -190,11 +190,12 @@ def cmd_scan_delay(args, manifest: RunManifest):
 
 
 def _ber_point(seed, clock, rate_hz, duration_s):
-    """One frequency, run by ``fan_out`` from its own seed: its symbol count
-    and error fraction."""
-    records = bitpipe.extract_bits(timetag.synthetic_coincidences(rate_hz, duration_s, seed),
-                                   clock)
-    return len(records), bitpipe.empirical_ber(records)
+    """One frequency, run by ``fan_out`` from its own seed: the clock
+    periods that ``synthetic_coincidences``' stream occupies and those
+    holding two or more, counted from its times alone, unsorted, since the
+    counts need neither the order nor the labels."""
+    return bitpipe.occupancy_counts(
+        timetag.synthetic_times(rate_hz, duration_s, np.random.default_rng(seed)), clock)
 
 
 def cmd_ber_scan(args, manifest: RunManifest):
@@ -218,8 +219,11 @@ def cmd_ber_scan(args, manifest: RunManifest):
 
     points = timetag.fan_out(_ber_point, args.seed, clocks, args.rate, args.duration)
     manifest.metadata["scan_workers"] = timetag.scan_workers(len(freqs))
+    manifest.metadata["occupied_periods"] = [n for n, _ in points]
+    manifest.metadata["multi_occupied_periods"] = [errors for _, errors in points]
     rows = []
-    for f, model, (n, empirical) in zip(freqs, models, points):
+    for f, model, (n, errors) in zip(freqs, models, points):
+        empirical = errors / n if n else 0.0
         sigma = math.sqrt(empirical * (1.0 - empirical) / n) if n else 0.0
         rows.append((f, model, empirical, sigma))
 

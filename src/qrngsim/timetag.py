@@ -600,20 +600,28 @@ def _pair_clusters(times: np.ndarray, dets: np.ndarray, window: int) -> Coincide
     )
 
 
+def synthetic_times(rate_hz: float, duration_s: float, rng: np.random.Generator) -> np.ndarray:
+    """The int64 times (ps) of a Poisson stream, unsorted: its count, then
+    its uniform times, drawn from rng in that order."""
+    SourceConfig(rate_hz, duration_s)  # a pair source's rate and duration rules
+    mean = _poisson_mean("rate_hz", rate_hz, duration_s)
+    n = int(rng.poisson(mean))
+    return rng.integers(0, duration_ps(duration_s), size=n, dtype=np.int64)
+
+
 def synthetic_coincidences(rate_hz: float, duration_s: float, seed: int = 0) -> CoincidenceStream:
-    """Poisson stream of ready-made coincidences with fair random labels.
+    """Poisson stream of ready-made coincidences with fair random labels:
+    synthetic_times from seed's generator, sorted, then the labels from the
+    same generator.
 
     Bypasses the optical chain; used to exercise the clocked bit recorder
     at a prescribed coincidence rate.
     """
-    SourceConfig(rate_hz, duration_s, seed)  # a pair source's rate and duration rules
-    mean = _poisson_mean("rate_hz", rate_hz, duration_s)
     rng = np.random.default_rng(seed)
-    n = int(rng.poisson(mean))
-    times = rng.integers(0, duration_ps(duration_s), size=n, dtype=np.int64)
+    times = synthetic_times(rate_hz, duration_s, rng)
     times.sort()
     # D1D2 is 0 and D3D4 is 1
-    return CoincidenceStream(times, rng.integers(0, 2, size=n).astype(np.int8))
+    return CoincidenceStream(times, rng.integers(0, 2, size=len(times)).astype(np.int8))
 
 
 def label_counts(labels: np.ndarray) -> np.ndarray:

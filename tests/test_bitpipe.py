@@ -283,6 +283,70 @@ class TestClockedExtractionOracle:
             extract_bits(stream, clock)
 
 
+@st.composite
+def unsorted_times_cases(draw):
+    """(clock frequency, times in ps in any order) for occupancy_counts.
+
+    12.5 kHz periods are whole picoseconds, 3 MHz and 7 kHz periods are
+    not, and a 1e15 Hz clock's 1 fs period puts every time past 4,294,968
+    ps at an index of 2^32 or more, where the indices stay int64.  Times
+    start at zero or straddle the first period of index 2^32; a second
+    copy may follow them by a whole multiple of 2^32 periods, whose
+    indices equal the first copy's in their low 32 bits.
+    """
+    frequency_hz = draw(st.sampled_from([1.25e4, 3e6, 7e3, 1e15]))
+    period_fs = ClockConfig(frequency_hz).period_fs
+    step = max(period_fs // 1000, 1)
+    gaps = draw(st.lists(st.one_of(st.just(0), st.integers(0, step // 4), st.integers(0, 3 * step)),
+                         min_size=0, max_size=40))
+    times = np.cumsum(gaps, dtype=np.int64)
+    if draw(st.booleans()):
+        last = int(times[-1]) if len(times) else 0
+        times += -(-2**32 * period_fs // 1000) - draw(st.integers(0, last))
+    # the shortest shift in whole ps by a multiple of 2^32 periods
+    shift = math.lcm(2**32 * period_fs, 1000) // 1000
+    top = int(times.max(initial=0)) + shift
+    if draw(st.booleans()) and top <= INT64_MAX and top * 1000 // period_fs < INT64_MAX:
+        times = np.concatenate([times, times + shift])
+    return frequency_hz, draw(st.permutations(times.tolist()))
+
+
+class TestOccupancyCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(case=unsorted_times_cases())
+    @example(case=(1.25e4, [])).via("no coincidence")
+    @example(case=(3e6, [7])).via("one coincidence")
+    @example(case=(7e3, [142_857_142, 5, 0, 142_857_141])).via("every time in one period")
+    @example(case=(1.25e4, [80_000_000, 0, 79_999_999, 160_000_000, 80_000_001])
+             ).via("shuffled, two periods of two and one of one")
+    @example(case=(1e15, [0, 536_870_912])).via("indices 125 * 2^32 apart")
+    def test_matches_scalar_oracle(self, case):
+        frequency_hz, times = case
+        clock = ClockConfig(frequency_hz)
+        given_times = np.array(times, dtype=np.int64)
+        table = period_table(times, [0] * len(times), clock.period_fs)
+        want = (len(table), sum(count >= 2 for count, _ in table.values()))
+        assert bitpipe.occupancy_counts(given_times, clock) == want
+        # and the counts of extract_bits' symbols and error symbols on the
+        # sorted stream, whatever its labels
+        stream = CoincidenceStream(np.sort(given_times), np.zeros(len(times), dtype=np.int8))
+        records = extract_bits(stream, clock)
+        assert (len(records), len(records.error_periods)) == want
+        assert given_times.tolist() == times  # the caller's times are not written
+
+    def test_index_past_int64_rejected_as_extract_bits_does(self):
+        # a 1 THz clock's index is the time in ps; the largest, not last,
+        # would log its error at INT64_MAX + 1
+        clock = ClockConfig(1e12)
+        times = np.array([INT64_MAX, 0], dtype=np.int64)
+        with pytest.raises(ValueError) as sorted_error:
+            extract_bits(CoincidenceStream(np.sort(times), np.zeros(2, dtype=np.int8)), clock)
+        with pytest.raises(ValueError) as counting_error:
+            bitpipe.occupancy_counts(times, clock)
+        assert str(counting_error.value) == str(sorted_error.value)
+        assert str(counting_error.value) == f"clock indices pass int64 at {INT64_MAX} ps"
+
+
 class TestBerModel:
     def test_bench_operating_points(self):
         assert ber_model(668.0, ClockConfig(10_000.0)) == pytest.approx(0.0334)

@@ -32,6 +32,7 @@ from qrngsim.cli import (
     EXIT_OK,
     EXIT_TEST_FAIL,
     EXIT_USAGE,
+    _ber_point,
     _configs_from_args,
     build_parser,
     main,
@@ -270,6 +271,7 @@ class TestBerScan:
                    "--duration", repr(duration), "--seed", str(seed),
                    "--out", str(out)) == EXIT_OK
         rows = ["frequency_hz,model_ber,empirical_ber,sigma"]
+        occupied, multi = [], []
         for i, f in enumerate(freqs):
             clock = ClockConfig(f)
             records = extract_bits(
@@ -278,15 +280,36 @@ class TestBerScan:
             empirical = errors / n
             sigma = math.sqrt(empirical * (1.0 - empirical) / n)
             rows.append(f"{f!r},{ber_model(rate, clock)!r},{empirical!r},{sigma!r}")
+            occupied.append(n)
+            multi.append(errors)
         assert out.read_text().splitlines() == rows
         meta = RunManifest.load(str(out) + ".manifest.json").metadata
-        assert meta == {"scan_workers": scan_workers(n_freqs)}
+        assert meta == {"scan_workers": scan_workers(n_freqs),
+                        "occupied_periods": occupied, "multi_occupied_periods": multi}
         return out.read_bytes()
 
     def test_matches_serial_frequency_loop(self, tmp_path):
         # more frequencies than workers, so workers take several each
         self.assert_matches_serial_frequency_loop(tmp_path / "b.csv",
                                                   max(5, scan_workers(10**6) + 1))
+
+    @pytest.mark.parametrize("frequency_hz", [12_500.0, 1_250.0])
+    def test_point_peak_memory_per_coincidence(self, frequency_hz):
+        # about 300,000 coincidences at ber_long's rate and clocks: the int64
+        # times, then their uint32 periods, the opens mask and one bool
+        # temporary, 14 bytes a coincidence; drawing the labels too, or
+        # holding the periods in int64, passes 15
+        clock = ClockConfig(frequency_hz)
+        n = len(timetag.synthetic_times(250.0, 1200.0, np.random.default_rng(6)))
+        _ber_point(6, clock, 250.0, 1200.0)  # warm: numpy's first-call setup is not the point's
+        tracemalloc.start()
+        try:
+            _ber_point(6, clock, 250.0, 1200.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n > 290_000
+        assert peak < 15 * n
 
     def test_one_pool_of_at_most_one_worker_per_cpu_and_frequency(self, tmp_path, forks):
         assert threading.active_count() == 1
@@ -309,8 +332,7 @@ class TestBerScan:
             in_caller = self.assert_matches_serial_frequency_loop(tmp_path / "b.csv", 3)
         assert forks == []
         assert in_caller == forked
-        assert RunManifest.load(str(tmp_path / "b.csv.manifest.json")).metadata == {
-            "scan_workers": 1}
+        assert RunManifest.load(str(tmp_path / "b.csv.manifest.json")).metadata["scan_workers"] == 1
 
     # a NaN or infinity is refused earlier, as a parameter no manifest can
     # record
@@ -665,21 +687,22 @@ class TestUnusableClock:
     # an unusable clock, then a frequency where R/(2f) = 1.25 passes 1
     @pytest.mark.parametrize("freqs", ["12500,1250,1e16", "12500,1250,100"])
     def test_ber_scan_checks_every_frequency_before_simulating(
-        self, tmp_path, capsys, monkeypatch, freqs
+        self, tmp_path, capsys, monkeypatch, forks, freqs
     ):
         calls = []
-        real = timetag.synthetic_coincidences
+        real = timetag.synthetic_times
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(timetag, "synthetic_coincidences", counting)
+        monkeypatch.setattr(timetag, "synthetic_times", counting)
         out = tmp_path / "b.csv"
         code = run("ber-scan", "--rate", "250", "--freqs", freqs,
                    "--duration", "10", "--out", str(out))
         assert code == EXIT_USAGE
-        assert calls == []
+        # no draw in the caller, and no worker forked to draw one
+        assert calls == [] and forks == []
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
