@@ -72,7 +72,7 @@ def normal_cdf(x: float) -> float:
 
 
 def _gamma_p_series(a: float, x: float) -> float:
-    # series for P(a, x); converges fast for x < a + 1
+    # series for P(a, x) over igamc's prefactor; converges fast for x < a + 1
     ap = a
     total = 1.0 / a
     delta = total
@@ -82,14 +82,11 @@ def _gamma_p_series(a: float, x: float) -> float:
         total += delta
         if abs(delta) < abs(total) * _EPS:
             break
-    log_prefactor = -x + a * math.log(x) - math.lgamma(a)
-    if log_prefactor < -745.0:
-        return 0.0
-    return total * math.exp(log_prefactor)
+    return total
 
 
 def _gamma_q_cf(a: float, x: float) -> float:
-    # continued fraction for Q(a, x), modified Lentz; best for x >= a + 1
+    # Q(a, x) over igamc's prefactor, by modified Lentz; best for x >= a + 1
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b
@@ -108,10 +105,7 @@ def _gamma_q_cf(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             break
-    log_prefactor = -x + a * math.log(x) - math.lgamma(a)
-    if log_prefactor < -745.0:
-        return 0.0
-    return math.exp(log_prefactor) * h
+    return h
 
 
 def igamc(a: float, x: float) -> float:
@@ -124,6 +118,9 @@ def igamc(a: float, x: float) -> float:
         return 1.0
     if math.isinf(x):
         return 0.0
+    # the prefactor x^a e^-x / Gamma(a), 0 where its log underflows exp
+    log_prefactor = -x + a * math.log(x) - math.lgamma(a)
+    prefactor = 0.0 if log_prefactor < -745.0 else math.exp(log_prefactor)
     if x < a + 1.0:
-        return min(max(1.0 - _gamma_p_series(a, x), 0.0), 1.0)
-    return min(max(_gamma_q_cf(a, x), 0.0), 1.0)
+        return min(max(1.0 - _gamma_p_series(a, x) * prefactor, 0.0), 1.0)
+    return min(max(_gamma_q_cf(a, x) * prefactor, 0.0), 1.0)

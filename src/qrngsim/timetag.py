@@ -63,11 +63,13 @@ class PairLabel(IntEnum):
 
 CROSS_ARM_LABELS = (PairLabel.D1D3, PairLabel.D1D4, PairLabel.D2D3, PairLabel.D2D4)
 
-# flat lookup table indexed by lo * 4 + hi, read from each label's name;
-# the same-detector slots hold -1, no pair
+# flat lookup table indexed by a * 4 + b for a pair's detectors a and b, in
+# either order, read from each label's name; the same-detector slots hold
+# -1, no pair
 _LABEL_TABLE = np.full(16, -1, dtype=np.int8)
 for _lab in PairLabel:
-    _LABEL_TABLE[Detector[_lab.name[:2]] * 4 + Detector[_lab.name[2:]]] = _lab
+    _a, _b = Detector[_lab.name[:2]], Detector[_lab.name[2:]]
+    _LABEL_TABLE[[_a * 4 + _b, _b * 4 + _a]] = _lab
 
 
 def duration_ps(duration_s: float) -> int:
@@ -261,9 +263,9 @@ _in_fork_worker = False
 
 
 def _threaded() -> bool:
-    """Whether simulate and coincidence_filter hand work to a helper
-    thread.  In ``fan_out``'s forked workers, or with one usable CPU, they
-    run inline instead, as measured rather than reasoned: the other cores
+    """Whether ``_beside`` runs its helper's call on a second thread.  In
+    ``fan_out``'s forked workers, or with one usable CPU, it runs both calls
+    inline instead, as measured rather than reasoned: the other cores
     already have work, and with helper threads in the workers fresh-process
     ``scan-delay`` runs on the ``scan_highflux`` argv took a median 1.09
     times as long over 12 alternated pairs, faster in only 3 (an earlier
@@ -271,53 +273,34 @@ def _threaded() -> bool:
     return not _in_fork_worker and _usable_cpus() > 1
 
 
-class _Helper:
-    """Runs simulate's random draws and the lower halves of its merge and
-    of coincidence_filter's pairing one call at a time, in call order: each
-    on a new helper thread, so that the caller's own work runs beside it,
-    or inline.
+def _beside(helper_call, caller_call) -> tuple:
+    """``(helper_call(), caller_call())``, the helper's call on a new thread
+    beside the caller's where ``_threaded()``, else inline before it.  Both
+    calls run either way; the thread is joined before anything returns or
+    raises, and an exception raised by the helper's call is raised again
+    once the caller's call has returned."""
+    outcome = [None, None]  # the helper's (result, exception)
 
-    ``start`` waits for the call before it, so no two calls share the
-    generator at once.  ``wait`` joins the running call and returns its
-    result or raises its exception in the caller.  Leaving the ``with``
-    block joins the helper whether the block returned or raised.
-    """
+    def call():
+        try:
+            outcome[0] = helper_call()
+        except BaseException as exc:  # raised again in the caller
+            outcome[1] = exc
 
-    def __init__(self, threaded: bool):
-        self._threaded = threaded
-        self._thread = None
-        self._outcome = (None, None)  # (result, exception) of the last call
-
-    def __enter__(self) -> "_Helper":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._thread is not None:
-            self._thread.join()
-
-    def start(self, fn, *args) -> None:
-        self.wait()
-
-        def call():
-            try:
-                self._outcome = (fn(*args), None)
-            except BaseException as exc:  # raised again by wait, in the caller
-                self._outcome = (None, exc)
-
-        if self._threaded:
-            self._thread = threading.Thread(target=call, name="qrngsim-helper")
-            self._thread.start()
-        else:
-            call()
-
-    def wait(self):
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        (result, exc), self._outcome = self._outcome, (None, None)
-        if exc is not None:
-            raise exc
-        return result
+    thread = None
+    if _threaded():
+        thread = threading.Thread(target=call, name="qrngsim-helper")
+        thread.start()
+    else:
+        call()
+    try:
+        mine = caller_call()
+    finally:
+        if thread is not None:
+            thread.join()
+    if outcome[1] is not None:
+        raise outcome[1]
+    return outcome[0], mine
 
 
 def _detector_draws(rng, t: np.ndarray, sigma: float, chunk: np.ndarray, mean_darks: float) -> int:
@@ -349,25 +332,16 @@ def simulate(
     (``draw_patterns``; ``TestDrawPatterns`` pins it against ``choice``).
     Clicks jittered outside [0, duration) are dropped.
 
-    The draws after the pair times run on a helper thread, one step at a
-    time and in that order, while the calling thread does the work that
-    draws nothing.  The helper draws the click patterns, straight into each
-    pair's firing mask, while the caller sorts the pair times.  It then
-    draws detector d's jitter and dark count while the caller selects the
-    later detectors' clicks (d = 0) or sorts, clips, dead-time filters and
-    keys detector d - 1's.  The last detector's keys follow the last draw,
-    then the merge runs on both threads (``_merge_runs``): the caller
-    copies the four runs into one buffer, split by time, and frees them;
-    the helper then sorts the lower part while the caller sorts the upper.
-    The caller draws each detector's dark times between two helper steps
-    and makes every array the helper fills: arrays a second thread
-    allocates stay in its own malloc arena and raise the peak resident
-    memory (dark times drawn on the helper cost 6 MB more at 300 Hz darks
-    over 1,175 s, 47 MB more at 3 kHz; each thread copying its part of the
-    runs, still alive, raised ``simulate``'s own peak from 108.5 to 115 MB
-    and ``generate``'s from 109.0 to 124.7 MB, where copying in the caller
-    and freeing the runs before either sort read 108.4 MB).  Where
-    ``_threaded()`` is false, each step runs inline.
+    Each draw after the pair times is the helper's call of a ``_beside``
+    step, beside the caller's work that draws nothing, so no two draws
+    share the generator at once.  The caller draws each detector's dark
+    times between two helper steps and makes every array the helper fills:
+    arrays a second thread allocates stay in its own malloc arena and raise
+    the peak resident memory (dark times drawn on the helper cost 6 MB more
+    at 300 Hz darks over 1,175 s, 47 MB more at 3 kHz; each thread copying
+    its part of the runs, still alive, raised ``simulate``'s own peak from
+    108.5 to 115 MB and ``generate``'s from 109.0 to 124.7 MB, where copying
+    in the caller and freeing the runs before either sort read 108.4 MB).
 
     The jitter is ``rng.standard_normal(out=chunk)``, ``_JITTER_CHUNK``
     draws at a time, scaled by sigma, rounded and added to the click times
@@ -405,47 +379,49 @@ def simulate(
     def detector_clicks(det):
         return np.compress(((fired >> det) & 1).view(bool), pair_times)
 
-    def start_detector_draws(t):
-        helper.start(_detector_draws, rng, t, timing.jitter_sigma_ps, chunk, mean_darks)
+    def draws(t):
+        return lambda: _detector_draws(rng, t, timing.jitter_sigma_ps, chunk, mean_darks)
 
-    with _Helper(_threaded()) as helper:
-        helper.start(_draw_patterns_into, rng, list(clicks.values()), masks, fired, u, scratch)
-        pair_times.sort()
-        helper.wait()
-        del u, scratch
-        pending = [detector_clicks(0)]
-        start_detector_draws(pending[0])
-        pending += [detector_clicks(det) for det in (1, 2, 3)]
-        del pair_times, fired
+    def keyed(t, darks, det):
+        """Detector det's clicks t (jittered) and dark times darks (or None)
+        as the sorted keys (t << 2) | det of the clicks kept.  Kept times lie
+        below MAX_DURATION_PS, just under 2^62 ps, so the key needs all 64
+        bits: uint64, since a signed key wraps from 2^61 ps on."""
+        if darks is not None:
+            t = np.concatenate((t, darks))
+            del darks
+        # jitter leaves the clicks nearly in pair order, where timsort is
+        # linear; once sorted, the clicks jittered outside [0, run_ps) are
+        # the two ends, so the clip is a slice
+        t.sort(kind="stable")
+        t = t[np.searchsorted(t, 0) : np.searchsorted(t, run_ps)]
+        key = t[_dead_time_filter(t, timing.dead_time_ps)].view(np.uint64)
+        del t
+        key <<= np.uint64(2)
+        key |= np.uint64(det)
+        return key
 
-        # Each detector's kept clicks become keys (t << 2) | d.  Kept times
-        # lie below MAX_DURATION_PS, just under 2^62 ps, so the key needs all
-        # 64 bits: uint64, since a signed key wraps from 2^61 ps on.
-        keys = []
-        for det in range(4):
-            n_dark = helper.wait()  # this detector's jitter is in pending[0]
-            t = pending.pop(0)
-            darks = rng.integers(0, run_ps, size=n_dark, dtype=np.int64) if n_dark else None
-            if pending:
-                start_detector_draws(pending[0])
-            if darks is not None:
-                t = np.concatenate((t, darks))
-                del darks
-            # jitter leaves the clicks nearly in pair order, where timsort
-            # is linear; once sorted, the clicks jittered outside [0, run_ps)
-            # are the two ends, so the clip is a slice
-            t.sort(kind="stable")
-            t = t[np.searchsorted(t, 0) : np.searchsorted(t, run_ps)]
-            key = t[_dead_time_filter(t, timing.dead_time_ps)].view(np.uint64)
-            del t  # free this detector's clicks before the next one's
-            key <<= np.uint64(2)
-            key |= np.uint64(det)
-            keys.append(key)
-        del key  # the runs live in keys alone, so the merge can free them
-        return _merge_runs(keys, helper)
+    _beside(lambda: _draw_patterns_into(rng, list(clicks.values()), masks, fired, u, scratch),
+            pair_times.sort)
+    del u, scratch
+    t = detector_clicks(0)
+    n_dark, later = _beside(draws(t), lambda: [detector_clicks(det) for det in (1, 2, 3)])
+    del pair_times, fired
+    keys = []
+    for det in range(4):
+        darks = rng.integers(0, run_ps, size=n_dark, dtype=np.int64) if n_dark else None
+        if later:
+            n_dark, key = _beside(draws(later[0]), lambda: keyed(t, darks, det))
+            t = later.pop(0)  # frees this detector's clicks before the next one's
+        else:
+            key = keyed(t, darks, det)
+        keys.append(key)
+        del darks
+    del t, key  # the runs live in keys alone, so the merge can free them
+    return _merge_runs(keys)
 
 
-def _merge_runs(runs: list, helper: _Helper) -> EventStream:
+def _merge_runs(runs: list) -> EventStream:
     """The clicks of the sorted key runs ``runs`` (emptied) in time order.
 
     Sorting the keys orders clicks by time, then ties by detector:
@@ -453,7 +429,8 @@ def _merge_runs(runs: list, helper: _Helper) -> EventStream:
     key of the longest go to the lower part of one buffer, the rest to the
     upper, so that the two parts, sorted apart, sort the whole; for uint64
     the stable sort is timsort, which merges a part's four sorted pieces in
-    linear time.
+    linear time.  The runs are freed before the two parts are sorted beside
+    each other (``_beside``).
     """
     longest = max(runs, key=len)
     splitter = longest[len(longest) // 2] if len(longest) else 0
@@ -464,9 +441,8 @@ def _merge_runs(runs: list, helper: _Helper) -> EventStream:
     runs.clear()
     dets = np.empty(len(key), dtype=np.uint8)
     m = sum(cuts)
-    helper.start(_sort_and_split, key[:m], dets[:m])
-    _sort_and_split(key[m:], dets[m:])
-    helper.wait()
+    _beside(lambda: _sort_and_split(key[:m], dets[:m]),
+            lambda: _sort_and_split(key[m:], dets[m:]))
     return EventStream(key.view(np.int64), dets.view(np.int8))
 
 
@@ -501,10 +477,6 @@ def _greedy_pairs(times, dets, window_ps: int) -> list:
     return pairs
 
 
-def _pair_labels(d_first: np.ndarray, d_second: np.ndarray) -> np.ndarray:
-    return _LABEL_TABLE[np.minimum(d_first, d_second) * 4 + np.maximum(d_first, d_second)]
-
-
 # clicks searched past the middle for a gap to cut the pairing at
 _CUT_LOOKAHEAD = 1024
 # gaps between neighbouring clicks are taken this many at a time (512 KiB)
@@ -529,8 +501,8 @@ def coincidence_filter(events: EventStream, timing: TimingConfig) -> Coincidence
     halves pair as the whole stream does: their coincidences joined and
     their counts summed give the same bytes.  Where ``_threaded()``, the
     clicks are cut at the first such gap at or after the middle click, and
-    the helper pairs the lower half while the caller pairs the upper; with
-    no such gap within ``_CUT_LOOKAHEAD`` clicks, one call pairs them all.
+    the two halves are paired beside each other (``_beside``); with no such
+    gap within ``_CUT_LOOKAHEAD`` clicks, one call pairs them all.
     """
     times = events.times_ps
     dets = events.detectors
@@ -541,10 +513,8 @@ def coincidence_filter(events: EventStream, timing: TimingConfig) -> Coincidence
     if not len(late) or not _threaded():
         return _pair_clusters(times, dets, window)
     cut = mid + int(late[0]) + 1
-    with _Helper(threaded=True) as helper:
-        helper.start(_pair_clusters, times[:cut], dets[:cut], window)
-        upper = _pair_clusters(times[cut:], dets[cut:], window)
-        lower = helper.wait()
+    lower, upper = _beside(lambda: _pair_clusters(times[:cut], dets[:cut], window),
+                           lambda: _pair_clusters(times[cut:], dets[cut:], window))
     return CoincidenceStream(
         np.concatenate((lower.times_ps, upper.times_ps)),
         np.concatenate((lower.labels, upper.labels)),
@@ -573,7 +543,7 @@ def _pair_clusters(times: np.ndarray, dets: np.ndarray, window: int) -> Coincide
 
     # label of the pair whose earlier click is i, or -1
     label_at = np.full(n, -1, dtype=np.int8)
-    label_at[starts] = _pair_labels(dets[starts], dets[starts + 1])
+    label_at[starts] = _LABEL_TABLE[dets[starts] * 4 + dets[starts + 1]]
     del starts
 
     # each big cluster ends at the next cluster start, three or more on
@@ -588,7 +558,7 @@ def _pair_clusters(times: np.ndarray, dets: np.ndarray, window: int) -> Coincide
     idx = np.arange(big_sizes.sum()) + np.repeat(big_starts - offsets, big_sizes)
     pairs = _greedy_pairs(times[idx].tolist(), dets[idx].tolist(), window)
     first, second = idx[np.array(pairs, dtype=np.intp).reshape(-1, 2)].T
-    label_at[first] = _pair_labels(dets[first], dets[second])
+    label_at[first] = _LABEL_TABLE[dets[first] * 4 + dets[second]]
 
     paired = np.flatnonzero(label_at >= 0)
     return CoincidenceStream(

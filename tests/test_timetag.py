@@ -8,6 +8,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -482,19 +483,6 @@ class TestSimulateThreads:
         assert _threads_simulate_starts(0, None) == (6 if second_cpu else 0)
         assert _threads_pairing_starts(0, None) == (1 if second_cpu else 0)
 
-    def test_draw_steps_run_one_at_a_time_in_call_order(self):
-        order = []
-
-        def step(name, pause):
-            time.sleep(pause)
-            order.append(name)
-
-        with timetag._Helper(threaded=True) as helper:
-            helper.start(step, "first", 0.05)
-            helper.start(step, "second", 0.0)
-            helper.wait()
-        assert order == ["first", "second"]
-
     def test_concurrent_calls_under_a_short_switch_interval(self, monkeypatch):
         # six callers at once, more than the cores, each with its own
         # helper, switching threads every 10 us: each stream and its
@@ -540,6 +528,78 @@ class TestSimulateThreads:
         assert forks == [scan_workers(2)] * 2
 
 
+class TestBeside:
+    """``_beside(helper_call, caller_call)`` runs the helper's call on a
+    thread beside the caller's where ``_threaded()``, else inline before it.
+    Either way both calls run, their results come back in that order, the
+    helper's exception is raised once the caller's call has returned, and
+    no thread outlives the call."""
+
+    @pytest.fixture(params=[True, False], ids=["threaded", "inline"])
+    def threaded(self, request, monkeypatch):
+        monkeypatch.setattr(timetag, "_in_fork_worker", not request.param)
+        monkeypatch.setattr(timetag, "_usable_cpus", lambda: 2)
+        return request.param
+
+    def test_results_come_back_in_order(self, threaded):
+        log = []
+
+        def helper():
+            time.sleep(0.05)  # still running when the caller's call returns
+            log.append(("helper", threading.current_thread().name))
+            return "helper's"
+
+        def caller():
+            log.append(("caller", threading.current_thread().name))
+            return "caller's"
+
+        before = threading.active_count()
+        assert timetag._beside(helper, caller) == ("helper's", "caller's")
+        assert threading.active_count() == before
+        main = threading.current_thread().name
+        if threaded:
+            assert log == [("caller", main), ("helper", "qrngsim-helper")]
+        else:
+            assert log == [("helper", main), ("caller", main)]
+
+    def test_helper_error_is_raised_once_the_caller_returns(self, threaded):
+        log = []
+
+        def helper():
+            raise RuntimeError("failed on the helper")
+
+        def caller():
+            time.sleep(0.05)  # the helper has raised by now
+            log.append("caller returned")
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="failed on the helper"):
+            timetag._beside(helper, caller)
+        assert log == ["caller returned"]
+        assert threading.active_count() == before
+
+    def test_caller_error_leaves_no_thread_running(self, threaded):
+        log = []
+
+        def helper():
+            time.sleep(0.05)  # still running when the caller raises
+            log.append("helper returned")
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="failed in the caller"):
+            timetag._beside(helper, _fails)
+        assert log == ["helper returned"]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("in_fork_worker, cpus, starts", [
+        (False, 2, 1), (True, 2, 0), (False, 1, 0),
+    ], ids=["second-cpu", "fork-worker", "one-cpu"])
+    def test_inline_path_starts_no_thread(self, monkeypatch, in_fork_worker, cpus, starts):
+        monkeypatch.setattr(timetag, "_in_fork_worker", in_fork_worker)
+        monkeypatch.setattr(timetag, "_usable_cpus", lambda: cpus)
+        assert _thread_starts(timetag._beside, lambda: 1, lambda: 2) == starts
+
+
 @st.composite
 def key_runs(draw):
     """Four runs of (t << 2) | d keys, one per detector, each sorted: some
@@ -568,8 +628,10 @@ class TestMergeRuns:
               np.array([22], np.uint64), np.array([23, 27], np.uint64)], True)
     def test_matches_one_sort_of_all_keys(self, runs, threaded):
         keys = np.sort(np.concatenate(runs))
-        with timetag._Helper(threaded) as helper:
-            got = timetag._merge_runs(list(runs), helper)
+        # hypothesis refuses function-scoped fixtures such as monkeypatch
+        with mock.patch.object(timetag, "_in_fork_worker", not threaded), \
+                mock.patch.object(timetag, "_usable_cpus", lambda: 2):
+            got = timetag._merge_runs(list(runs))
         assert got.times_ps.dtype == np.int64 and got.detectors.dtype == np.int8
         assert got.times_ps.tolist() == (keys >> np.uint64(2)).tolist()
         assert got.detectors.tolist() == (keys & np.uint64(3)).tolist()
@@ -581,9 +643,9 @@ class TestMergeRuns:
         refs, alive = [], []
         merge, sort = timetag._merge_runs, timetag._sort_and_split
 
-        def merging(runs, helper):
+        def merging(runs):
             refs.extend(weakref.ref(run) for run in runs)
-            return merge(runs, helper)
+            return merge(runs)
 
         def sorting(key, dets):
             alive.append(sum(ref() is not None for ref in refs))
@@ -850,8 +912,13 @@ class TestCoincidenceFilter:
             events((Detector.D4, 10), (Detector.D1, 400)), TimingConfig()
         )
         assert [label for label, _ in labels_at(stream)] == [PairLabel.D1D4]
+        # indexed by a * 4 + b for detectors a and b in either order: every
+        # same-detector slot reads -1, and each label fills its two slots
+        table = _LABEL_TABLE.reshape(4, 4)
         for d in Detector:
-            assert _LABEL_TABLE[4 * d + d] == -1
+            assert table[d, d] == -1
+        assert (table == table.T).all()
+        assert sorted(_LABEL_TABLE[_LABEL_TABLE >= 0].tolist()) == sorted(list(PairLabel) * 2)
 
     @pytest.mark.parametrize("trial", range(25))
     def test_matches_reference_greedy_on_dense_streams(self, trial):
