@@ -97,33 +97,33 @@ def records_to_stream(records: BitRecordStream) -> BitStream:
     return BitStream(data.astype(np.uint8))
 
 
-def _period_indices(times_ps: np.ndarray, clock: ClockConfig, narrow: bool = False) -> np.ndarray:
+def _check_index(latest_ps: int, clock: ClockConfig) -> None:
+    """Raises ValueError if the error log's index k + 1 of the period of
+    time latest_ps (ps) would pass int64."""
+    if latest_ps * 1000 // clock.period_fs >= _INT64_MAX:
+        raise ValueError(f"clock indices pass int64 at {latest_ps} ps")
+
+
+def _period_indices(times_ps: np.ndarray, clock: ClockConfig, out=None) -> np.ndarray:
     """Exact period index floor(1000 t / P) of timestamps t >= 0 (ps), in
-    the input's order, as int64, or with narrow as uint32 where the largest
-    index fits.
+    the input's order, written into out, of any integer type that holds
+    them, or a new int64 array; the caller checks the largest time with
+    ``_check_index``.
 
     Works in femtoseconds so that periods off the picosecond grid (3 MHz,
     7 kHz) still index exactly; t = q P + r keeps every product in int64 at
-    any duration.  A period of whole picoseconds p, as 500 kHz, 12.5 kHz
-    and 1.25 kHz clocks have, needs one division: floor(1000 t / 1000 p)
-    = floor(t / p), written straight into the result's type.  Raises
-    ValueError if the error log's index k + 1 of the largest time's period
-    would pass int64.
+    any duration, and 1000 q is at most the index, so it fits out too.  A
+    period of whole picoseconds p, as 500 kHz, 12.5 kHz and 1.25 kHz clocks
+    have, needs one division: floor(1000 t / 1000 p) = floor(t / p).
     """
     period_fs = clock.period_fs
-    latest = int(times_ps.max()) if len(times_ps) else 0
-    last = latest * 1000 // period_fs
-    if last + 1 > _INT64_MAX:
-        raise ValueError(f"clock indices pass int64 at {latest} ps")
-    dtype = np.uint32 if narrow and last <= np.iinfo(np.uint32).max else np.int64
     if period_fs % 1000 == 0:
-        return np.floor_divide(times_ps, period_fs // 1000,
-                               out=np.empty(len(times_ps), dtype), casting="unsafe")
+        return np.floor_divide(times_ps, period_fs // 1000, out=out, casting="unsafe")
     q, r = np.divmod(times_ps, period_fs)
     # in place, so the peak holds two arrays of the input's size, not five
     q *= 1000
-    q += np.floor_divide(np.multiply(r, 1000, out=r), period_fs, out=r)
-    return q.astype(dtype, copy=False)
+    np.floor_divide(np.multiply(r, 1000, out=r), period_fs, out=r)
+    return np.add(q, r, out=q if out is None else out, casting="unsafe")
 
 
 def _opens(periods: np.ndarray) -> np.ndarray:
@@ -148,19 +148,31 @@ def period_occupancy(coincidences: CoincidenceStream, clock: ClockConfig):
     times = coincidences.times_ps
     if np.any(times[1:] < times[:-1]):
         raise ValueError("coincidences must be time-sorted")
+    _check_index(int(times[-1]) if len(times) else 0, clock)
     periods = _period_indices(times, clock)
     return periods, _opens(periods)
 
 
-def occupancy_counts(times_ps: np.ndarray, clock: ClockConfig) -> tuple[int, int]:
-    """(occupied, multi): the clock periods that times (ps, in any order)
-    occupy, and those holding two or more, the counts of extract_bits'
-    symbols and error symbols on the sorted stream, without its labels.
+def occupancy_counts(n: int, run_ps: int, chunks, clock: ClockConfig) -> tuple[int, int]:
+    """(occupied, multi): the clock periods that n times occupy, and those
+    holding two or more, the counts of extract_bits' symbols and error
+    symbols on the sorted stream, without its labels.
 
-    Sorts the period indices, uint32 where they fit, rather than the int64
-    times; the caller's times are not written.
+    The times (ps, any order, each below run_ps) come as int64 chunks, as
+    ``synthetic_times`` draws them, and are not written.  Their period
+    indices go into one array, uint32 where run_ps - 1's index fits, which
+    is then sorted.  Where run_ps - 1 would fail ``_check_index``, each
+    chunk's largest time is checked instead.
     """
-    periods = _period_indices(times_ps, clock, narrow=True)
+    bound = (run_ps - 1) * 1000 // clock.period_fs
+    periods = np.empty(n, np.uint32 if bound <= np.iinfo(np.uint32).max else np.int64)
+    lo = 0
+    for times in chunks:
+        if bound >= _INT64_MAX:
+            _check_index(int(times.max(initial=0)), clock)
+        _period_indices(times, clock, out=periods[lo : lo + len(times)])
+        lo += len(times)
+        del times  # else it lives on while the next chunk is drawn
     periods.sort()
     opens = _opens(periods)
     return int(np.count_nonzero(opens)) - 1, int(np.count_nonzero(opens[:-1] > opens[1:]))

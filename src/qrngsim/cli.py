@@ -192,10 +192,10 @@ def cmd_scan_delay(args, manifest: RunManifest):
 def _ber_point(seed, clock, rate_hz, duration_s):
     """One frequency, run by ``fan_out`` from its own seed: the clock
     periods that ``synthetic_coincidences``' stream occupies and those
-    holding two or more, counted from its times alone, unsorted, since the
-    counts need neither the order nor the labels."""
+    holding two or more, counted from its times alone as they are drawn,
+    since the counts need neither the order nor the labels."""
     return bitpipe.occupancy_counts(
-        timetag.synthetic_times(rate_hz, duration_s, np.random.default_rng(seed)), clock)
+        *timetag.synthetic_times(rate_hz, duration_s, np.random.default_rng(seed)), clock)
 
 
 def cmd_ber_scan(args, manifest: RunManifest):

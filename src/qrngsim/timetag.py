@@ -254,9 +254,9 @@ def _draw_patterns_into(rng, weights, values: np.ndarray, out: np.ndarray,
         out += step_or_zero
 
 
-# each detector's jitter is drawn and added this many clicks at a time
-# (512 KiB of float64), so no full-length jitter array is made
-_JITTER_CHUNK = 1 << 16
+# jitter, gaps between clicks and synthetic times are taken this many at a
+# time (512 KiB of 8-byte values), so none makes a full-length array
+_CHUNK = 1 << 16
 
 # true in fan_out's forked workers
 _in_fork_worker = False
@@ -343,7 +343,7 @@ def simulate(
     108.5 to 115 MB and ``generate``'s from 109.0 to 124.7 MB, where copying
     in the caller and freeing the runs before either sort read 108.4 MB).
 
-    The jitter is ``rng.standard_normal(out=chunk)``, ``_JITTER_CHUNK``
+    The jitter is ``rng.standard_normal(out=chunk)``, ``_CHUNK``
     draws at a time, scaled by sigma, rounded and added to the click times
     with an unsafe cast to int64.  ``rng.normal(0, sigma)`` is 0 + sigma
     times the same standard normal, so element for element this equals
@@ -374,7 +374,7 @@ def simulate(
     fired = np.empty(n_pairs, dtype=np.uint8)
     u = np.empty(n_pairs)
     scratch = np.empty(n_pairs, dtype=bool)
-    chunk = np.empty(_JITTER_CHUNK)
+    chunk = np.empty(_CHUNK)
 
     def detector_clicks(det):
         return np.compress(((fired >> det) & 1).view(bool), pair_times)
@@ -479,8 +479,6 @@ def _greedy_pairs(times, dets, window_ps: int) -> list:
 
 # clicks searched past the middle for a gap to cut the pairing at
 _CUT_LOOKAHEAD = 1024
-# gaps between neighbouring clicks are taken this many at a time (512 KiB)
-_GAP_CHUNK = 1 << 16
 
 
 def coincidence_filter(events: EventStream, timing: TimingConfig) -> CoincidenceStream:
@@ -529,9 +527,9 @@ def _pair_clusters(times: np.ndarray, dets: np.ndarray, window: int) -> Coincide
     # the last click, so a cluster's second and third clicks can always be
     # looked up
     new_cluster = np.ones(n + 2, dtype=bool)
-    gaps = np.empty(min(n, _GAP_CHUNK), dtype=np.int64)
-    for lo in range(1, n, _GAP_CHUNK):
-        hi = min(lo + _GAP_CHUNK, n)
+    gaps = np.empty(min(n, _CHUNK), dtype=np.int64)
+    for lo in range(1, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
         gap = gaps[: hi - lo]
         np.subtract(times[lo:hi], times[lo - 1 : hi - 1], out=gap)
         if gap.min() < 0:
@@ -539,11 +537,11 @@ def _pair_clusters(times: np.ndarray, dets: np.ndarray, window: int) -> Coincide
         np.greater(gap, window, out=new_cluster[lo:hi])
     # a > b on bools is a & ~b: a cluster of two or more clicks starts here
     starts = np.flatnonzero(new_cluster[:n] > new_cluster[1 : n + 1])
-    big_starts = starts[~new_cluster[starts + 2]]
+    big_starts = starts[~new_cluster[2:][starts]]
 
     # label of the pair whose earlier click is i, or -1
     label_at = np.full(n, -1, dtype=np.int8)
-    label_at[starts] = _LABEL_TABLE[dets[starts] * 4 + dets[starts + 1]]
+    label_at[starts] = _LABEL_TABLE[dets[starts] * 4 + dets[1:][starts]]
     del starts
 
     # each big cluster ends at the next cluster start, three or more on
@@ -570,13 +568,16 @@ def _pair_clusters(times: np.ndarray, dets: np.ndarray, window: int) -> Coincide
     )
 
 
-def synthetic_times(rate_hz: float, duration_s: float, rng: np.random.Generator) -> np.ndarray:
-    """The int64 times (ps) of a Poisson stream, unsorted: its count, then
-    its uniform times, drawn from rng in that order."""
+def synthetic_times(rate_hz: float, duration_s: float, rng: np.random.Generator) -> tuple:
+    """(n, run_ps, chunks): a Poisson stream's count, drawn from rng, its
+    run in ps, and an iterator that draws its int64 times from rng,
+    unsorted, ``_CHUNK`` at a time: the values and generator state of one
+    ``rng.integers(0, run_ps, n, np.int64)`` call (``TestStreamCanary``)."""
     SourceConfig(rate_hz, duration_s)  # a pair source's rate and duration rules
-    mean = _poisson_mean("rate_hz", rate_hz, duration_s)
-    n = int(rng.poisson(mean))
-    return rng.integers(0, duration_ps(duration_s), size=n, dtype=np.int64)
+    n = int(rng.poisson(_poisson_mean("rate_hz", rate_hz, duration_s)))
+    run_ps = duration_ps(duration_s)
+    return n, run_ps, (rng.integers(0, run_ps, size=min(_CHUNK, n - lo), dtype=np.int64)
+                       for lo in range(0, n, _CHUNK))
 
 
 def synthetic_coincidences(rate_hz: float, duration_s: float, seed: int = 0) -> CoincidenceStream:
@@ -588,10 +589,11 @@ def synthetic_coincidences(rate_hz: float, duration_s: float, seed: int = 0) -> 
     at a prescribed coincidence rate.
     """
     rng = np.random.default_rng(seed)
-    times = synthetic_times(rate_hz, duration_s, rng)
+    n, _, chunks = synthetic_times(rate_hz, duration_s, rng)
+    times = np.concatenate([np.empty(0, np.int64), *chunks])
     times.sort()
     # D1D2 is 0 and D3D4 is 1
-    return CoincidenceStream(times, rng.integers(0, 2, size=len(times)).astype(np.int8))
+    return CoincidenceStream(times, rng.integers(0, 2, size=n).astype(np.int8))
 
 
 def label_counts(labels: np.ndarray) -> np.ndarray:

@@ -26,6 +26,8 @@ from qrngsim.bitpipe import (
     write_error_log,
 )
 from qrngsim.timetag import (
+    _CHUNK,
+    MAX_DURATION_PS,
     CoincidenceStream,
     PairLabel,
     synthetic_coincidences,
@@ -285,14 +287,18 @@ class TestClockedExtractionOracle:
 
 @st.composite
 def unsorted_times_cases(draw):
-    """(clock frequency, times in ps in any order) for occupancy_counts.
+    """(clock frequency, times in ps in any order, run_ps, cuts) for
+    occupancy_counts.
 
     12.5 kHz periods are whole picoseconds, 3 MHz and 7 kHz periods are
     not, and a 1e15 Hz clock's 1 fs period puts every time past 4,294,968
     ps at an index of 2^32 or more, where the indices stay int64.  Times
     start at zero or straddle the first period of index 2^32; a second
     copy may follow them by a whole multiple of 2^32 periods, whose
-    indices equal the first copy's in their low 32 bits.
+    indices equal the first copy's in their low 32 bits.  run_ps lies past
+    the largest time, up to MAX_DURATION_PS, where a 1e15 Hz clock's
+    largest possible index passes the int64 check and each chunk is
+    checked instead; the times are cut into chunks at the sorted cuts.
     """
     frequency_hz = draw(st.sampled_from([1.25e4, 3e6, 7e3, 1e15]))
     period_fs = ClockConfig(frequency_hz).period_fs
@@ -308,31 +314,74 @@ def unsorted_times_cases(draw):
     top = int(times.max(initial=0)) + shift
     if draw(st.booleans()) and top <= INT64_MAX and top * 1000 // period_fs < INT64_MAX:
         times = np.concatenate([times, times + shift])
-    return frequency_hz, draw(st.permutations(times.tolist()))
+    times = draw(st.permutations(times.tolist()))
+    run_ps = max(times, default=0) + 1
+    run_ps = draw(st.sampled_from([run_ps, max(run_ps, MAX_DURATION_PS)]))
+    cuts = sorted(draw(st.lists(st.integers(0, len(times)), max_size=4)))
+    return frequency_hz, times, run_ps, cuts
+
+
+def occupancy_by_oracle(times, clock: ClockConfig) -> tuple:
+    """(occupied, multi) from the scalar period table."""
+    table = period_table(times, [0] * len(times), clock.period_fs)
+    return len(table), sum(count >= 2 for count, _ in table.values())
 
 
 class TestOccupancyCounts:
     @settings(max_examples=150, deadline=None)
     @given(case=unsorted_times_cases())
-    @example(case=(1.25e4, [])).via("no coincidence")
-    @example(case=(3e6, [7])).via("one coincidence")
-    @example(case=(7e3, [142_857_142, 5, 0, 142_857_141])).via("every time in one period")
-    @example(case=(1.25e4, [80_000_000, 0, 79_999_999, 160_000_000, 80_000_001])
-             ).via("shuffled, two periods of two and one of one")
-    @example(case=(1e15, [0, 536_870_912])).via("indices 125 * 2^32 apart")
+    @example(case=(1.25e4, [], 1, [])).via("no coincidence")
+    @example(case=(3e6, [7], 8, [0, 1])).via("one coincidence, empty chunks on both sides")
+    @example(case=(7e3, [142_857_142, 5, 0, 142_857_141], 142_857_143, [2])
+             ).via("every time in one period, over two chunks")
+    @example(case=(1.25e4, [80_000_000, 0, 79_999_999, 160_000_000, 80_000_001],
+                   160_000_001, [1, 3])).via("shuffled, two periods of two and one of one")
+    @example(case=(1e15, [0, 536_870_912], MAX_DURATION_PS, [1])
+             ).via("indices 125 * 2^32 apart, each chunk checked")
     def test_matches_scalar_oracle(self, case):
-        frequency_hz, times = case
+        frequency_hz, times, run_ps, cuts = case
         clock = ClockConfig(frequency_hz)
         given_times = np.array(times, dtype=np.int64)
-        table = period_table(times, [0] * len(times), clock.period_fs)
-        want = (len(table), sum(count >= 2 for count, _ in table.values()))
-        assert bitpipe.occupancy_counts(given_times, clock) == want
+        want = occupancy_by_oracle(times, clock)
+        chunks = np.split(given_times, cuts)
+        assert bitpipe.occupancy_counts(len(times), run_ps, iter(chunks), clock) == want
         # and the counts of extract_bits' symbols and error symbols on the
         # sorted stream, whatever its labels
         stream = CoincidenceStream(np.sort(given_times), np.zeros(len(times), dtype=np.int8))
         records = extract_bits(stream, clock)
         assert (len(records), len(records.error_periods)) == want
         assert given_times.tolist() == times  # the caller's times are not written
+
+    @pytest.mark.parametrize("frequency_hz", [1.25e4, 3e6])
+    @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    def test_synthetic_chunks_match_scalar_oracle(self, frequency_hz, n):
+        # whole-ps and fs periods, over whole, part and single-time chunks
+        run_ps = 400 * 10**6
+        clock = ClockConfig(frequency_hz)
+        times = np.random.default_rng(n).integers(0, run_ps, size=n, dtype=np.int64)
+        want = occupancy_by_oracle(times.tolist(), clock)
+        chunks = np.split(times, range(_CHUNK, n, _CHUNK))
+        assert bitpipe.occupancy_counts(n, run_ps, iter(chunks), clock) == want
+
+    @pytest.mark.parametrize("last_chunk", [False, True])
+    def test_int64_line_of_a_1_fs_period(self, last_chunk):
+        # the time at which 1000 t + 1 first passes int64 is rejected in
+        # whichever chunk holds it, as extract_bits rejects it; the time
+        # just below it is indexed
+        line = -(-INT64_MAX // 1000)
+        clock = ClockConfig(1e15)
+        times = np.arange(2 * _CHUNK + 1, dtype=np.int64)
+        times[-1 if last_chunk else 0] = line - 1
+        chunks = np.split(times, [_CHUNK, 2 * _CHUNK])
+        assert bitpipe.occupancy_counts(len(times), line + 1, iter(chunks), clock) == (
+            len(times), 0)
+        times[-1 if last_chunk else 0] = line
+        with pytest.raises(ValueError) as sorted_error:
+            extract_bits(CoincidenceStream(np.sort(times), np.zeros(len(times), np.int8)), clock)
+        with pytest.raises(ValueError) as counting_error:
+            bitpipe.occupancy_counts(len(times), line + 1, iter(chunks), clock)
+        assert str(counting_error.value) == str(sorted_error.value)
+        assert str(counting_error.value) == f"clock indices pass int64 at {line} ps"
 
     def test_index_past_int64_rejected_as_extract_bits_does(self):
         # a 1 THz clock's index is the time in ps; the largest, not last,
@@ -342,7 +391,7 @@ class TestOccupancyCounts:
         with pytest.raises(ValueError) as sorted_error:
             extract_bits(CoincidenceStream(np.sort(times), np.zeros(2, dtype=np.int8)), clock)
         with pytest.raises(ValueError) as counting_error:
-            bitpipe.occupancy_counts(times, clock)
+            bitpipe.occupancy_counts(2, INT64_MAX + 1, iter([times]), clock)
         assert str(counting_error.value) == str(sorted_error.value)
         assert str(counting_error.value) == f"clock indices pass int64 at {INT64_MAX} ps"
 

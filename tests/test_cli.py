@@ -295,12 +295,12 @@ class TestBerScan:
 
     @pytest.mark.parametrize("frequency_hz", [12_500.0, 1_250.0])
     def test_point_peak_memory_per_coincidence(self, frequency_hz):
-        # about 300,000 coincidences at ber_long's rate and clocks: the int64
-        # times, then their uint32 periods, the opens mask and one bool
-        # temporary, 14 bytes a coincidence; drawing the labels too, or
-        # holding the periods in int64, passes 15
+        # about 300,000 coincidences at ber_long's rate and clocks: their
+        # uint32 periods, the opens mask and one bool temporary, 6 bytes a
+        # coincidence, plus one chunk of int64 times; holding every time,
+        # drawing the labels too, or holding the periods in int64 passes it
         clock = ClockConfig(frequency_hz)
-        n = len(timetag.synthetic_times(250.0, 1200.0, np.random.default_rng(6)))
+        n = timetag.synthetic_times(250.0, 1200.0, np.random.default_rng(6))[0]
         _ber_point(6, clock, 250.0, 1200.0)  # warm: numpy's first-call setup is not the point's
         tracemalloc.start()
         try:
@@ -309,7 +309,7 @@ class TestBerScan:
         finally:
             tracemalloc.stop()
         assert n > 290_000
-        assert peak < 15 * n
+        assert peak < 6 * n + 8 * timetag._CHUNK
 
     def test_one_pool_of_at_most_one_worker_per_cpu_and_frequency(self, tmp_path, forks):
         assert threading.active_count() == 1
@@ -687,7 +687,7 @@ class TestUnusableClock:
     # an unusable clock, then a frequency where R/(2f) = 1.25 passes 1
     @pytest.mark.parametrize("freqs", ["12500,1250,1e16", "12500,1250,100"])
     def test_ber_scan_checks_every_frequency_before_simulating(
-        self, tmp_path, capsys, monkeypatch, forks, freqs
+        self, tmp_path, capsys, monkeypatch, forks, another_python_thread, freqs
     ):
         calls = []
         real = timetag.synthetic_times
@@ -707,6 +707,12 @@ class TestUnusableClock:
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+        # a usable scan run in the caller draws through the patched call,
+        # once a frequency, so the checks above see a draw that happens
+        with another_python_thread():
+            assert run("ber-scan", "--rate", "250", "--freqs", "12500,1250",
+                       "--duration", "10", "--out", str(out)) == EXIT_OK
+        assert len(calls) == 2 and forks == []
 
     def test_ber_scan_index_past_int64(self, tmp_path, capsys):
         # a 1 fs period puts 9,300 s at clock index 9.3e18, past int64

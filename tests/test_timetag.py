@@ -33,6 +33,7 @@ from qrngsim.timetag import (
     PairLabel,
     SourceConfig,
     TimingConfig,
+    _CHUNK,
     _LABEL_TABLE,
     _dead_time_filter,
     coincidence_filter,
@@ -47,6 +48,7 @@ from qrngsim.timetag import (
     scan_workers,
     simulate,
     synthetic_coincidences,
+    synthetic_times,
     write_events_csv,
     write_scan_csv,
 )
@@ -378,7 +380,7 @@ class TestSimulateOracle:
 
     @pytest.mark.parametrize("chunk, run", CHUNKED_RUNS, ids=CHUNKED_IDS)
     def test_matches_scalar_oracle_across_jitter_chunks(self, monkeypatch, chunk, run):
-        monkeypatch.setattr(timetag, "_JITTER_CHUNK", chunk)
+        monkeypatch.setattr(timetag, "_CHUNK", chunk)
         self.assert_matches_oracle(*run)
 
     def test_chunked_runs_reach_their_edges(self):
@@ -767,6 +769,22 @@ class TestStreamCanary:
         got = hashlib.sha256(arr.astype(arr.dtype.newbyteorder("<")).tobytes()).hexdigest()
         assert got == want, f"numpy {np.__version__} moved the {name} stream"
 
+    @pytest.mark.parametrize("duration_s", [1e-3, 9_500.0], ids=["below-2^32-ps", "above-2^32-ps"])
+    def test_synthetic_times_chunks_are_one_integers_call(self, duration_s):
+        # 150,199 times, an odd count that ends inside the third chunk;
+        # below 2^32 ps each time takes half of a 64-bit output, so the last
+        # one leaves the other half in the generator's state
+        one, chunked = np.random.default_rng(2024), np.random.default_rng(2024)
+        n = int(one.poisson(150_000.0))
+        want = one.integers(0, duration_ps(duration_s), size=n, dtype=np.int64)
+        got_n, run_ps, chunks = synthetic_times(150_000.0 / duration_s, duration_s, chunked)
+        got = np.concatenate(list(chunks))
+        assert (got_n, run_ps, n % 2, 2 * _CHUNK < n < 3 * _CHUNK) == (
+            n, duration_ps(duration_s), 1, True)
+        assert np.array_equal(got, want), f"numpy {np.__version__} moved the chunked integers_int64 stream"
+        assert chunked.bit_generator.state == one.bit_generator.state, (
+            f"numpy {np.__version__} left a chunked integers_int64 draw elsewhere")
+
 
 class TestDeadTimeFilter:
     @settings(max_examples=400, deadline=None)
@@ -890,7 +908,7 @@ class TestCoincidenceFilter:
         times = np.arange(10, dtype=np.int64) * 10_000
         times[at] = times[at - 1] - 1
         monkeypatch.setattr(timetag, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(timetag, "_GAP_CHUNK", 2)
+        monkeypatch.setattr(timetag, "_CHUNK", 2)
         before = threading.active_count()
         with pytest.raises(ValueError, match="detection events must be time-sorted"):
             coincidence_filter(EventStream(times, np.zeros(10, np.int8)), TimingConfig())
@@ -904,7 +922,7 @@ class TestCoincidenceFilter:
         times = np.sort(rng.integers(0, 40_000, 60)).astype(np.int64)
         dets = rng.integers(0, 4, 60).astype(np.int8)
         want = coincidence_filter(EventStream(times, dets), NO_NOISE)
-        monkeypatch.setattr(timetag, "_GAP_CHUNK", chunk)
+        monkeypatch.setattr(timetag, "_CHUNK", chunk)
         assert_same_coincidences(coincidence_filter(EventStream(times, dets), NO_NOISE), want)
 
     def test_cross_arm_labeling(self):
