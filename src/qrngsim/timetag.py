@@ -221,55 +221,52 @@ def _dead_time_filter(times: np.ndarray, dead_ps: int) -> np.ndarray:
 
 
 def draw_patterns(rng: np.random.Generator, weights, n: int) -> np.ndarray:
-    """n pattern indices (uint8) drawn with probabilities ``weights``.
-
-    numpy's own recipe for ``rng.choice(len(weights), size=n, p=weights)``:
-    one ``random()`` per draw against the normalised cdf.  Counting the cdf
-    edges each draw passes gives the index ``searchsorted(side="right")``
-    would, so the indices and the generator state afterwards are the same,
-    without a binary search per draw.
-    """
+    """n pattern indices (uint8) drawn with probabilities ``weights``: the
+    values and generator state of ``rng.choice(len(weights), size=n,
+    p=weights)``, by ``_draw_patterns_into``."""
     idx = np.empty(n, dtype=np.uint8)
     _draw_patterns_into(rng, weights, np.arange(len(weights), dtype=np.uint8), idx,
-                        np.empty(n), np.empty(n, dtype=bool))
+                        np.empty(_CHUNK), np.empty(_CHUNK, dtype=bool))
     return idx
 
 
 def _draw_patterns_into(rng, weights, values: np.ndarray, out: np.ndarray,
                         u: np.ndarray, scratch: np.ndarray) -> None:
     """``values[draw_patterns(rng, weights, len(out))]`` (uint8) into
-    ``out``, allocating no array of its own: the uniforms go to ``u`` and
-    each cdf comparison to ``scratch`` (bool).  A draw that passes edge k
-    adds values[k + 1] - values[k], in uint8 arithmetic that wraps, so the
-    sum from values[0] ends at the drawn pattern's value without a
-    gather."""
+    ``out`` by numpy's recipe for ``choice``, one ``random()`` per draw
+    against the normalised cdf, ``len(u)`` draws at a time through ``u``
+    and ``scratch`` (bool, as long): one call draws what the chunks do.
+    Counting the cdf edges a draw passes gives the index that
+    ``searchsorted(side="right")`` would, without a binary search: each
+    edge k passed adds values[k + 1] - values[k], in wrapping uint8
+    arithmetic, so the sum from values[0] ends at the drawn value."""
     cdf = np.cumsum(weights, dtype=np.float64)
     cdf /= cdf[-1]
-    rng.random(out=u)
-    out.fill(values[0])
-    step_or_zero = scratch.view(np.uint8)
-    for edge, step in zip(cdf[:-1], np.diff(values)):
-        np.greater_equal(u, edge, out=scratch)
-        step_or_zero *= step
-        out += step_or_zero
+    for lo in range(0, len(out), len(u)):
+        part = out[lo : lo + len(u)]
+        draws, passed = u[: len(part)], scratch[: len(part)]
+        step_or_zero = passed.view(np.uint8)
+        rng.random(out=draws)
+        part.fill(values[0])
+        for edge, step in zip(cdf[:-1], np.diff(values)):
+            np.greater_equal(draws, edge, out=passed)
+            step_or_zero *= step
+            part += step_or_zero
 
 
-# jitter, gaps between clicks and synthetic times are taken this many at a
-# time (512 KiB of 8-byte values), so none makes a full-length array
+# simulate's passes, pairing pieces and synthetic times take about this many
+# values at a time (512 KiB of 8-byte ones), not full-length temporaries
 _CHUNK = 1 << 16
 
-# true in fan_out's forked workers
-_in_fork_worker = False
+_in_fork_worker = False  # true in fan_out's forked workers
 
 
 def _threaded() -> bool:
-    """Whether ``_beside`` runs its helper's call on a second thread.  In
-    ``fan_out``'s forked workers, or with one usable CPU, it runs both calls
-    inline instead, as measured rather than reasoned: the other cores
-    already have work, and with helper threads in the workers fresh-process
-    ``scan-delay`` runs on the ``scan_highflux`` argv took a median 1.09
-    times as long over 12 alternated pairs, faster in only 3 (an earlier
-    prototype read about 14 % slower; 2-vCPU host)."""
+    """Whether ``_beside`` runs its helper's call on a second thread: not in
+    ``fan_out``'s forked workers, whose siblings keep the other cores busy
+    (with helper threads there, fresh-process ``scan-delay`` runs on the
+    ``scan_highflux`` argv took a median 1.09 times as long over 12
+    alternated pairs, 2-vCPU host), nor with one usable CPU."""
     return not _in_fork_worker and _usable_cpus() > 1
 
 
@@ -303,6 +300,19 @@ def _beside(helper_call, caller_call) -> tuple:
     return outcome[0], mine
 
 
+def _detector_clicks(pair_times, fired, det: int, scratch) -> np.ndarray:
+    """The ``pair_times`` whose firing masks ``fired`` set bit ``det``, counted,
+    then selected ``len(scratch)`` (bool) at a time into an exact array."""
+    bit, step = np.uint8(1 << det), len(scratch)
+    sizes = [np.count_nonzero(fired[lo : lo + step] & bit) for lo in range(0, len(fired), step)]
+    t = np.empty(sum(sizes), dtype=np.int64)
+    for lo, at, k in zip(range(0, len(fired), step), np.cumsum([0, *sizes]).tolist(), sizes):
+        hit = scratch[: len(fired) - lo]
+        np.bitwise_and(fired[lo : lo + step], bit, out=hit, casting="unsafe")
+        np.compress(hit, pair_times[lo : lo + step], out=t[at : at + k])
+    return t
+
+
 def _detector_draws(rng, t: np.ndarray, sigma: float, chunk: np.ndarray, mean_darks: float) -> int:
     """One detector's draws but its dark-count times: its jitter, added to
     its click times ``t`` in place a ``chunk`` at a time, then its number of
@@ -334,31 +344,24 @@ def simulate(
 
     Each draw after the pair times is the helper's call of a ``_beside``
     step, beside the caller's work that draws nothing, so no two draws
-    share the generator at once.  The caller draws each detector's dark
-    times between two helper steps and makes every array the helper fills:
-    arrays a second thread allocates stay in its own malloc arena and raise
-    the peak resident memory (dark times drawn on the helper cost 6 MB more
-    at 300 Hz darks over 1,175 s, 47 MB more at 3 kHz; each thread copying
-    its part of the runs, still alive, raised ``simulate``'s own peak from
-    108.5 to 115 MB and ``generate``'s from 109.0 to 124.7 MB, where copying
-    in the caller and freeing the runs before either sort read 108.4 MB).
+    share the generator at once.  The caller draws the dark times and makes
+    every array the helper fills, so the helper allocates only the merge's
+    sort buffer: a second thread's arrays stay in its own malloc arena and
+    raise the peak RSS (dark times drawn on the helper cost 6 MB at 300 Hz
+    darks over 1,175 s, 47 MB at 3 kHz; copying the runs on both threads
+    raised ``generate``'s peak from 109.0 to 124.7 MB).
 
-    The jitter is ``rng.standard_normal(out=chunk)``, ``_CHUNK``
-    draws at a time, scaled by sigma, rounded and added to the click times
-    with an unsafe cast to int64.  ``rng.normal(0, sigma)`` is 0 + sigma
-    times the same standard normal, so element for element this equals
-    ``np.rint(rng.normal(0.0, sigma, n)).astype(np.int64)`` without the
-    full-length float and int jitter arrays (``TestSimulateOracle``
-    compares it with an oracle that draws ``normal``).
-
-    Which gather each pass uses follows from how much of its input it
-    keeps (numpy 2.4, 3.5 M random int64, one core of a 2-vCPU host).  A
-    detector keeps about 37.5 % of the pairs at the dip.  A boolean index
-    that keeps a third to a half takes 26-27 ms there, ``np.compress``
-    (nonzero, then take) 10-11 ms, and at 90 % compress is only a little
-    slower (15 against 12 ms), so the selection always uses ``compress``.
-    The dead-time keep mask drops about 1e-4 of the clicks, the boolean
-    index's fast case: 7 ms against ``compress``'s 14 ms.
+    The pattern draw, each detector's selection and the jitter take
+    ``_CHUNK`` pairs at a time through two buffers made once.  The jitter,
+    ``rng.standard_normal(out=chunk)`` scaled by sigma, rounded and added
+    with an unsafe cast to int64, equals ``np.rint(rng.normal(0.0, sigma,
+    n)).astype(np.int64)`` element for element, as ``normal`` is sigma
+    times the same standard normal (``TestSimulateOracle`` draws
+    ``normal``).  Keeping 37.5 % of 3.5 M random int64, as a selection does
+    at the dip, ``np.compress`` takes 10-11 ms and a boolean index 26-27 ms
+    (numpy 2.4, one core of a 2-vCPU host); the dead-time keep mask drops
+    about 1e-4 of the clicks, the boolean index's fast case (7 ms against
+    14 ms).
     """
     mean_pairs = _poisson_mean("pair_rate_hz", source.pair_rate_hz, source.duration_s)
     mean_darks = _poisson_mean("dark_rate_hz", bank.dark_rate_hz, source.duration_s)
@@ -372,12 +375,8 @@ def simulate(
     # bit d of pattern k's mask is set if the pattern fires detector d
     masks = np.array([sum(1 << int(det) for det in p) for p in clicks], dtype=np.uint8)
     fired = np.empty(n_pairs, dtype=np.uint8)
-    u = np.empty(n_pairs)
-    scratch = np.empty(n_pairs, dtype=bool)
     chunk = np.empty(_CHUNK)
-
-    def detector_clicks(det):
-        return np.compress(((fired >> det) & 1).view(bool), pair_times)
+    scratch = np.empty(_CHUNK, dtype=bool)
 
     def draws(t):
         return lambda: _detector_draws(rng, t, timing.jitter_sigma_ps, chunk, mean_darks)
@@ -389,23 +388,21 @@ def simulate(
         bits: uint64, since a signed key wraps from 2^61 ps on."""
         if darks is not None:
             t = np.concatenate((t, darks))
-            del darks
         # jitter leaves the clicks nearly in pair order, where timsort is
         # linear; once sorted, the clicks jittered outside [0, run_ps) are
         # the two ends, so the clip is a slice
         t.sort(kind="stable")
         t = t[np.searchsorted(t, 0) : np.searchsorted(t, run_ps)]
         key = t[_dead_time_filter(t, timing.dead_time_ps)].view(np.uint64)
-        del t
         key <<= np.uint64(2)
         key |= np.uint64(det)
         return key
 
-    _beside(lambda: _draw_patterns_into(rng, list(clicks.values()), masks, fired, u, scratch),
+    _beside(lambda: _draw_patterns_into(rng, list(clicks.values()), masks, fired, chunk, scratch),
             pair_times.sort)
-    del u, scratch
-    t = detector_clicks(0)
-    n_dark, later = _beside(draws(t), lambda: [detector_clicks(det) for det in (1, 2, 3)])
+    t = _detector_clicks(pair_times, fired, 0, scratch)
+    n_dark, later = _beside(draws(t), lambda: [_detector_clicks(pair_times, fired, det, scratch)
+                                               for det in (1, 2, 3)])
     del pair_times, fired
     keys = []
     for det in range(4):
@@ -477,8 +474,7 @@ def _greedy_pairs(times, dets, window_ps: int) -> list:
     return pairs
 
 
-# clicks searched past the middle for a gap to cut the pairing at
-_CUT_LOOKAHEAD = 1024
+_CUT_LOOKAHEAD = 1024  # clicks searched for a cut past each multiple of _CHUNK
 
 
 def coincidence_filter(events: EventStream, timing: TimingConfig) -> CoincidenceStream:
@@ -489,52 +485,60 @@ def coincidence_filter(events: EventStream, timing: TimingConfig) -> Coincidence
     by more than the window can never pair, so the stream splits into
     independent clusters.  The first two clicks of every cluster of two or
     more are labelled in numpy, through a table that gives -1 for one
-    detector twice.  The rare clusters of three or more are gathered for one
-    call of the scalar greedy rule, which agrees on that pair (click 0 pairs
-    with click 1 when their detectors differ) and labels the rest of each
-    pile-up.  Each pair is filed under its earlier click's index, so the
-    output is time-sorted without a sort.
+    detector twice.  A piece's rare clusters of three or more are gathered
+    for one call of the scalar greedy rule, which agrees on that pair
+    (click 0 pairs with click 1 when their detectors differ) and labels the
+    rest of each pile-up.  Each pair is filed under its earlier click's
+    index, so the output is time-sorted without a sort.
 
-    A cut at a gap longer than the window splits no cluster, so the two
-    halves pair as the whole stream does: their coincidences joined and
-    their counts summed give the same bytes.  Where ``_threaded()``, the
-    clicks are cut at the first such gap at or after the middle click, and
-    the two halves are paired beside each other (``_beside``); with no such
-    gap within ``_CUT_LOOKAHEAD`` clicks, one call pairs them all.
+    A cut at a gap longer than the window splits no cluster, so pieces
+    pair as the whole stream does, joined and summed.  The clicks are cut
+    at the first such gap at or after each multiple of ``_CHUNK`` clicks;
+    with none within ``_CUT_LOOKAHEAD`` clicks, the piece runs on.  Each
+    piece is one ``_pair_clusters`` call; the helper pairs the first half
+    of the pieces beside the caller, which pairs the rest (``_beside``),
+    each into output arrays the caller made, a slot per two of its clicks,
+    and the caller joins what they hold.
     """
-    times = events.times_ps
-    dets = events.detectors
+    times, dets = events.times_ps, events.detectors
     n = len(times)
     window = timing.window_ps
-    mid = n // 2
-    late = np.flatnonzero(np.diff(times[mid : mid + _CUT_LOOKAHEAD + 1]) > window)
-    if not len(late) or not _threaded():
-        return _pair_clusters(times, dets, window)
-    cut = mid + int(late[0]) + 1
-    lower, upper = _beside(lambda: _pair_clusters(times[:cut], dets[:cut], window),
-                           lambda: _pair_clusters(times[cut:], dets[cut:], window))
-    return CoincidenceStream(
-        np.concatenate((lower.times_ps, upper.times_ps)),
-        np.concatenate((lower.labels, upper.labels)),
-        n, lower.n_unpaired + upper.n_unpaired,
-        lower.n_multi_click_clusters + upper.n_multi_click_clusters)
+    cuts = [0]
+    for mark in range(_CHUNK, n, _CHUNK):
+        late = np.flatnonzero(np.diff(times[mark : mark + _CUT_LOOKAHEAD + 1]) > window)
+        if len(late) and mark >= cuts[-1]:  # not inside a piece that ran on
+            cuts.append(mark + int(late[0]) + 1)
+    cuts.append(n)
+
+    def pair(bounds, out_t, out_l):
+        k = multi = 0
+        for lo, hi in zip(bounds, bounds[1:]):
+            got, big = _pair_clusters(times[lo:hi], dets[lo:hi], window, out_t[k:], out_l[k:])
+            k, multi = k + got, multi + big
+        return out_t[:k], out_l[:k], multi
+
+    half = (len(cuts) - 1) // 2
+    sides = [(b, np.empty((b[-1] - b[0]) // 2, np.int64), np.empty((b[-1] - b[0]) // 2, np.int8))
+             for b in (cuts[: half + 1], cuts[half:])]
+    (t_low, l_low, multi_low), (t_up, l_up, multi_up) = _beside(
+        lambda: pair(*sides[0]), lambda: pair(*sides[1]))
+    return CoincidenceStream(np.concatenate((t_low, t_up)), np.concatenate((l_low, l_up)),
+                             n, n - 2 * (len(t_low) + len(t_up)), multi_low + multi_up)
 
 
-def _pair_clusters(times: np.ndarray, dets: np.ndarray, window: int) -> CoincidenceStream:
-    """coincidence_filter's pairing of the clicks (times, dets), in one call."""
+def _pair_clusters(times: np.ndarray, dets: np.ndarray, window: int,
+                   out_times: np.ndarray, out_labels: np.ndarray) -> tuple:
+    """coincidence_filter's pairing of the clicks (times, dets) in one call,
+    written to the front of ``out_times`` and ``out_labels``: returns the
+    number of coincidences and of multi-click clusters."""
     n = len(times)
-    # new_cluster[i]: click i opens a cluster; two sentinel clusters follow
-    # the last click, so a cluster's second and third clicks can always be
-    # looked up
+    gaps = np.diff(times)
+    if n > 1 and gaps.min() < 0:
+        raise ValueError("detection events must be time-sorted")
+    # new_cluster[i]: click i opens a cluster; two sentinels follow the last
+    # click, so a cluster's second and third clicks can always be looked up
     new_cluster = np.ones(n + 2, dtype=bool)
-    gaps = np.empty(min(n, _CHUNK), dtype=np.int64)
-    for lo in range(1, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        gap = gaps[: hi - lo]
-        np.subtract(times[lo:hi], times[lo - 1 : hi - 1], out=gap)
-        if gap.min() < 0:
-            raise ValueError("detection events must be time-sorted")
-        np.greater(gap, window, out=new_cluster[lo:hi])
+    np.greater(gaps, window, out=new_cluster[1:n])
     # a > b on bools is a & ~b: a cluster of two or more clicks starts here
     starts = np.flatnonzero(new_cluster[:n] > new_cluster[1 : n + 1])
     big_starts = starts[~new_cluster[2:][starts]]
@@ -542,7 +546,6 @@ def _pair_clusters(times: np.ndarray, dets: np.ndarray, window: int) -> Coincide
     # label of the pair whose earlier click is i, or -1
     label_at = np.full(n, -1, dtype=np.int8)
     label_at[starts] = _LABEL_TABLE[dets[starts] * 4 + dets[1:][starts]]
-    del starts
 
     # each big cluster ends at the next cluster start, three or more on
     big_ends = big_starts + 3
@@ -559,13 +562,10 @@ def _pair_clusters(times: np.ndarray, dets: np.ndarray, window: int) -> Coincide
     label_at[first] = _LABEL_TABLE[dets[first] * 4 + dets[second]]
 
     paired = np.flatnonzero(label_at >= 0)
-    return CoincidenceStream(
-        times[paired],
-        label_at[paired],
-        n_events_in=n,
-        n_unpaired=n - 2 * len(paired),
-        n_multi_click_clusters=len(big_starts),
-    )
+    # "clip", as a "raise" take copies its output through a buffer
+    np.take(times, paired, out=out_times[: len(paired)], mode="clip")
+    np.take(label_at, paired, out=out_labels[: len(paired)], mode="clip")
+    return len(paired), len(big_starts)
 
 
 def synthetic_times(rate_hz: float, duration_s: float, rng: np.random.Generator) -> tuple:

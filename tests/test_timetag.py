@@ -226,10 +226,13 @@ class TestSimulate:
         assert past > 0.45 * len(stream)
         assert np.count_nonzero(times[tied] >= 2**61) > 500
 
-    def test_peak_memory_is_below_two_and_a_half_times_the_output(self):
+    def test_peak_memory_is_below_twice_the_output(self):
         # 600,987 clicks; the output's times and detectors are 9 bytes a
         # click.  A short run first keeps one-off allocations (numpy's
-        # first calls) out of the measurement.
+        # first calls) out of the measurement.  The traced peak reads 1.888
+        # times the output; with a full-length uniform and comparison array
+        # in the pattern draw and a full-length mask and index array in
+        # each selection it read 1.950 (numpy 2.4).
         simulate(SourceConfig(pair_rate_hz=2000.0, duration_s=1.0, seed=1),
                  IDEAL, BANK, TimingConfig())
         src = SourceConfig(pair_rate_hz=2000.0, duration_s=200.0, seed=5)
@@ -240,7 +243,37 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert len(stream) == 600_987
-        assert peak < 2.5 * (stream.times_ps.nbytes + stream.detectors.nbytes)
+        assert peak < 2.0 * (stream.times_ps.nbytes + stream.detectors.nbytes)
+
+    def test_pattern_draw_and_selection_hold_chunk_buffers(self):
+        # 10^6 pairs: the draw holds its 1 MB of patterns and a _CHUNK of
+        # uniforms and of comparisons, not 8 MB of uniforms and 1 MB of
+        # comparisons; one detector's selection holds its exactly sized
+        # output and a chunk's temporaries, not a full-length mask and
+        # index array.  "A few chunks" is four _CHUNKs of 8-byte values.
+        # The traced peaks read 1.59 MB (draw) and 5.52 MB (selection, the
+        # patterns still held) against bounds of 3.10 and 7.09 MB; with
+        # full-length temporaries they read 10.0 MB each.
+        n, few_chunks = 10**6, 4 * _CHUNK * 8
+        rng = np.random.default_rng(8)
+        weights = np.array([0.1, 0.4, 0.2, 0.3])
+        fired = np.random.default_rng(9).integers(0, 16, n, dtype=np.uint8)
+        pair_times = np.arange(n, dtype=np.int64)
+        scratch = np.empty(_CHUNK, dtype=bool)
+        draw_patterns(rng, weights, 100)  # numpy's first calls, untraced
+        timetag._detector_clicks(pair_times[:100], fired[:100], 2, scratch)
+        tracemalloc.start()
+        try:
+            patterns = draw_patterns(rng, weights, n)
+            _, draw_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            clicks = timetag._detector_clicks(pair_times, fired, 2, scratch)
+            _, selection_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert draw_peak < patterns.nbytes + few_chunks
+        assert selection_peak < patterns.nbytes + clicks.nbytes + few_chunks
+        assert np.array_equal(clicks, pair_times[(fired & 4) > 0])
 
     def test_dead_time_enforced_per_detector(self):
         src = SourceConfig(pair_rate_hz=0.0, duration_s=0.01, seed=11)
@@ -349,8 +382,9 @@ class TestSimulateOracle:
             short = np.diff(every.times_ps[every.detectors == det]) <= 10_000_000
             assert np.count_nonzero(short[1:] & short[:-1]) > 50
 
-    # (chunk, run): jitter drawn 7 clicks at a time over darks, chains and
-    # a delay off the dip; a detector whose 543 clicks fill three chunks of
+    # (chunk, run): the pattern draw, each detector's selection and the
+    # jitter taken 7 pairs or clicks at a time over darks, chains and a
+    # delay off the dip; a detector whose 543 clicks fill three chunks of
     # 181 exactly; detectors with no clicks at all (efficiency 0, darks
     # only); no jitter; and a 1e6 ps jitter one click at a time
     CHUNKED_RUNS = [
@@ -446,8 +480,8 @@ class TestSimulateThreads:
 
     # the helper fails on the first detector's draws while the caller
     # selects the other detectors' clicks, on the lower part of the merge
-    # while the caller sorts the upper, or on the lower half of the
-    # pairing while the caller pairs the upper
+    # while the caller sorts the upper, or on a piece of the first half of
+    # the pairing while the caller pairs the rest
     @pytest.mark.parametrize("step", ["_detector_draws", "_sort_and_split", "_pair_clusters"],
                              ids=["draws", "merge", "pairing"])
     def test_error_on_the_helper_is_raised_in_the_caller(self, monkeypatch, forks, step):
@@ -458,6 +492,9 @@ class TestSimulateThreads:
                 raise RuntimeError("failed on the helper")
             return run(*args)
 
+        # chunks of 512, so that the 2,989 clicks make about six pieces and
+        # the helper has some to pair
+        monkeypatch.setattr(timetag, "_CHUNK", 512)
         monkeypatch.setattr(timetag, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(timetag, step, fails_on_the_helper)
         before = threading.active_count()
@@ -703,6 +740,31 @@ class TestDrawPatterns:
         assert np.array_equal(got, numpys.choice(len(weights), size=20_000, p=np.asarray(weights)))
         assert ours.random() == numpys.random()
 
+    # draws taken a chunk at a time: none, one, and one short of, at, one
+    # past and one past two chunks
+    SEAMS = [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)]
+
+    @staticmethod
+    def assert_matches_choice(w, n, seed):
+        ours = np.random.default_rng(seed)
+        numpys = np.random.default_rng(seed)
+        got = draw_patterns(ours, w, n)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, numpys.choice(len(w), size=n, p=w))
+        assert ours.bit_generator.state == numpys.bit_generator.state
+
+    @pytest.mark.parametrize("chunks, extra", SEAMS)
+    def test_matches_generator_choice_at_chunk_seams(self, chunks, extra):
+        self.assert_matches_choice(np.array([0.2, 0.0, 0.5, 0.3]), chunks * _CHUNK + extra, 7)
+
+    @settings(max_examples=200, deadline=None)
+    @given(w=pattern_weights(), chunk=st.integers(1, 9), seam=st.sampled_from(SEAMS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_generator_choice_at_small_chunk_seams(self, w, chunk, seam, seed):
+        # hypothesis refuses function-scoped fixtures such as monkeypatch
+        with mock.patch.object(timetag, "_CHUNK", chunk):
+            self.assert_matches_choice(w, seam[0] * chunk + seam[1], seed)
+
 
 @st.composite
 def dead_time_streams(draw):
@@ -900,11 +962,11 @@ class TestCoincidenceFilter:
 
     @pytest.mark.parametrize("at", [1, 3, 5, 7, 9])
     def test_unsorted_rejected_in_either_half_and_at_chunk_seams(self, monkeypatch, forks, at):
-        # ten clicks 10 ns apart, cut between clicks 5 and 6, gaps taken two
-        # at a time; click ``at`` steps back to 1 ps before the click before
-        # it: in the lower half, on the helper, at its first gap (1) or at a
-        # chunk's first click (3, 5); in the upper half, in the caller, at
-        # its first gap (7) or at a chunk's first click (9)
+        # ten clicks 10 ns apart, cut into pieces at the first gap past
+        # every second click; click ``at`` steps back to 1 ps before the
+        # click before it, so that no cut falls there and a piece holds the
+        # step back: in the helper's first half of the pieces (1, 3, 5) or in
+        # the caller's (7, 9), on a piece's first gap or on a later one
         times = np.arange(10, dtype=np.int64) * 10_000
         times[at] = times[at - 1] - 1
         monkeypatch.setattr(timetag, "_usable_cpus", lambda: 2)
@@ -996,14 +1058,13 @@ class TestCoincidenceFilter:
         for count in ("n_events_in", "n_unpaired", "n_multi_click_clusters"):
             assert getattr(whole, count) == sum(getattr(half, count) for half in halves)
 
-    # Inline the traced peak read 8.59 bytes a click, and 10.93 with the
-    # int64 cluster starts kept to the end.  On two threads, where the
-    # halves' peaks may or may not meet, it read 8.35-9.18 over 48 calls,
-    # and 9.18-11.52 with that leak, so the threaded bound cannot always
-    # tell the leak apart (2-vCPU host, numpy 2.4).
-    @pytest.mark.parametrize("inline, bytes_per_click", [(True, 9.5), (False, 10.0)],
-                             ids=["inline", "threaded"])
-    def test_peak_memory_per_click(self, monkeypatch, inline, bytes_per_click):
+    # The traced peak reads 7.51 bytes a click inline and threaded alike:
+    # the output arrays the caller makes, 4.5 bytes a click, then the
+    # joined output, about 3, and one piece's temporaries.  Pairing the
+    # whole stream in one call read 8.26 inline, and two halves on two
+    # threads 6.76-9.18 (2-vCPU host, numpy 2.4).
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "threaded"])
+    def test_peak_memory_per_click(self, monkeypatch, inline):
         # 901,425 clicks; the input's times and detectors are 9 bytes a click
         src = SourceConfig(pair_rate_hz=2000.0, duration_s=300.0, seed=5)
         stream = simulate(src, IDEAL, BANK, TimingConfig())
@@ -1015,60 +1076,82 @@ class TestCoincidenceFilter:
         finally:
             tracemalloc.stop()
         assert len(stream) == 901_425
-        assert peak < bytes_per_click * len(stream)
+        assert peak < 8.0 * len(stream)
 
-    @settings(max_examples=300, deadline=None)
-    @given(clustered_streams())
-    @example(_PILE_UPS_APART)
-    @example(_PILE_UPS_MERGED)
-    def test_two_halves_pair_as_one_call(self, stream):
-        # where a gap longer than the window follows the middle click, the
-        # helper and the caller each pair a half, and the bytes are those
-        # of one inline call; the cut must not fall at a gap of the window
-        times, dets, window_ps, _ = stream
-        timing = TimingConfig(coincidence_window_ns=window_ps / 1000.0)
-        events_ = EventStream(times, dets)
-        calls = []
+    @staticmethod
+    def piece_lengths(fn, *args) -> list:
+        """The lengths of the pieces ``fn(*args)`` pairs, one
+        ``_pair_clusters`` call each, in the order the calls start."""
+        lengths = []
         pair = timetag._pair_clusters
 
         def counted(*args):
-            calls.append(len(args[0]))
+            lengths.append(len(args[0]))
             return pair(*args)
 
+        with mock.patch.object(timetag, "_pair_clusters", counted):
+            fn(*args)
+        return lengths
+
+    @settings(max_examples=300, deadline=None)
+    @given(clustered_streams(), st.integers(1, 8), st.integers(1, 6))
+    @example(_PILE_UPS_APART, 2, 1)
+    @example(_PILE_UPS_MERGED, 2, 1)
+    def test_two_halves_pair_as_one_call(self, stream, chunk, lookahead):
+        # with chunk clicks a piece and a short look-ahead, many pieces: the
+        # helper pairs the first half of them, the caller the rest, and the
+        # bytes are those of one inline call over the whole stream.  The
+        # cuts fall at the first gap longer than the window (never at a gap
+        # of the window) past each multiple of chunk, searched lookahead
+        # clicks on; a mark inside a piece that ran on past it cuts nothing
+        times, dets, window_ps, _ = stream
+        timing = TimingConfig(coincidence_window_ns=window_ps / 1000.0)
+        events_ = EventStream(times, dets)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(timetag, "_pair_clusters", counted)
             mp.setattr(timetag, "_in_fork_worker", True)
-            inline = coincidence_filter(events_, timing)
-            assert calls == [len(times)]
+            assert self.piece_lengths(coincidence_filter, events_, timing) == [len(times)]
+            whole = coincidence_filter(events_, timing)
             mp.setattr(timetag, "_in_fork_worker", False)
             mp.setattr(timetag, "_usable_cpus", lambda: 2)
-            calls.clear()
+            mp.setattr(timetag, "_CHUNK", chunk)
+            mp.setattr(timetag, "_CUT_LOOKAHEAD", lookahead)
+            lengths = self.piece_lengths(coincidence_filter, events_, timing)
             got = coincidence_filter(events_, timing)
-        assert_same_coincidences(got, inline)
-        cut = len(times) // 2 + 1 + np.flatnonzero(np.diff(times[len(times) // 2:]) > window_ps)
-        assert sorted(calls) == sorted([len(times)] if not len(cut) else
-                                       [int(cut[0]), len(times) - int(cut[0])])
+        assert_same_coincidences(got, whole)
+        after_gap = (np.flatnonzero(np.diff(times) > window_ps) + 1).tolist()
+        cuts = [0]
+        for mark in range(chunk, len(times), chunk):
+            found = [c for c in after_gap if mark < c <= mark + lookahead]
+            if found and mark >= cuts[-1]:
+                cuts.append(found[0])
+        assert sorted(lengths) == sorted(np.diff(cuts + [len(times)]).tolist())
 
     def test_two_halves_pair_a_high_flux_stream_as_one_call(self, monkeypatch):
         # a scan_highflux point's stream: 2 MHz of pairs off the dip, where
-        # pile-ups of three or more clicks are common
+        # pile-ups of three or more clicks are common; its 65,530 clicks
+        # paired in pieces of about 4,096, on both threads
         src = SourceConfig(pair_rate_hz=2e6, duration_s=0.02, seed=7)
         stream = simulate(src, InterferometerConfig(delay_fs=300.0), BANK, TimingConfig())
         monkeypatch.setattr(timetag, "_in_fork_worker", True)
         inline = coincidence_filter(stream, TimingConfig())
         monkeypatch.setattr(timetag, "_in_fork_worker", False)
         monkeypatch.setattr(timetag, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(timetag, "_CHUNK", 4096)
         assert _thread_starts(coincidence_filter, stream, TimingConfig()) == 1
+        lengths = self.piece_lengths(coincidence_filter, stream, TimingConfig())
+        assert len(lengths) == 16 and sum(lengths) == len(stream)
         assert_same_coincidences(coincidence_filter(stream, TimingConfig()), inline)
         assert inline.n_multi_click_clusters > 100
 
-    @pytest.mark.parametrize("gap_at, starts", [
+    @pytest.mark.parametrize("gap_at, cuts", [
         (None, 0), (0, 1), (timetag._CUT_LOOKAHEAD - 1, 1), (timetag._CUT_LOOKAHEAD, 0),
     ], ids=["no-gap", "at-middle", "last-in-look-ahead", "past-look-ahead"])
-    def test_one_call_without_a_gap_near_the_middle(self, monkeypatch, gap_at, starts):
+    def test_one_call_without_a_gap_near_the_middle(self, monkeypatch, gap_at, cuts):
         # 4,000 clicks 1 ns apart, all in one cluster under a 3 ns window,
         # but for one gap of 5 ns after click 2,000 + gap_at, counted from
-        # the middle
+        # the middle, the one multiple of a 2,000-click chunk: a gap within
+        # the look-ahead cuts the clicks in two pieces, and with none the
+        # piece runs on to the end
         times = np.arange(4000, dtype=np.int64) * 1000
         if gap_at is not None:
             times[2001 + gap_at:] += 4000
@@ -1077,7 +1160,9 @@ class TestCoincidenceFilter:
         inline = coincidence_filter(EventStream(times, dets), TimingConfig())
         monkeypatch.setattr(timetag, "_in_fork_worker", False)
         monkeypatch.setattr(timetag, "_usable_cpus", lambda: 2)
-        assert _thread_starts(coincidence_filter, EventStream(times, dets), TimingConfig()) == starts
+        monkeypatch.setattr(timetag, "_CHUNK", 2000)
+        lengths = self.piece_lengths(coincidence_filter, EventStream(times, dets), TimingConfig())
+        assert sorted(lengths) == sorted([2001 + gap_at, 1999 - gap_at] if cuts else [4000])
         assert_same_coincidences(coincidence_filter(EventStream(times, dets), TimingConfig()),
                                  inline)
 
